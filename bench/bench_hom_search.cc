@@ -4,14 +4,12 @@
 // fixed q1, reporting visited search nodes alongside wall time.
 //
 // Experiment E11 — the compiled homomorphism kernel (DESIGN.md §9). The
-// same searches are run three ways over a generator-corpus grid:
+// same searches are run two ways over a generator-corpus grid:
 //
-//   * legacy             — the interpreted, map-based matcher
-//                          (use_compiled_kernel = false),
-//   * kernel_no_intersect — compiled pattern + flat binding trail, but
-//                          smallest-list candidate scans,
-//   * kernel             — the production path: compiled pattern, trail,
-//                          and k-way galloping posting-list intersection.
+//   * legacy — the interpreted, map-based matcher
+//              (use_compiled_kernel = false), on plain posting vectors,
+//   * kernel — the production path: compiled pattern, flat binding trail,
+//              smallest-list candidate scans over the frozen tier.
 //
 // Per configuration the report records wall time (best of several
 // passes), backtracking nodes, index probes, and probes per node; the
@@ -111,8 +109,7 @@ struct CorpusConfig {
 
 // The grid spans the axes that matter to the kernel: target size
 // (candidate-list length per node), probe size (nodes per search), join
-// density (how often several positions are bound => intersection
-// opportunity), constants (compile-time list resolution), related vs
+// density (how often several positions are bound), constants (compile-time list resolution), related vs
 // unrelated probes, and first-match vs full enumeration.
 constexpr CorpusConfig kCorpus[] = {
     {"random_sparse_first", 24, 10, 8, 5, 0.0, false, false, 64},
@@ -123,10 +120,10 @@ constexpr CorpusConfig kCorpus[] = {
     {"subquery_wide_all", 96, 14, 7, 0, 0.0, true, true, 12},
     {"subquery_wide_first", 96, 14, 10, 0, 0.0, true, false, 24},
     {"subquery_deep_all", 64, 8, 9, 0, 0.0, true, true, 8},
-    // Intersection-heavy wide-KB regime (DESIGN.md §14): a large chase
-    // with a small variable pool and constants, so most pattern atoms have
-    // several bound positions and the kernel leapfrogs long frozen lists.
-    {"wide_kb_intersect_all", 192, 10, 8, 0, 0.25, true, true, 8},
+    // Wide-KB regime (DESIGN.md §14): a large chase with a small variable
+    // pool and constants, so most pattern atoms have several bound
+    // positions and the kernel scans long frozen lists.
+    {"wide_kb_all", 192, 10, 8, 0, 0.25, true, true, 8},
 };
 
 struct RunMetrics {
@@ -249,7 +246,7 @@ void WriteKernelReport() {
   json += "{\n  \"experiment\": \"hom_search_kernel\",\n";
   json += "  \"passes\": 5,\n  \"configs\": [\n";
 
-  double log_speedup_sum = 0, log_intersect_sum = 0;
+  double log_speedup_sum = 0;
   int config_count = 0;
   bool all_agree = true;
 
@@ -259,8 +256,6 @@ void WriteKernelReport() {
 
     MatchOptions legacy;
     legacy.use_compiled_kernel = false;
-    MatchOptions kernel_no_intersect;
-    kernel_no_intersect.use_list_intersection = false;
     MatchOptions kernel;
 
     // Legacy runs on the unfrozen index — plain posting vectors, the PR 2
@@ -268,7 +263,6 @@ void WriteKernelReport() {
     // block-compressed tier, as the engine does (containment.cc).
     RunMetrics legacy_run = TimedRun(workload, config, legacy);
     workload.chase.FreezeConjuncts();
-    RunMetrics plain_run = TimedRun(workload, config, kernel_no_intersect);
     RunMetrics kernel_run = TimedRun(workload, config, kernel);
     FactIndex::StorageStats storage = workload.chase.conjuncts().Stats();
     double bytes_per_posting =
@@ -276,17 +270,12 @@ void WriteKernelReport() {
             ? 0.0
             : double(storage.arena_bytes) / double(storage.frozen_postings);
 
-    bool agree = legacy_run.found == plain_run.found &&
-                 legacy_run.found == kernel_run.found;
+    bool agree = legacy_run.found == kernel_run.found;
     all_agree = all_agree && agree;
     double speedup = kernel_run.wall_ms > 0
                          ? legacy_run.wall_ms / kernel_run.wall_ms
                          : 0.0;
-    double intersect_gain = kernel_run.wall_ms > 0
-                                ? plain_run.wall_ms / kernel_run.wall_ms
-                                : 0.0;
     log_speedup_sum += std::log(speedup);
-    log_intersect_sum += std::log(intersect_gain);
     ++config_count;
 
     char buffer[512];
@@ -302,29 +291,24 @@ void WriteKernelReport() {
     json += buffer;
     AppendRunJson(json, "legacy", legacy_run);
     json += ",\n";
-    AppendRunJson(json, "kernel_no_intersect", plain_run);
-    json += ",\n";
     AppendRunJson(json, "kernel", kernel_run);
     json += ",\n";
     std::snprintf(buffer, sizeof(buffer),
                   "      \"speedup_kernel_vs_legacy\": %.3f, "
-                  "\"speedup_intersection\": %.3f, "
                   "\"bytes_per_posting_frozen\": %.3f, "
                   "\"verdicts_agree\": %s}",
-                  speedup, intersect_gain, bytes_per_posting,
+                  speedup, bytes_per_posting,
                   agree ? "true" : "false");
     json += buffer;
     json += (&config == &kCorpus[std::size(kCorpus) - 1]) ? "\n" : ",\n";
   }
 
   double geomean = std::exp(log_speedup_sum / config_count);
-  double geomean_intersect = std::exp(log_intersect_sum / config_count);
   char buffer[256];
   std::snprintf(buffer, sizeof(buffer),
                 "  ],\n  \"geomean_speedup_kernel_vs_legacy\": %.3f,\n"
-                "  \"geomean_speedup_intersection\": %.3f,\n"
                 "  \"all_verdicts_agree\": %s\n}\n",
-                geomean, geomean_intersect, all_agree ? "true" : "false");
+                geomean, all_agree ? "true" : "false");
   json += buffer;
 
   std::printf("== E11: compiled kernel vs legacy matcher ==\n%s\n",

@@ -2,18 +2,19 @@
 //
 // Three claims are measured and gated:
 //
-//   1. Speed: on intersection-heavy homomorphism workloads (wide chases,
-//      dense joins, constants — the regime where the kernel leapfrogs
-//      long posting lists), the compiled kernel streaming the frozen tier
+//   1. Speed: on join-heavy homomorphism workloads (wide chases, dense
+//      joins, constants — the regime where pattern atoms have several
+//      bound positions over long posting lists), the compiled kernel
+//      streaming the frozen tier
 //      beats the PR 2 baseline (the interpreted matcher over plain
 //      posting vectors, use_compiled_kernel = false on an unfrozen index)
 //      by >= 1.5x geomean wall time.
 //   2. Space: the frozen tier spends <= 2.0 bytes per posting — at most
 //      half of the 4-byte plain-vector representation.
 //   3. Correctness: zero differential mismatches across every seam —
-//      codec roundtrip (compressed vs plain), SIMD vs scalar decode and
-//      lower bound, snapshot-loaded vs in-memory intersection results,
-//      and per-config search-verdict agreement between the matchers.
+//      codec roundtrip (compressed vs plain), SIMD vs scalar decode,
+//      snapshot-loaded vs in-memory posting lists, and per-config
+//      search-verdict agreement between the matchers.
 //
 // Everything is written to BENCH_posting_codec.json (and echoed) so the
 // gates are machine-checkable. FLOQ_BENCH_SMALL=1 shrinks the workloads
@@ -28,7 +29,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -36,7 +36,6 @@
 #include "containment/homomorphism.h"
 #include "datalog/match.h"
 #include "datalog/posting_block.h"
-#include "datalog/posting_intersect.h"
 #include "datalog/snapshot.h"
 #include "gen/generators.h"
 #include "term/world.h"
@@ -93,27 +92,8 @@ uint64_t CodecRoundTripMismatches(int lists) {
   return mismatches;
 }
 
-uint64_t SimdLowerBoundMismatches(int trials) {
-  Rng rng(103);
-  uint64_t mismatches = 0;
-  for (int i = 0; i < trials; ++i) {
-    const uint32_t n = 1 + uint32_t(rng.Below(kPostingBlockSize));
-    std::vector<uint32_t> data = RandomIds(rng, n, 2000);
-    for (int probe = 0; probe < 32; ++probe) {
-      const uint32_t target = uint32_t(rng.Below(data.back() + 2));
-      const uint32_t expected = uint32_t(
-          std::lower_bound(data.begin(), data.end(), target) - data.begin());
-      if (LowerBoundInBlock(data.data(), n, target) != expected ||
-          LowerBoundInBlockScalar(data.data(), n, target) != expected) {
-        ++mismatches;
-      }
-    }
-  }
-  return mismatches;
-}
-
-// Build an index of ground facts, intersect argument lists in memory,
-// snapshot it, mmap it back, intersect again: results must be identical.
+// Build an index of ground facts, read its argument lists in memory,
+// snapshot it, mmap it back, read them again: the lists must be identical.
 uint64_t SnapshotParityMismatches(int objects) {
   World world;
   FactIndex index;
@@ -133,29 +113,25 @@ uint64_t SnapshotParityMismatches(int objects) {
     }
   }
 
-  auto intersections = [&](const FactIndex& idx) {
+  auto argument_lists = [&](const FactIndex& idx) {
     std::vector<std::vector<uint32_t>> results;
-    std::vector<uint32_t> out;
     for (Term a : attrs) {
-      for (Term v : values) {
-        const PostingView lists[] = {idx.WithArgument(pfl::kData, 1, a),
-                                     idx.WithArgument(pfl::kData, 2, v)};
-        if (lists[0].empty() || lists[1].empty()) continue;
-        IntersectPostingLists(lists, out);
-        results.push_back(out);
-      }
+      results.push_back(idx.WithArgument(pfl::kData, 1, a).ToVector());
+    }
+    for (Term v : values) {
+      results.push_back(idx.WithArgument(pfl::kData, 2, v).ToVector());
     }
     return results;
   };
 
-  const std::vector<std::vector<uint32_t>> in_memory = intersections(index);
+  const std::vector<std::vector<uint32_t>> in_memory = argument_lists(index);
 
   const std::string path = "bench_posting_codec.snap";
   FLOQ_CHECK(WriteFactIndexSnapshot(index, world, path).ok());
   World world2;
   FactIndex loaded;
   FLOQ_CHECK(LoadFactIndexSnapshot(path, world2, loaded).ok());
-  const std::vector<std::vector<uint32_t>> mapped = intersections(loaded);
+  const std::vector<std::vector<uint32_t>> mapped = argument_lists(loaded);
   std::remove(path.c_str());
 
   if (in_memory.size() != mapped.size()) return 1;
@@ -166,7 +142,7 @@ uint64_t SnapshotParityMismatches(int objects) {
   return mismatches;
 }
 
-// ---- intersection-heavy search configs (claims 1 and 2) ---------------------
+// ---- join-heavy search configs (claims 1 and 2) -----------------------------
 
 struct CodecConfig {
   const char* name;
@@ -178,8 +154,8 @@ struct CodecConfig {
 };
 
 // All-matches subquery probes over dense targets: every search node has
-// several bound positions, so candidate computation is k-way intersection
-// — the regime the frozen tier is built for.
+// several bound positions over long shared lists — the regime the frozen
+// tier is built for.
 constexpr CodecConfig kConfigs[] = {
     {"intersect_mid", 48, 8, 7, 0.0, 16},
     {"intersect_constants", 64, 8, 8, 0.25, 12},
@@ -258,8 +234,6 @@ void WriteReport() {
 
   const uint64_t roundtrip_mismatches =
       CodecRoundTripMismatches(small ? 40 : 400);
-  const uint64_t lower_bound_mismatches =
-      SimdLowerBoundMismatches(small ? 50 : 500);
   const uint64_t snapshot_mismatches =
       SnapshotParityMismatches(small ? 200 : 2000);
 
@@ -334,12 +308,10 @@ void WriteReport() {
       "  \"bytes_per_posting_frozen\": %.3f,\n"
       "  \"bytes_per_posting_plain\": 4.0,\n"
       "  \"codec_roundtrip_mismatches\": %llu,\n"
-      "  \"simd_lower_bound_mismatches\": %llu,\n"
       "  \"snapshot_parity_mismatches\": %llu,\n"
       "  \"all_verdicts_agree\": %s\n}\n",
       geomean, bytes_per_posting,
       (unsigned long long)roundtrip_mismatches,
-      (unsigned long long)lower_bound_mismatches,
       (unsigned long long)snapshot_mismatches, all_agree ? "true" : "false");
   json += buffer;
 
@@ -373,27 +345,6 @@ void BM_DecodeBlock(benchmark::State& state) {
   state.SetItemsProcessed(int64_t(state.iterations()) * kPostingBlockSize);
 }
 BENCHMARK(BM_DecodeBlock)->ArgNames({"simd"})->Arg(0)->Arg(1);
-
-// Seek throughput over a long frozen list (block-skipping gallop).
-void BM_CursorSeek(benchmark::State& state) {
-  Rng rng(13);
-  std::vector<uint32_t> ids = RandomIds(rng, 100'000, 5);
-  PostingArena arena;
-  const uint32_t offset = arena.EncodeList(ids);
-  PostingView view(arena.data(), offset, uint32_t(ids.size()), {});
-  const uint32_t stride = uint32_t(state.range(0));
-  for (auto _ : state) {
-    PostingCursor cursor(view);
-    uint32_t target = 0;
-    uint64_t sum = 0;
-    while (cursor.SeekGE(target)) {
-      sum += cursor.value();
-      target = cursor.value() + stride;
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-}
-BENCHMARK(BM_CursorSeek)->ArgNames({"stride"})->Arg(16)->Arg(512)->Arg(16384);
 
 }  // namespace
 

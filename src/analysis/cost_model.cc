@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <set>
 
+#include "analysis/query_lints.h"
+#include "containment/containment.h"
 #include "util/strings.h"
 
 namespace floq::analysis {
@@ -57,164 +57,6 @@ ChaseGrowthModel FitChaseGrowth(const ChaseResult& probe) {
   return model;
 }
 
-namespace {
-
-TargetProfile ProfileIndex(const FactIndex& index,
-                           ChaseGrowthModel growth) {
-  TargetProfile profile;
-  profile.growth = growth;
-  // One pass over the atoms discovers which (pred, position, constant)
-  // keys exist; the FactIndex stat accessors then price each of them.
-  std::set<PredicateId> predicates;
-  std::set<std::pair<uint64_t, Term>> constant_keys;  // ((pred<<4)|pos, term)
-  for (const Atom& atom : index.atoms()) {
-    predicates.insert(atom.predicate());
-    for (int i = 0; i < atom.arity(); ++i) {
-      if (atom.arg(i).IsConstant()) {
-        constant_keys.insert(
-            {(uint64_t(atom.predicate()) << 4) | uint64_t(i), atom.arg(i)});
-      }
-    }
-  }
-  for (PredicateId pred : predicates) {
-    profile.predicate_counts[pred] = index.CountWithPredicate(pred);
-    const int arity = kMaxArity;
-    for (int pos = 0; pos < arity; ++pos) {
-      uint32_t distinct = index.DistinctArgumentValues(pred, pos);
-      if (distinct > 0) {
-        profile.position_distinct[(uint64_t(pred) << 4) | uint64_t(pos)] =
-            distinct;
-      }
-    }
-  }
-  for (const auto& [pred_pos, term] : constant_keys) {
-    const PredicateId pred = PredicateId(pred_pos >> 4);
-    const int pos = int(pred_pos & 0xf);
-    profile.constant_counts[(uint64_t(pred) << 36) | (uint64_t(pos) << 32) |
-                            uint64_t(term.raw())] =
-        index.CountWithArgument(pred, pos, term);
-  }
-  return profile;
-}
-
-}  // namespace
-
-TargetProfile ProfileTarget(const ChaseResult& probe) {
-  return ProfileIndex(probe.conjuncts(), FitChaseGrowth(probe));
-}
-
-TargetProfile ProfileFacts(const FactIndex& facts) {
-  ChaseGrowthModel growth;
-  growth.completed = true;
-  growth.level0_atoms = facts.size();
-  growth.probe_atoms = facts.size();
-  return ProfileIndex(facts, growth);
-}
-
-PatternProfile ProfilePattern(const ConjunctiveQuery& query) {
-  PatternProfile profile;
-  profile.atoms = query.body();
-  if (profile.atoms.empty()) return profile;
-  // Union-find over atoms sharing a variable (the FLQ003 construction).
-  std::vector<size_t> parent(profile.atoms.size());
-  for (size_t i = 0; i < parent.size(); ++i) parent[i] = i;
-  auto find = [&](size_t x) {
-    while (parent[x] != x) x = parent[x] = parent[parent[x]];
-    return x;
-  };
-  std::map<uint32_t, size_t> owner;  // variable -> first atom seen in
-  for (size_t i = 0; i < profile.atoms.size(); ++i) {
-    for (Term t : profile.atoms[i]) {
-      if (!t.IsVariable()) continue;
-      auto [it, fresh] = owner.insert({t.raw(), i});
-      if (!fresh) parent[find(i)] = find(it->second);
-    }
-  }
-  std::set<size_t> roots;
-  for (size_t i = 0; i < profile.atoms.size(); ++i) roots.insert(find(i));
-  profile.join_components = int(roots.size());
-  return profile;
-}
-
-CostEstimate EstimatePairCost(const TargetProfile& target,
-                              const PatternProfile& pattern, int level,
-                              uint64_t atom_cap) {
-  CostEstimate estimate;
-  estimate.chase_levels_bound = level;
-  estimate.chase_atoms_bound = target.growth.AtomsAtLevel(level, atom_cap);
-  estimate.confidence = target.growth.ConfidenceAtLevel(level);
-  if (target.growth.failed || pattern.atoms.empty()) {
-    // A failed chase decides the pair for free; an empty pattern matches
-    // trivially.
-    return estimate;
-  }
-
-  // The chase only grows posting lists, never predicates' relative shape
-  // (rho_1/rho_5 dominate growth uniformly enough for ranking): scale
-  // every probe posting count by the total-atoms ratio.
-  const double scale =
-      target.growth.probe_atoms > 0
-          ? double(estimate.chase_atoms_bound) /
-                double(target.growth.probe_atoms)
-          : 1.0;
-
-  // Most-constrained-first walk, mirroring the kernel's atom ordering:
-  // the next atom is the one with the fewest estimated candidates given
-  // the variables bound so far. The search-tree node count is the sum of
-  // partial-assignment counts along that order.
-  const size_t n = pattern.atoms.size();
-  std::vector<bool> used(n, false);
-  std::set<uint32_t> bound;
-  auto candidates = [&](const Atom& atom) {
-    double cand = scale * double(target.PredicateCount(atom.predicate()));
-    if (cand <= 0.0) return 0.0;
-    for (int i = 0; i < atom.arity(); ++i) {
-      Term t = atom.arg(i);
-      if (t.IsVariable()) {
-        if (bound.count(t.raw()) != 0) {
-          uint32_t distinct = target.DistinctAt(atom.predicate(), i);
-          if (distinct > 1) cand /= double(distinct);
-        }
-        continue;
-      }
-      // Constant selectivity: posting length of (pred, i, t) against the
-      // predicate's total. The chase invents only nulls, so a constant
-      // absent from the probe closure stays absent at every level.
-      const uint32_t pred_count = target.PredicateCount(atom.predicate());
-      const uint32_t with_constant =
-          target.ConstantCount(atom.predicate(), i, t);
-      if (with_constant == 0) return 0.0;
-      cand *= double(with_constant) / double(std::max(pred_count, 1u));
-    }
-    return cand;
-  };
-
-  double nodes = 0.0;
-  double prefix = 1.0;
-  for (size_t step = 0; step < n; ++step) {
-    double best_cand = 0.0;
-    size_t best = n;
-    for (size_t i = 0; i < n; ++i) {
-      if (used[i]) continue;
-      double cand = candidates(pattern.atoms[i]);
-      if (best == n || cand < best_cand) {
-        best = i;
-        best_cand = cand;
-      }
-    }
-    used[best] = true;
-    // Each live partial assignment probes this atom's posting list once
-    // (the `prefix` term) and extends into `cand` children.
-    nodes += prefix + prefix * best_cand;
-    prefix *= best_cand;
-    for (Term t : pattern.atoms[best]) {
-      if (t.IsVariable()) bound.insert(t.raw());
-    }
-  }
-  estimate.hom_fanout_bound = nodes;
-  return estimate;
-}
-
 std::vector<Diagnostic> LintDependencyCost(const DependencySet& dependencies,
                                            const World& world) {
   std::vector<Diagnostic> out;
@@ -251,20 +93,21 @@ QueryCostReport AnalyzeQueryCost(World& world, const ConjunctiveQuery& query,
   chase_options.max_atoms = options.probe_max_atoms;
   ChaseResult probe = ChaseQuery(world, query, chase_options);
 
-  TargetProfile target = ProfileTarget(probe);
-  PatternProfile pattern = ProfilePattern(query);
-  report.estimate =
-      EstimatePairCost(target, pattern, TheoremTwelveLevel(query, query),
-                       options.chase_atom_budget);
+  const ChaseGrowthModel growth = FitChaseGrowth(probe);
+  const int level = PaperLevelBound(query, query);
+  report.estimate.chase_levels_bound = level;
+  report.estimate.chase_atoms_bound =
+      growth.AtomsAtLevel(level, options.chase_atom_budget);
+  report.estimate.confidence = growth.ConfidenceAtLevel(level);
   report.boundedness = AnalyzeSigmaBoundedness(world, query.body());
 
-  if (pattern.join_components > 1) {
+  const size_t components = BodyJoinComponents(query).size();
+  if (components > 1) {
     Diagnostic d = MakeDiagnostic(
         "FLD202",
-        StrCat("cross-join: the body splits into ", pattern.join_components,
+        StrCat("cross-join: the body splits into ", components,
                " variable-disjoint components, so the homomorphism fan-out "
-               "is the product of the per-component fan-outs (estimated ",
-               uint64_t(report.estimate.hom_fanout_bound), " search nodes)"),
+               "is the product of the per-component fan-outs"),
         SpanOf(world, query.span()));
     report.diagnostics.push_back(std::move(d));
   }

@@ -2,33 +2,24 @@
 #define FLOQ_ANALYSIS_COST_MODEL_H_
 
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "analysis/boundedness.h"
 #include "analysis/diagnostic.h"
 #include "chase/chase.h"
-#include "datalog/fact_index.h"
 #include "query/conjunctive_query.h"
 #include "term/world.h"
 
-// Static cost prediction for containment checks (DESIGN.md §15). A check
-// q1 ⊆_Sigma q2 has two priced stages — materializing chase_Sigma(q1) to
-// the Theorem-12 level and searching for a homomorphism body(q2) ->
-// chase(q1) — and this model predicts both *before* running them, from
-// (a) a geometric fit of the registration probe chase's level counts and
-// (b) a join-shape walk of q2's body against the probe's per-position
-// posting statistics (FactIndex stat accessors).
+// Static chase-growth estimate for `floq analyze` (DESIGN.md §15). A
+// check q1 ⊆_Sigma q2 materializes chase_Sigma(q1) to the Theorem-12
+// level; this model predicts how large that prefix gets *before* running
+// it, from a geometric fit of a bounded probe chase's level counts.
 //
-// Soundness discipline: every number here is either a sound upper bound
-// (a completed probe makes AtomsAtLevel exact — the chase reached its
-// fixpoint, deeper levels add nothing) or an explicitly confidence-tagged
-// extrapolation (geometric growth continued past the probe horizon). The
-// consumers never let an estimate change a verdict: the engine only
-// *reorders* pairs by it (use_cost_scheduling), and budget calibration
-// (ResourceBudget::FromEstimate) only ever *raises* a pair's step budget,
-// so kUnknown verdicts can only decrease.
+// Every number is either a sound upper bound (a completed probe makes
+// AtomsAtLevel exact — the chase reached its fixpoint, deeper levels add
+// nothing) or an explicitly confidence-tagged extrapolation (geometric
+// growth continued past the probe horizon). Nothing here feeds a verdict:
+// the estimate only drives the FLD203 lint and the analyze report.
 
 namespace floq::analysis {
 
@@ -65,90 +56,17 @@ struct ChaseGrowthModel {
 /// ChaseQuery result; deeper probes give tighter fits).
 ChaseGrowthModel FitChaseGrowth(const ChaseResult& probe);
 
-/// Target-side statistics of one query: its growth model plus the probe
-/// index's posting-list shape, summarized so the per-pair estimator never
-/// touches the (mutable, later re-frozen) index again.
-struct TargetProfile {
-  ChaseGrowthModel growth;
-  /// Probe posting-list length per predicate (FactIndex::CountWithPredicate).
-  std::unordered_map<PredicateId, uint32_t> predicate_counts;
-  /// Distinct terms per (pred << 4 | position)
-  /// (FactIndex::DistinctArgumentValues).
-  std::unordered_map<uint64_t, uint32_t> position_distinct;
-  /// Posting length per (pred << 36 | position << 32 | term.raw()) for
-  /// constant terms (FactIndex::CountWithArgument) — constant selectivity.
-  std::unordered_map<uint64_t, uint32_t> constant_counts;
-
-  uint32_t PredicateCount(PredicateId pred) const {
-    auto it = predicate_counts.find(pred);
-    return it == predicate_counts.end() ? 0 : it->second;
-  }
-  uint32_t DistinctAt(PredicateId pred, int position) const {
-    auto it = position_distinct.find((uint64_t(pred) << 4) | uint64_t(position));
-    return it == position_distinct.end() ? 0 : it->second;
-  }
-  uint32_t ConstantCount(PredicateId pred, int position, Term value) const {
-    auto it = constant_counts.find((uint64_t(pred) << 36) |
-                                   (uint64_t(position) << 32) |
-                                   uint64_t(value.raw()));
-    return it == constant_counts.end() ? 0 : it->second;
-  }
-};
-
-/// Profiles a probe chase (the engine's registration probe doubles as the
-/// sample).
-TargetProfile ProfileTarget(const ChaseResult& probe);
-
-/// Profiles a plain fact set (ChaseDepth::kNone targets, KB fact bases):
-/// an exact, completed "growth" model over the facts as they stand.
-TargetProfile ProfileFacts(const FactIndex& facts);
-
-/// Pattern-side join shape of one query used as a right-hand side: its
-/// body atoms plus the variable-connectivity component count (components
-/// multiply the hom fan-out — each is matched independently).
-struct PatternProfile {
-  std::vector<Atom> atoms;
-  int join_components = 0;
-};
-
-PatternProfile ProfilePattern(const ConjunctiveQuery& query);
-
-/// The predicted price of one containment check.
+/// The predicted chase size of one containment check.
 struct CostEstimate {
   /// Estimated chase conjuncts at chase_levels_bound (exact when
   /// confidence == 1).
   uint64_t chase_atoms_bound = 0;
-  /// The level the estimate targets (the pair's Theorem-12 bound).
+  /// The level the estimate targets (the check's Theorem-12 bound).
   int chase_levels_bound = 0;
-  /// Estimated homomorphism-search nodes: partial assignments probed by a
-  /// most-constrained-first search, from posting-derived per-atom
-  /// candidate counts.
-  double hom_fanout_bound = 0.0;
   /// 1.0 when chase_atoms_bound is exact; decays with extrapolation
   /// distance past the probe horizon.
   double confidence = 1.0;
-
-  /// Scalar ranking cost (chase conjuncts + hom nodes, both roughly
-  /// "operations"): the scheduling key. Order-preserving in either
-  /// component; the absolute value has no unit.
-  double Scalar() const {
-    return double(chase_atoms_bound) + hom_fanout_bound;
-  }
 };
-
-/// Predicts the price of checking target ⊆ pattern at `level` under a
-/// chase atom budget of `atom_cap`.
-CostEstimate EstimatePairCost(const TargetProfile& target,
-                              const PatternProfile& pattern, int level,
-                              uint64_t atom_cap);
-
-/// Theorem 12's level cap |q2| * 2|q1|, restated here so this library
-/// stays below floq_containment in the link order (PaperLevelBound in
-/// containment.h computes the identical number).
-inline int TheoremTwelveLevel(const ConjunctiveQuery& q1,
-                              const ConjunctiveQuery& q2) {
-  return q2.size() * 2 * q1.size();
-}
 
 /// FLD201: the dependency set is weakly acyclic but its null generation
 /// is polynomial of degree >= 2 — the chase terminates yet can blow up
@@ -178,8 +96,9 @@ struct QueryCostReport {
 };
 
 /// Runs the probe chase, fits the model, and lints. FLD202 fires on a
-/// variable-disjoint body (multiplicative cross-join fan-out), FLD203
-/// when the estimated chase exceeds options.chase_atom_budget.
+/// variable-disjoint body (the FLQ003 components, see query_lints.h: the
+/// hom fan-out multiplies across them), FLD203 when the estimated chase
+/// exceeds options.chase_atom_budget.
 QueryCostReport AnalyzeQueryCost(World& world, const ConjunctiveQuery& query,
                                  const CostAnalysisOptions& options = {});
 

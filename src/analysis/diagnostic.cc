@@ -4,6 +4,7 @@
 #include <cctype>
 #include <tuple>
 
+#include "util/json.h"
 #include "util/strings.h"
 
 namespace floq::analysis {
@@ -158,44 +159,6 @@ std::string FormatDiagnostics(const std::vector<Diagnostic>& diagnostics,
   return out;
 }
 
-namespace {
-
-std::string JsonEscape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          const char* hex = "0123456789abcdef";
-          out += "\\u00";
-          out += hex[(c >> 4) & 0xf];
-          out += hex[c & 0xf];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string DiagnosticsToJson(const std::vector<Diagnostic>& diagnostics,
                               std::string_view filename) {
   std::string out = "[";
@@ -203,13 +166,16 @@ std::string DiagnosticsToJson(const std::vector<Diagnostic>& diagnostics,
     const Diagnostic& d = diagnostics[i];
     if (i > 0) out += ",";
     const LintCodeInfo* info = FindLintCode(d.code);
-    out = StrCat(out, "\n  {\"code\": \"", JsonEscape(d.code), "\", \"name\": \"",
-                 info != nullptr ? info->name : "", "\", \"severity\": \"",
-                 SeverityName(d.severity), "\"");
+    out += "\n  {\"code\": ";
+    AppendJsonString(d.code, &out);
+    out = StrCat(out, ", \"name\": \"", info != nullptr ? info->name : "",
+                 "\", \"severity\": \"", SeverityName(d.severity), "\"");
     if (!filename.empty()) {
-      out = StrCat(out, ", \"file\": \"", JsonEscape(filename), "\"");
+      out += ", \"file\": ";
+      AppendJsonString(filename, &out);
     }
-    out = StrCat(out, ", \"message\": \"", JsonEscape(d.message), "\"");
+    out += ", \"message\": ";
+    AppendJsonString(d.message, &out);
     if (d.span.known()) {
       out = StrCat(out, ", \"span\": {\"line\": ", d.span.line,
                    ", \"column\": ", d.span.column,
@@ -219,7 +185,7 @@ std::string DiagnosticsToJson(const std::vector<Diagnostic>& diagnostics,
     out += ", \"notes\": [";
     for (size_t n = 0; n < d.notes.size(); ++n) {
       if (n > 0) out += ", ";
-      out = StrCat(out, "\"", JsonEscape(d.notes[n]), "\"");
+      AppendJsonString(d.notes[n], &out);
     }
     out += "]}";
   }

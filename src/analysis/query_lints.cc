@@ -79,41 +79,19 @@ void LintSingletonVariables(World& world, const ConjunctiveQuery& query,
 }
 
 // FLQ003: variable-disjoint body components multiply answer tuples
-// (a cartesian product) — almost always a missing join. Union-find over
-// body atoms sharing a variable.
+// (a cartesian product) — almost always a missing join.
 void LintCartesianProduct(World& world, const ConjunctiveQuery& query,
                           std::vector<Diagnostic>& out) {
-  const std::vector<Atom>& body = query.body();
-  if (body.size() < 2) return;
-  std::vector<size_t> parent(body.size());
-  for (size_t i = 0; i < parent.size(); ++i) parent[i] = i;
-  auto find = [&](size_t x) {
-    while (parent[x] != x) x = parent[x] = parent[parent[x]];
-    return x;
-  };
-  std::map<uint32_t, size_t> owner;  // variable -> first atom seen in
-  std::vector<bool> has_variable(body.size(), false);
-  for (size_t i = 0; i < body.size(); ++i) {
-    for (Term t : body[i]) {
-      if (!t.IsVariable()) continue;
-      has_variable[i] = true;
-      auto [it, inserted] = owner.emplace(t.raw(), i);
-      if (!inserted) parent[find(i)] = find(it->second);
-    }
-  }
-  // Ground atoms are membership conditions, not product factors.
-  std::map<size_t, std::vector<size_t>> components;
-  for (size_t i = 0; i < body.size(); ++i) {
-    if (has_variable[i]) components[find(i)].push_back(i);
-  }
+  const std::vector<std::vector<size_t>> components = BodyJoinComponents(query);
   if (components.size() < 2) return;
+  const std::vector<Atom>& body = query.body();
 
   Diagnostic d = MakeDiagnostic(
       "FLQ003",
       StrCat("body splits into ", components.size(),
              " variable-disjoint components (cartesian product)"),
       SpanOf(world, query.span()));
-  for (const auto& [root, atoms] : components) {
+  for (const std::vector<size_t>& atoms : components) {
     std::string note = "component:";
     for (size_t i : atoms) {
       note = StrCat(note, " ", body[i].ToString(world));
@@ -264,6 +242,37 @@ void LintRedundantAtoms(World& world, const ConjunctiveQuery& query,
 }
 
 }  // namespace
+
+std::vector<std::vector<size_t>> BodyJoinComponents(
+    const ConjunctiveQuery& query) {
+  const std::vector<Atom>& body = query.body();
+  // Union-find over body atoms sharing a variable.
+  std::vector<size_t> parent(body.size());
+  for (size_t i = 0; i < parent.size(); ++i) parent[i] = i;
+  auto find = [&](size_t x) {
+    while (parent[x] != x) x = parent[x] = parent[parent[x]];
+    return x;
+  };
+  std::map<uint32_t, size_t> owner;  // variable -> first atom seen in
+  std::vector<bool> has_variable(body.size(), false);
+  for (size_t i = 0; i < body.size(); ++i) {
+    for (Term t : body[i]) {
+      if (!t.IsVariable()) continue;
+      has_variable[i] = true;
+      auto [it, inserted] = owner.emplace(t.raw(), i);
+      if (!inserted) parent[find(i)] = find(it->second);
+    }
+  }
+  // Ground atoms are membership conditions, not product factors.
+  std::map<size_t, std::vector<size_t>> by_root;
+  for (size_t i = 0; i < body.size(); ++i) {
+    if (has_variable[i]) by_root[find(i)].push_back(i);
+  }
+  std::vector<std::vector<size_t>> components;
+  components.reserve(by_root.size());
+  for (auto& [root, atoms] : by_root) components.push_back(std::move(atoms));
+  return components;
+}
 
 std::vector<Diagnostic> LintQuery(World& world, const ConjunctiveQuery& query,
                                   const QueryLintOptions& options) {

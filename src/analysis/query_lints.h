@@ -1,6 +1,7 @@
 #ifndef FLOQ_ANALYSIS_QUERY_LINTS_H_
 #define FLOQ_ANALYSIS_QUERY_LINTS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -36,6 +37,14 @@ struct QueryLintOptions {
   /// otherwise.
   ResourceBudget budget;
 };
+
+/// The variable-disjoint components of the query's body, as lists of
+/// body-atom indexes: atoms sharing a variable land in one component.
+/// Ground atoms are membership conditions, not product factors, and
+/// belong to none. More than one component means the body is a cartesian
+/// product (FLQ003) and the hom fan-out multiplies across them (FLD202).
+std::vector<std::vector<size_t>> BodyJoinComponents(
+    const ConjunctiveQuery& query);
 
 /// Lints one rule or goal. Diagnostics carry spans when the query was
 /// produced by a span-recording parser over `world`.

@@ -136,7 +136,7 @@ Result<ContainmentResult> CheckContainment(World& world,
   // model, so kContained remains sound (governor.h).
   //
   // The chase is done mutating: compact its posting lists into the
-  // block-compressed frozen tier so the search leapfrogs compressed
+  // block-compressed frozen tier so the search streams compressed
   // blocks instead of plain vectors.
   result.chase.FreezeConjuncts();
   ExecGovernor hom_governor(anchored, options.budget.cancel,

@@ -46,10 +46,10 @@ struct ContainmentOptions {
   /// kResourceExhausted (the decision problem is NP-hard, Theorem 13 gives
   /// a *nondeterministic* polynomial algorithm).
   uint64_t max_chase_atoms = 2'000'000;
-  /// Homomorphism search configuration (compiled kernel, list
-  /// intersection, atom ordering) — forwarded to every hom search this
-  /// check runs. Defaults to the production kernel; the differential
-  /// tests and ablation benches flip the toggles.
+  /// Homomorphism search configuration (compiled kernel, atom ordering)
+  /// — forwarded to every hom search this check runs. Defaults to the
+  /// production kernel; the differential tests and ablation benches flip
+  /// the toggles.
   MatchOptions match;
   /// Resource governance: wall-clock timeout/deadline, cancellation
   /// token, and hom-search step budget. When any of these trips before
@@ -68,23 +68,6 @@ struct ContainmentOptions {
   /// and view analysis; the one-shot checkers below ignore it. `floq
   /// classify --no-prune` turns it off.
   bool use_signature_index = true;
-  /// Chase levels the engine's registration-time signature probe
-  /// materializes (ChaseDepth::kPaperBound only; level-0 mode probes
-  /// level 0). A completed probe makes the closure signature exact; an
-  /// inconclusive one falls back to the static Sigma_FL closure.
-  int signature_probe_levels = 2;
-  /// Schedule the batch engine's per-pair pipeline cheapest-predicted
-  /// first (analysis/cost_model.h): registration profiles each query from
-  /// its probe chase, every pair gets a static cost estimate, and both
-  /// the sequential chase phase and the hom fan-out run in ascending
-  /// predicted-cost order, so early verdicts land on the cheap pairs and
-  /// a runaway pair cannot starve them. Also calibrates the per-pair hom
-  /// step budget (ResourceBudget::FromEstimate) when one is set. Verdicts
-  /// are estimate-independent: reordering never changes a
-  /// CONTAINED/NOT_CONTAINED answer, and calibration only raises budgets,
-  /// so kUnknowns can only decrease. `floq classify --cost-schedule`
-  /// turns it on.
-  bool use_cost_scheduling = false;
 };
 
 struct ContainmentResult {

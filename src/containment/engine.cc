@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <numeric>
 #include <optional>
 
-#include "analysis/cost_model.h"
 #include "containment/homomorphism.h"
 #include "util/metrics.h"
 #include "util/request_context.h"
@@ -18,6 +16,12 @@ namespace floq {
 namespace {
 
 using SteadyClock = std::chrono::steady_clock;
+
+// Chase levels the registration-time signature probe materializes
+// (ChaseDepth::kPaperBound only; level-0 mode probes level 0). A completed
+// probe makes the closure signature exact; an inconclusive one falls back
+// to the static Sigma_FL closure.
+constexpr int kSignatureProbeLevels = 2;
 
 double MsSince(SteadyClock::time_point start) {
   return std::chrono::duration<double, std::milli>(SteadyClock::now() - start)
@@ -42,12 +46,6 @@ struct ContainmentEngine::Entry {
   // Stage-0 prefilter signature, computed once at registration from the
   // probe chase (absent when use_signature_index is off).
   std::optional<ClosureSignature> signature;
-  // Cost-model profiles (use_cost_scheduling only): the query's probe
-  // statistics as a chase target and its join shape as a hom pattern.
-  // Registration-time snapshots — the scheduler never touches the live
-  // chase index.
-  std::optional<analysis::TargetProfile> target_profile;
-  std::optional<analysis::PatternProfile> pattern_profile;
 };
 
 ContainmentEngine::ContainmentEngine(World& world,
@@ -62,44 +60,28 @@ Result<size_t> ContainmentEngine::AddQuery(const ConjunctiveQuery& query) {
   entry->query = query;
   entry->renamed = query.RenameApart(world_);
   const ContainmentOptions& copts = options_.containment;
-  const ChaseResult* probe = nullptr;
-  if ((copts.use_signature_index || copts.use_cost_scheduling) &&
-      copts.depth != ChaseDepth::kNone) {
-    // The probe IS the pair pipeline's cached chase handle: whatever it
-    // materializes here is reused — and deepened, never rebuilt — by
-    // every later pair with this query on the left. It runs under the
-    // same governed budget as a pair's chase stage, so a runaway query
-    // cannot stall registration; an inconclusive probe just degrades
-    // the signature to the static closure (and the cost fit to a wider
-    // extrapolation).
-    ChaseOptions chase_options;
-    chase_options.max_atoms = copts.max_chase_atoms;
-    ExecGovernor governor = MakeChaseGovernor(copts.budget);
-    governor.AddCancellation(cancel_source_.token());
-    const int probe_level = copts.depth == ChaseDepth::kLevelZero
-                                ? 0
-                                : std::max(copts.signature_probe_levels, 0);
-    ++stats_.chases_run;
-    entry->chase.emplace(world_, entry->query, chase_options);
-    probe = &entry->chase->EnsureLevel(probe_level, &governor);
-    FoldGovernorMetrics(governor);
-  }
   if (copts.use_signature_index) {
+    const ChaseResult* probe = nullptr;
+    if (copts.depth != ChaseDepth::kNone) {
+      // The probe IS the pair pipeline's cached chase handle: whatever it
+      // materializes here is reused — and deepened, never rebuilt — by
+      // every later pair with this query on the left. It runs under the
+      // same governed budget as a pair's chase stage, so a runaway query
+      // cannot stall registration; an inconclusive probe just degrades
+      // the signature to the static closure.
+      ChaseOptions chase_options;
+      chase_options.max_atoms = copts.max_chase_atoms;
+      ExecGovernor governor = MakeChaseGovernor(copts.budget);
+      governor.AddCancellation(cancel_source_.token());
+      const int probe_level =
+          copts.depth == ChaseDepth::kLevelZero ? 0 : kSignatureProbeLevels;
+      ++stats_.chases_run;
+      entry->chase.emplace(world_, entry->query, chase_options);
+      probe = &entry->chase->EnsureLevel(probe_level, &governor);
+      FoldGovernorMetrics(governor);
+    }
     entry->signature =
         ComputeClosureSignature(entry->query, copts.depth, probe);
-  }
-  if (copts.use_cost_scheduling) {
-    // The rhs pattern is the renamed copy — the one the hom search
-    // actually runs — though only its shape matters here.
-    entry->pattern_profile = analysis::ProfilePattern(entry->renamed);
-    if (probe != nullptr) {
-      entry->target_profile = analysis::ProfileTarget(*probe);
-    } else {
-      // kNone mode: the target is body(q) verbatim, an exact "chase".
-      FactIndex body;
-      for (const Atom& atom : entry->query.body()) body.Insert(atom);
-      entry->target_profile = analysis::ProfileFacts(body);
-    }
   }
   entries_.push_back(std::move(entry));
   return entries_.size() - 1;
@@ -247,49 +229,6 @@ Status ContainmentEngine::CheckPairsCore(
     }
   }
 
-  // ---- cost-ordered schedule ---------------------------------------------
-  //
-  // With use_cost_scheduling on, both remaining phases iterate the pairs
-  // through a permutation sorted by predicted cost ascending
-  // (analysis/cost_model.h): cheap verdicts land first, and a runaway
-  // pair's budget trip cannot starve them. The estimate never touches a
-  // verdict — only the visit order and (below) the hom step budget, which
-  // calibration can only raise.
-  std::vector<size_t> order(pairs.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::vector<double> pair_cost;
-  double mean_cost = 0.0;
-  if (copts.use_cost_scheduling && !pairs.empty()) {
-    const SteadyClock::time_point cost_start = SteadyClock::now();
-    pair_cost.assign(pairs.size(), 0.0);
-    uint64_t costed = 0;
-    for (size_t k = 0; k < pairs.size(); ++k) {
-      if (pruned[k] != 0) continue;  // skipped by both phases: cost 0
-      const Entry& l = *entries_[pairs[k].first];
-      const Entry& r = *entries_[pairs[k].second];
-      if (!l.target_profile.has_value() || !r.pattern_profile.has_value()) {
-        continue;
-      }
-      int level = 0;
-      if (copts.depth == ChaseDepth::kPaperBound) {
-        level = copts.level_override >= 0
-                    ? copts.level_override
-                    : PaperLevelBound(l.query, r.query);
-      }
-      const analysis::CostEstimate estimate = analysis::EstimatePairCost(
-          *l.target_profile, *r.pattern_profile, level, copts.max_chase_atoms);
-      pair_cost[k] = estimate.Scalar();
-      out(k).predicted_cost = pair_cost[k];
-      mean_cost += pair_cost[k];
-      ++costed;
-    }
-    if (costed > 0) mean_cost /= double(costed);
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return pair_cost[a] < pair_cost[b];
-    });
-    stats_.cost_us += MsSince(cost_start) * 1000.0;
-  }
-
   // ---- sequential phase: build / deepen the shared targets ---------------
   //
   // Everything that mutates the World (fresh nulls for chase steps) or a
@@ -299,8 +238,7 @@ Status ContainmentEngine::CheckPairsCore(
   // and the next pair starts with a full budget again.
   ChaseOptions chase_options;
   chase_options.max_atoms = copts.max_chase_atoms;
-  for (size_t ord = 0; ord < pairs.size(); ++ord) {
-    const size_t k = order[ord];
+  for (size_t k = 0; k < pairs.size(); ++k) {
     if (pruned[k] != 0) continue;  // discharged in stage 0
     const auto& [lhs, rhs] = pairs[k];
     Entry& l = *entries_[lhs];
@@ -391,18 +329,7 @@ Status ContainmentEngine::CheckPairsCore(
   const SteadyClock::time_point fanout_start = SteadyClock::now();
   auto run_pair_inner = [&](size_t k) {
     PairVerdict& verdict = out(k);
-    // Budget calibration: an expensive-predicted pair gets a raised hom
-    // step budget (never lowered — see ResourceBudget::FromEstimate), so
-    // step-budget kUnknowns can only decrease relative to the flat knob.
-    ResourceBudget pair_budget = budget;
-    if (copts.use_cost_scheduling && budget.hom_step_budget > 0 &&
-        k < pair_cost.size() && pair_cost[k] > 0.0) {
-      // Runs on worker threads: stats_ is not touched here (the
-      // calibrated-pair count is folded in the post-join accounting loop).
-      pair_budget = ResourceBudget::FromEstimate(budget, pair_cost[k],
-                                                 mean_cost);
-    }
-    ExecGovernor hom_governor = MakeHomGovernor(pair_budget);
+    ExecGovernor hom_governor = MakeHomGovernor(budget);
     hom_governor.AddCancellation(engine_token);
     if (!hom_governor.CheckNow()) {
       FoldGovernorMetrics(hom_governor);
@@ -467,14 +394,11 @@ Status ContainmentEngine::CheckPairsCore(
   size_t jobs = options_.jobs == 0 ? ThreadPool::DefaultThreads()
                                    : size_t(options_.jobs);
   jobs = std::min(jobs, pairs.size());
-  // ParallelFor submits indices FIFO, so dispatching through `order` makes
-  // workers pick the cheapest-predicted pairs up first.
-  auto run_ordered = [&](size_t ord) { run_pair(order[ord]); };
   if (jobs <= 1) {
-    for (size_t ord = 0; ord < pairs.size(); ++ord) run_ordered(ord);
+    for (size_t k = 0; k < pairs.size(); ++k) run_pair(k);
   } else {
     ThreadPool pool(jobs);
-    ParallelFor(pool, pairs.size(), run_ordered);
+    ParallelFor(pool, pairs.size(), run_pair);
   }
 
   // The fan-out has joined; a later CheckPairs call on this engine may
@@ -506,13 +430,6 @@ Status ContainmentEngine::CheckPairsCore(
       continue;
     }
     stats_.hom.Accumulate(verdict.hom_stats);
-    if (copts.use_cost_scheduling && budget.hom_step_budget > 0 &&
-        needs_search[k] != 0 && k < pair_cost.size() &&
-        pair_cost[k] > mean_cost && mean_cost > 0.0) {
-      // Mirrors the FromEstimate condition in run_pair_inner (ratio > 1),
-      // counted here because workers must not touch stats_.
-      ++stats_.budget_calibrated_pairs;
-    }
     if (copts.depth != ChaseDepth::kNone) {
       stats_.chase_stage.Record(verdict.chase_ms);
     }

@@ -94,12 +94,6 @@ struct BatchStats {
   /// Cumulative microseconds spent in the stage-0 signature subset tests
   /// (registration-time probe chases are accounted to chases_run).
   double signature_us = 0.0;
-  /// Cumulative microseconds spent estimating per-pair costs and sorting
-  /// the schedule (use_cost_scheduling only; zero otherwise).
-  double cost_us = 0.0;
-  /// Pairs whose hom step budget was raised by ResourceBudget::FromEstimate
-  /// (use_cost_scheduling with a step budget set).
-  uint64_t budget_calibrated_pairs = 0;
   /// Pairs whose verdict degraded to Resolution::kUnknown (any reason).
   uint64_t unknown_pairs = 0;
   /// Unknown pairs whose reason was a tripped deadline.
@@ -148,10 +142,6 @@ struct PairVerdict {
   double chase_ms = 0.0;
   double hom_ms = 0.0;
   double queue_wait_ms = 0.0;
-  /// The scheduler's static cost prediction for this pair
-  /// (CostEstimate::Scalar; zero when use_cost_scheduling is off). The
-  /// cost-model bench correlates it against chase_ms + hom_ms.
-  double predicted_cost = 0.0;
 };
 
 class ContainmentEngine {

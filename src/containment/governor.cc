@@ -1,7 +1,5 @@
 #include "containment/governor.h"
 
-#include <algorithm>
-
 #include "util/metrics.h"
 #include "util/strings.h"
 
@@ -22,27 +20,6 @@ Deadline AnchorDeadline(const ResourceBudget& budget) {
     deadline = Deadline::Min(deadline, Deadline::AfterMillis(budget.timeout_ms));
   }
   return deadline;
-}
-
-ResourceBudget ResourceBudget::FromEstimate(const ResourceBudget& base,
-                                            double pair_cost,
-                                            double mean_cost) {
-  ResourceBudget out = base;
-  if (base.hom_step_budget == 0 || !(mean_cost > 0.0) || !(pair_cost > 0.0)) {
-    return out;
-  }
-  const double ratio = pair_cost / mean_cost;
-  if (ratio <= 1.0) return out;  // never shrink: cheap pairs keep base
-  constexpr double kMaxScale = 64.0;
-  const double scaled = double(base.hom_step_budget) * std::min(ratio, kMaxScale);
-  // The cap keeps the multiply far from overflow, but saturate anyway for
-  // budgets near UINT64_MAX.
-  out.hom_step_budget =
-      scaled >= double(UINT64_MAX) ? UINT64_MAX : uint64_t(scaled);
-  if (out.hom_step_budget < base.hom_step_budget) {
-    out.hom_step_budget = base.hom_step_budget;
-  }
-  return out;
 }
 
 ExecGovernor MakeChaseGovernor(const ResourceBudget& budget) {

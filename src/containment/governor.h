@@ -55,17 +55,6 @@ struct ResourceBudget {
     return timeout_ms <= 0 && deadline.infinite() && !cancel.valid() &&
            hom_step_budget == 0;
   }
-
-  /// Calibrates `base` for one pair from its predicted cost relative to
-  /// the batch mean (analysis/cost_model.h feeds both numbers): a pair
-  /// predicted k times more expensive than average gets up to k times the
-  /// hom step budget, capped at 64x. The result is never below `base` —
-  /// an unlimited budget stays unlimited, a cheap pair keeps its full
-  /// share — so calibration can only turn step-budget kUnknowns into
-  /// definite verdicts, never the reverse (the verdict-parity invariant
-  /// the differential tests pin down).
-  static ResourceBudget FromEstimate(const ResourceBudget& base,
-                                     double pair_cost, double mean_cost);
 };
 
 /// The budget's deadline, anchored now: min(absolute deadline, now +

@@ -8,19 +8,6 @@
 
 namespace floq {
 
-namespace {
-
-// Below this driver-list size a k-way leapfrog intersection costs more
-// than scanning the smallest list and letting unification reject
-// mismatches: rejection is O(1)-ish per candidate (first mismatching
-// position), so the gallops only pay off once they can skip *runs* of a
-// long driver list. Chase-sized indexes keep most argument lists well
-// under this, so on the generator corpus the cutoff mostly routes to the
-// scan — measured in EXPERIMENTS.md E11; see DESIGN.md §9.
-constexpr size_t kIntersectCutoff = 128;
-
-}  // namespace
-
 void CompiledPattern::Compile(std::span<const Atom> pattern,
                               const FactIndex& index,
                               const Substitution& initial,
@@ -57,7 +44,6 @@ void CompiledPattern::Compile(std::span<const Atom> pattern,
     ca.predicate = p.predicate();
     ca.arity = uint8_t(p.arity());
     ca.static_best = index.WithPredicate(p.predicate());
-    ca.static_best_const_index = -1;
     for (int i = 0; i < p.arity(); ++i) {
       Term arg = p.arg(i);
       CompiledArg& slot_arg = ca.args[i];
@@ -89,14 +75,9 @@ void CompiledPattern::Compile(std::span<const Atom> pattern,
         slot_arg.value = initial.Apply(arg);
         const PostingView ids =
             index.WithArgument(p.predicate(), i, slot_arg.value);
-        ca.const_lists[ca.num_const_lists] = ids;
         // <= so ties prefer the argument list: it is a subset of the
         // predicate bucket, so unification rejects fewer candidates.
-        if (ids.size() <= ca.static_best.size()) {
-          ca.static_best = ids;
-          ca.static_best_const_index = int8_t(ca.num_const_lists);
-        }
-        ++ca.num_const_lists;
+        if (ids.size() <= ca.static_best.size()) ca.static_best = ids;
       }
     }
     atoms_.push_back(ca);
@@ -105,25 +86,20 @@ void CompiledPattern::Compile(std::span<const Atom> pattern,
 
 namespace {
 
-// Cached candidate estimate for one pattern atom, valid as long as none
-// of its slots was bound or unbound since (tracked by version sums:
-// slot_version is bumped on every bind *and* undo, so a version-sum
-// match proves the atom's binding state is unchanged and the node can
-// reuse the cached lists without re-probing the index). Within a stale
-// atom, caching is per *position*: binding one slot of a three-slot
-// atom re-probes one list, not three — index probes are the dominant
-// per-node cost, and sibling nodes invalidate shared atoms constantly.
+// Cached candidate list for one pattern atom — the smallest of its
+// constraining posting lists (predicate bucket, constant positions, bound
+// slot positions) — valid as long as none of its slots was bound or
+// unbound since (tracked by version sums: slot_version is bumped on every
+// bind *and* undo, so a version-sum match proves the atom's binding state
+// is unchanged and the node can reuse the cached list without re-probing
+// the index). Within a stale atom, caching is per *position*: binding one
+// slot of a three-slot atom re-probes one list, not three — index probes
+// are the dominant per-node cost, and sibling nodes invalidate shared
+// atoms constantly.
 struct AtomCache {
   uint64_t version = ~uint64_t{0};  // sentinel: always stale initially
   uint32_t best_size = 0;
   PostingView best;
-  // Which lists[] entry best is, or -1 when best is the predicate bucket
-  // (then it participates in no intersection skip).
-  int8_t best_index = -1;
-  // All constraining posting views (constant + bound-slot positions),
-  // the intersection input. At most one view per argument position.
-  uint8_t num_lists = 0;
-  std::array<PostingView, kMaxArity> lists;
   // Per-slot-position memo, indexed like CompiledAtom::slot_positions:
   // the view probed for that position and the slot version it was probed
   // at (pos_has_list marks positions whose slot was unbound then — a
@@ -198,14 +174,7 @@ class CompiledMatcher {
     const CompiledAtom& atom = pattern_.atoms()[atom_index];
     AtomCache& cache = cache_[atom_index];
     cache.version = version;
-    cache.num_lists = 0;
     const PostingView* best = &atom.static_best;
-    // const_lists land at the same indexes in cache.lists, so the compile-
-    // time best index carries over directly.
-    int8_t best_index = atom.static_best_const_index;
-    for (uint8_t i = 0; i < atom.num_const_lists; ++i) {
-      cache.lists[cache.num_lists++] = atom.const_lists[i];
-    }
     for (uint8_t i = 0; i < atom.num_slot_positions; ++i) {
       auto [position, slot] = atom.slot_positions[i];
       // The zero-initialized memo is already valid: slot version 0 means
@@ -222,16 +191,11 @@ class CompiledMatcher {
           cache.pos_has_list[i] = false;
         }
       }
-      if (!cache.pos_has_list[i]) continue;
-      const PostingView& ids = cache.pos_list[i];
-      if (ids.size() < best->size()) {
-        best = &ids;
-        best_index = int8_t(cache.num_lists);
+      if (cache.pos_has_list[i] && cache.pos_list[i].size() < best->size()) {
+        best = &cache.pos_list[i];
       }
-      cache.lists[cache.num_lists++] = ids;
     }
     cache.best = *best;
-    cache.best_index = best_index;
     cache.best_size = uint32_t(best->size());
   }
 
@@ -330,36 +294,19 @@ class CompiledMatcher {
     const CompiledAtom& atom = pattern_.atoms()[atom_index];
     const AtomCache& cache = cache_[atom_index];
 
-    // Lazy k-way intersection: drive the smallest list and leapfrog a
-    // monotone cursor through each other constraining list, skipping
-    // candidates absent from any of them. Lazy (instead of materializing
-    // the full intersection up front) because first-match searches and
-    // callback-stopped enumerations break out of the loop early — work
-    // spent intersecting ids the loop never reaches is pure waste. When
-    // any other list runs out, no later driver id can qualify either.
-    PostingCursor driver(cache.best);
-    std::array<PostingCursor, kMaxArity> others;
-    size_t num_others = 0;
-    if (options_.use_list_intersection && cache.num_lists >= 2 &&
-        cache.best_size > kIntersectCutoff) {
-      for (uint8_t i = 0; i < cache.num_lists; ++i) {
-        if (int8_t(i) == cache.best_index) continue;
-        others[num_others++] = PostingCursor(cache.lists[i]);
-      }
-      if (stats_ != nullptr && num_others > 0) ++stats_->intersect_nodes;
-    }
-
-    // Tick per driver iteration: the leapfrog loop can gallop through
-    // long posting lists without ever reaching Recurse(), so deadline
-    // enforcement must live inside the intersection itself. Batched
-    // through a register counter: the hot loop pays one local decrement,
-    // and the governor's member state is touched once per kGovernorBatch
-    // iterations (still far finer than its kStride clock amortization).
+    // Drive the smallest constraining list; Unify rejects candidates that
+    // miss one of the atom's other constants or bound slots. Tick per
+    // candidate: a long run of rejected candidates never reaches
+    // Recurse(), so deadline enforcement must live in this loop too.
+    // Batched through a register counter: the hot loop pays one local
+    // decrement, and the governor's member state is touched once per
+    // kGovernorBatch iterations (still far finer than its kStride clock
+    // amortization).
     constexpr uint32_t kGovernorBatch = 64;
     ExecGovernor* const governor = options_.governor;
     uint32_t governor_countdown = kGovernorBatch;
     bool keep_going = true;
-    while (!driver.AtEnd()) {
+    for (PostingCursor driver(cache.best); !driver.AtEnd(); driver.Next()) {
       if (governor != nullptr && --governor_countdown == 0) {
         governor_countdown = kGovernorBatch;
         if (!governor->TickBatch(kGovernorBatch)) {
@@ -367,39 +314,12 @@ class CompiledMatcher {
           break;
         }
       }
-      uint32_t fact_id = driver.value();
-      bool present = true;
-      bool exhausted = false;
-      for (size_t i = 0; i < num_others; ++i) {
-        PostingCursor& other = others[i];
-        if (!other.SeekGE(fact_id)) {
-          exhausted = true;
-          break;
-        }
-        const uint32_t found = other.value();
-        if (found != fact_id) {
-          // Leapfrog: every driver id below the other list's next value
-          // fails membership too, so jump the driver cursor straight to
-          // it. This run-skipping is what lets intersection beat a plain
-          // scan-and-let-unification-reject loop — over the frozen tier
-          // both seeks skip whole compressed blocks via their max-ids.
-          present = false;
-          driver.Next();
-          if (!driver.SeekGE(found)) exhausted = true;
-          if (stats_ != nullptr) ++stats_->gallop_skips;
-          break;
-        }
-        other.Next();
-      }
-      if (exhausted) break;
-      if (!present) continue;
       size_t mark = trail_.Mark();
-      if (Unify(atom, index_.at(fact_id), mark)) {
+      if (Unify(atom, index_.at(driver.value()), mark)) {
         keep_going = Recurse();
         UndoToMark(mark);
       }
       if (!keep_going) break;
-      driver.Next();
     }
 
     remaining_.insert(remaining_.begin() + best_slot, atom_index);

@@ -55,18 +55,10 @@ struct CompiledAtom {
   uint8_t num_slot_positions = 0;
   std::array<std::pair<uint8_t, uint16_t>, kMaxArity> slot_positions;
 
-  /// Posting views fixed for the whole search: one per constant position,
-  /// resolved at compile time.
-  uint8_t num_const_lists = 0;
-  std::array<PostingView, kMaxArity> const_lists;
-
-  /// Smallest of the predicate bucket and the constant-position lists —
-  /// the candidate-count floor before any slot is bound.
+  /// Smallest of the predicate bucket and the constant-position lists
+  /// (resolved at compile time, fixed for the whole search) — the
+  /// candidate list before any slot is bound.
   PostingView static_best;
-  /// Which const_lists entry static_best is, or -1 when it is the
-  /// predicate bucket (the leapfrog loop needs to know the driver's
-  /// identity among the intersection inputs; views have no address).
-  int8_t static_best_const_index = -1;
 };
 
 class CompiledPattern {

@@ -44,32 +44,6 @@ PostingView FactIndex::WithArgument(PredicateId pred, int position,
   return it == by_argument_.end() ? PostingView() : ViewOf(it->second);
 }
 
-uint32_t FactIndex::CountWithPredicate(PredicateId pred) const {
-  auto it = by_predicate_.find(pred);
-  if (it == by_predicate_.end()) return 0;
-  return it->second.frozen_count + uint32_t(it->second.tail.size());
-}
-
-uint32_t FactIndex::CountWithArgument(PredicateId pred, int position,
-                                      Term value) const {
-  auto it = by_argument_.find(PositionKey(pred, position, value));
-  if (it == by_argument_.end()) return 0;
-  return it->second.frozen_count + uint32_t(it->second.tail.size());
-}
-
-uint32_t FactIndex::DistinctArgumentValues(PredicateId pred,
-                                           int position) const {
-  // The by-argument key packs (pred, position) into the bits above the
-  // term, so each distinct value at this position owns exactly one key
-  // with this prefix.
-  const uint64_t prefix = (uint64_t(pred) << 36) | (uint64_t(position) << 32);
-  uint32_t distinct = 0;
-  for (const auto& [key, slot] : by_argument_) {
-    if ((key & ~uint64_t(UINT32_MAX)) == prefix) ++distinct;
-  }
-  return distinct;
-}
-
 void FactIndex::Freeze(uint32_t min_list_size) {
   PostingArena next;
   std::vector<uint32_t> scratch;

@@ -123,20 +123,6 @@ class FactIndex {
   /// Ids of all atoms with `pred` whose argument `position` equals `value`.
   PostingView WithArgument(PredicateId pred, int position, Term value) const;
 
-  /// Posting-list length of WithPredicate(pred) without materializing a
-  /// view: the per-predicate fact count the cost model's selectivity
-  /// estimates are built from.
-  uint32_t CountWithPredicate(PredicateId pred) const;
-
-  /// Posting-list length of WithArgument(pred, position, value): how many
-  /// facts a constant at this position narrows the candidates to.
-  uint32_t CountWithArgument(PredicateId pred, int position, Term value) const;
-
-  /// Number of distinct terms occurring at `position` of `pred`. Scans the
-  /// whole by-argument key space — O(index size), meant for one-shot cost
-  /// profiling at query registration, never for search hot paths.
-  uint32_t DistinctArgumentValues(PredicateId pred, int position) const;
-
   /// Compacts every posting tail of at least `min_list_size` ids into the
   /// block-compressed frozen tier (already-frozen prefixes are re-encoded
   /// together with their tails). Outstanding PostingViews are invalidated;
@@ -150,9 +136,9 @@ class FactIndex {
 
   /// True iff every WithPredicate/WithArgument posting list is strictly
   /// increasing in fact id. This holds by construction (ids are assigned
-  /// in insertion order and each Insert appends), and the homomorphism
-  /// kernel's galloping intersection relies on it; Insert FLOQ_DCHECKs
-  /// it per append, and this full scan backs the unit test.
+  /// in insertion order and each Insert appends), and the frozen tier's
+  /// delta encoding relies on it; Insert FLOQ_DCHECKs it per append, and
+  /// this full scan backs the unit test.
   bool PostingListsSorted() const;
 
   /// Posting-storage accounting for benches and the snapshot writer.

@@ -23,8 +23,6 @@ void FoldMatchMetrics(const MatchStats& before, const MatchStats& after,
   static Counter& nodes = registry.counter("hom.nodes_visited");
   static Counter& matches = registry.counter("hom.matches_found");
   static Counter& probes = registry.counter("hom.index_probes");
-  static Counter& intersections = registry.counter("hom.intersect_nodes");
-  static Counter& gallops = registry.counter("hom.gallop_skips");
   static Counter& rejects = registry.counter("hom.reject_prepass_hits");
   (used_kernel ? kernel_dispatch : interpreter_dispatch).Add(1);
   auto fold = [](Counter& c, uint64_t b, uint64_t a) {
@@ -33,8 +31,6 @@ void FoldMatchMetrics(const MatchStats& before, const MatchStats& after,
   fold(nodes, before.nodes_visited, after.nodes_visited);
   fold(matches, before.matches_found, after.matches_found);
   fold(probes, before.index_probes, after.index_probes);
-  fold(intersections, before.intersect_nodes, after.intersect_nodes);
-  fold(gallops, before.gallop_skips, after.gallop_skips);
   fold(rejects, before.reject_prepass_hits, after.reject_prepass_hits);
 }
 

@@ -28,12 +28,6 @@ struct MatchStats {
   /// is the metric the kernel's selectivity cache attacks; reported by
   /// bench_hom_search.
   uint64_t index_probes = 0;
-  /// Backtracking nodes where the kernel ran a k-way posting-list
-  /// intersection (vs scanning the single driver list). Kernel path only.
-  uint64_t intersect_nodes = 0;
-  /// Galloping skips taken inside those intersections: each is a binary
-  /// search that advanced a non-driver list past a candidate.
-  uint64_t gallop_skips = 0;
   /// Patterns rejected by the kernel's compile-time pre-pass (a constant
   /// or predicate with no posting list) before any search node expanded.
   uint64_t reject_prepass_hits = 0;
@@ -42,8 +36,6 @@ struct MatchStats {
     nodes_visited += other.nodes_visited;
     matches_found += other.matches_found;
     index_probes += other.index_probes;
-    intersect_nodes += other.intersect_nodes;
-    gallop_skips += other.gallop_skips;
     reject_prepass_hits += other.reject_prepass_hits;
   }
 };
@@ -58,11 +50,6 @@ struct MatchOptions {
   /// candidate counts. Disabling it runs the legacy map-based matcher —
   /// kept for differential testing and bench_ablation/bench_hom_search.
   bool use_compiled_kernel = true;
-  /// K-way galloping intersection of all bound-position posting lists
-  /// when computing an atom's candidates (vs scanning the single smallest
-  /// list and filtering in unification). Kernel path only; an adaptive
-  /// cutoff skips the intersection for tiny driver lists.
-  bool use_list_intersection = true;
   /// Optional resource governor ticked once per backtracking node and per
   /// candidate-loop iteration (amortized; see util/deadline.h). When it
   /// trips, the search unwinds and MatchConjunction returns false exactly

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "datalog/posting_intersect.h"
 #include "util/check.h"
 #include "util/metrics.h"
 
@@ -134,11 +133,6 @@ uint32_t DecodeBlockScalar(const FrozenListView& list, uint32_t b,
   return n;
 }
 
-uint32_t LowerBoundInBlockScalar(const uint32_t* data, uint32_t n,
-                                 uint32_t target) {
-  return uint32_t(std::lower_bound(data, data + n, target) - data);
-}
-
 #if FLOQ_POSTING_SIMD
 
 namespace {
@@ -195,34 +189,10 @@ uint32_t DecodeBlockSimd(const FrozenListView& list, uint32_t b,
   return n;
 }
 
-// Vectorized lower bound over an ascending run: count the < target prefix
-// four lanes at a time. Unsigned compare via the sign-bit flip trick.
-uint32_t LowerBoundInBlockSimd(const uint32_t* data, uint32_t n,
-                               uint32_t target) {
-  const __m128i sign = _mm_set1_epi32(int(0x80000000u));
-  const __m128i t = _mm_set1_epi32(int(target ^ 0x80000000u));
-  uint32_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i v = _mm_xor_si128(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + i)), sign);
-    const int mask = _mm_movemask_ps(_mm_castsi128_ps(_mm_cmplt_epi32(v, t)));
-    // Sorted input: lanes < target form a prefix of the group.
-    if (mask != 0xF) return i + uint32_t(__builtin_popcount(unsigned(mask)));
-  }
-  for (; i < n; ++i) {
-    if (data[i] >= target) break;
-  }
-  return i;
-}
-
 }  // namespace
 
 uint32_t DecodeBlock(const FrozenListView& list, uint32_t b, uint32_t* out) {
   return DecodeBlockSimd(list, b, out);
-}
-
-uint32_t LowerBoundInBlock(const uint32_t* data, uint32_t n, uint32_t target) {
-  return LowerBoundInBlockSimd(data, n, target);
 }
 
 bool SimdPostingsEnabled() { return true; }
@@ -231,10 +201,6 @@ bool SimdPostingsEnabled() { return true; }
 
 uint32_t DecodeBlock(const FrozenListView& list, uint32_t b, uint32_t* out) {
   return DecodeBlockScalar(list, b, out);
-}
-
-uint32_t LowerBoundInBlock(const uint32_t* data, uint32_t n, uint32_t target) {
-  return LowerBoundInBlockScalar(data, n, target);
 }
 
 bool SimdPostingsEnabled() { return false; }
@@ -264,59 +230,6 @@ void PostingCursor::DecodeBlockAt(uint32_t p) {
         MetricsRegistry::Get().counter("index.blocks_decoded");
     decoded.Add(1);
   }
-}
-
-bool PostingCursor::SeekGE(uint32_t target) {
-  if (MetricsRegistry::enabled()) {
-    static Counter& seeks = MetricsRegistry::Get().counter("index.seek_calls");
-    seeks.Add(1);
-  }
-  if (pos_ >= total_) return false;
-  if (pos_ < frozen_count_) {
-    uint32_t b = uint32_t(pos_) / kPostingBlockSize;
-    if (frozen_.metas[b].max_id < target) {
-      // Gallop over block max-ids, then binary search the last doubling
-      // window — the whole point of the skip metadata: blocks the target
-      // cannot live in are never decoded.
-      uint32_t lo = b;  // invariant: metas[lo].max_id < target
-      uint32_t step = 1;
-      while (lo + step < frozen_.num_blocks &&
-             frozen_.metas[lo + step].max_id < target) {
-        lo += step;
-        step <<= 1;
-      }
-      uint32_t hi = std::min(lo + step, frozen_.num_blocks);
-      ++lo;
-      while (lo < hi) {
-        const uint32_t mid = lo + (hi - lo) / 2;
-        if (frozen_.metas[mid].max_id < target) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
-      }
-      if (MetricsRegistry::enabled()) {
-        static Counter& skipped =
-            MetricsRegistry::Get().counter("index.seek_blocks_skipped");
-        skipped.Add(lo - b);
-      }
-      pos_ = lo >= frozen_.num_blocks ? frozen_count_
-                                      : size_t(lo) * kPostingBlockSize;
-    }
-    if (pos_ < frozen_count_) {
-      const uint32_t p = uint32_t(pos_);
-      if (p < block_begin_ || p >= block_end_) DecodeBlockAt(p);
-      const uint32_t k =
-          LowerBoundInBlock(buf_.data(), block_end_ - block_begin_, target);
-      // The block's max_id is >= target, so the lower bound is in-block.
-      pos_ = std::max(pos_, size_t(block_begin_) + k);
-      return pos_ < total_;
-    }
-  }
-  size_t tpos = pos_ - frozen_count_;
-  tpos = GallopToLowerBound(tail_, tpos, target);
-  pos_ = frozen_count_ + tpos;
-  return pos_ < total_;
 }
 
 }  // namespace floq

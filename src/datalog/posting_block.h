@@ -13,22 +13,20 @@
 // for delta encoding: a frozen list is cut into blocks of
 // kPostingBlockSize ids, each block stored as a 4-byte base id plus
 // fixed-width deltas (frame-of-reference, byte-aligned widths 1/2/4), with
-// a per-block max-id so seeks skip whole blocks without decoding them.
-// Everything lives in one flat, offset-addressed arena — no per-list heap
+// a per-block max-id. Everything lives in one flat, offset-addressed arena — no per-list heap
 // allocation, and the arena bytes are position-independent, so a snapshot
 // file can be mmap-ed back and used in place (snapshot.h).
 //
 // Consumers never touch blocks directly: PostingView is the value-type
 // handle FactIndex hands out (frozen prefix + mutable tail span), and
-// PostingCursor streams a view with next()/SeekGE(), decoding one block at
-// a time into a small stack buffer. The compiled kernel's leapfrog driver
-// and IntersectPostingLists run entirely on cursors, so they are oblivious
-// to which tier an id came from.
+// PostingCursor streams a view with value()/Next(), decoding one block at
+// a time into a small stack buffer. The compiled kernel's candidate loop
+// runs entirely on cursors, so it is oblivious to which tier an id came
+// from.
 //
 // SIMD: with FLOQ_NATIVE (and SSE4.1) the block decode runs a 4-wide
-// prefix-sum and SeekGE's in-block lower bound is a vectorized compare +
-// movemask. The scalar paths are always compiled and differentially
-// tested against the SIMD ones (tests/posting_test.cc).
+// prefix-sum. The scalar path is always compiled and differentially
+// tested against the SIMD one (tests/posting_test.cc).
 
 namespace floq {
 
@@ -36,7 +34,8 @@ namespace floq {
 /// (512 bytes) and one block per cache-line-sized metadata entry.
 inline constexpr uint32_t kPostingBlockSize = 128;
 
-/// Skip metadata for one block. `packed` holds the payload-relative byte
+/// Metadata for one block. `max_id` is the block's last id (kept in the
+/// FLOQSNAP on-disk layout). `packed` holds the payload-relative byte
 /// offset of the block's data in the upper 30 bits and the delta width
 /// code (0 -> 1 byte, 1 -> 2 bytes, 2 -> 4 bytes) in the low 2.
 struct PostingBlockMeta {
@@ -118,13 +117,7 @@ uint32_t DecodeBlockScalar(const FrozenListView& list, uint32_t b,
                            uint32_t* out);
 uint32_t DecodeBlock(const FrozenListView& list, uint32_t b, uint32_t* out);
 
-/// First index in data[0..n) with data[i] >= target (n when none); `data`
-/// ascending. Same scalar/SIMD split as DecodeBlock.
-uint32_t LowerBoundInBlockScalar(const uint32_t* data, uint32_t n,
-                                 uint32_t target);
-uint32_t LowerBoundInBlock(const uint32_t* data, uint32_t n, uint32_t target);
-
-/// True when this binary's DecodeBlock/LowerBoundInBlock run SIMD paths.
+/// True when this binary's DecodeBlock runs the SIMD path.
 bool SimdPostingsEnabled();
 
 class PostingCursor;
@@ -180,10 +173,9 @@ class PostingView {
   std::span<const uint32_t> tail_;
 };
 
-/// Streaming cursor over a PostingView: value()/Next()/SeekGE(). Decodes
-/// one frozen block at a time, lazily, into an owned buffer; positions in
-/// the tail read straight from the index's vector. Forward-only: SeekGE
-/// targets must be non-decreasing (leapfrog discipline).
+/// Streaming cursor over a PostingView: value()/Next(). Decodes one frozen
+/// block at a time, lazily, into an owned buffer; positions in the tail
+/// read straight from the index's vector. Forward-only.
 class PostingCursor {
  public:
   PostingCursor() = default;
@@ -196,8 +188,6 @@ class PostingCursor {
         total_(view.size()) {}
 
   bool AtEnd() const { return pos_ >= total_; }
-  size_t size() const { return total_; }
-  size_t position() const { return pos_; }
 
   /// Current id; cursor must not be AtEnd().
   uint32_t value() {
@@ -208,10 +198,6 @@ class PostingCursor {
   }
 
   void Next() { ++pos_; }
-
-  /// Advances to the first id >= target (ids before the current position
-  /// are never revisited). Returns false iff the cursor is exhausted.
-  bool SeekGE(uint32_t target);
 
  private:
   void DecodeBlockAt(uint32_t p);

@@ -12,6 +12,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "util/json.h"
+
 namespace floq::server {
 
 // ---------------------------------------------------------------------------
@@ -74,38 +76,6 @@ Result<bool> Json::GetBool(std::string_view key) const {
 
 namespace {
 
-void AppendEscaped(std::string_view s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\r':
-        out->append("\\r");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
 void AppendNumber(double d, std::string* out) {
   if (std::isfinite(d) && d == std::floor(d) && std::fabs(d) < 1e15) {
     char buf[32];
@@ -132,7 +102,7 @@ void Json::SerializeTo(std::string* out) const {
       AppendNumber(number_, out);
       break;
     case Type::kString:
-      AppendEscaped(string_, out);
+      AppendJsonString(string_, out);
       break;
     case Type::kArray: {
       out->push_back('[');
@@ -151,7 +121,7 @@ void Json::SerializeTo(std::string* out) const {
       for (const auto& [k, v] : members_) {
         if (!first) out->push_back(',');
         first = false;
-        AppendEscaped(k, out);
+        AppendJsonString(k, out);
         out->push_back(':');
         v.SerializeTo(out);
       }

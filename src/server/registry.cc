@@ -73,7 +73,8 @@ Status QueryRegistry::Open() {
 
   std::vector<RegistryEntryView> checkpointed;
   bool have_checkpoint = false;
-  FLOQ_RETURN_IF_ERROR(LoadCheckpoint(&checkpointed, &have_checkpoint));
+  FLOQ_RETURN_IF_ERROR(
+      LoadCheckpoint(&checkpointed, &epoch_, &have_checkpoint));
   for (const RegistryEntryView& entry : checkpointed) {
     bool applied = false;
     Status st = ApplyRegister(entry.name, entry.text, &applied);
@@ -86,7 +87,11 @@ Status QueryRegistry::Open() {
   WalReplay replay;
   FLOQ_RETURN_IF_ERROR(wal_.Open(wal_path_, &replay));
   for (const std::string& record : replay.records) {
-    FLOQ_RETURN_IF_ERROR(ApplyWalRecord(record));
+    bool applied = false;
+    FLOQ_RETURN_IF_ERROR(ApplyWalRecord(record, &applied));
+    // Idempotent no-ops (records a checkpoint already holds) publish
+    // nothing new, so they advance no epoch.
+    if (applied) ++epoch_;
   }
   // Recovery state is in memory only; the files already encode it, so no
   // checkpoint is forced here — mutation counting starts fresh.
@@ -96,8 +101,9 @@ Status QueryRegistry::Open() {
 }
 
 Status QueryRegistry::LoadCheckpoint(std::vector<RegistryEntryView>* entries,
-                                     bool* found) {
+                                     uint64_t* epoch, bool* found) {
   *found = false;
+  *epoch = 0;
   int fd = ::open(checkpoint_path_.c_str(), O_RDONLY);
   if (fd < 0) {
     if (errno == ENOENT) return Status::Ok();
@@ -151,6 +157,15 @@ Status QueryRegistry::LoadCheckpoint(std::vector<RegistryEntryView>* entries,
   if (!doc.ok()) {
     return InvalidArgumentError("registry checkpoint corrupt (JSON): " +
                                 doc.status().message());
+  }
+  // Checkpoints written before the epoch was persisted carry no field:
+  // they load as epoch 0.
+  if (doc->Find("epoch") != nullptr) {
+    Result<int64_t> stored = doc->GetInt("epoch");
+    if (!stored.ok() || *stored < 0) {
+      return InvalidArgumentError("registry checkpoint corrupt (epoch)");
+    }
+    *epoch = uint64_t(*stored);
   }
   const Json* list = doc->Find("entries");
   if (list == nullptr || !list->is_array()) {
@@ -213,7 +228,9 @@ Status QueryRegistry::ApplyUnregister(const std::string& name,
   return Status::Ok();
 }
 
-Status QueryRegistry::ApplyWalRecord(const std::string& payload) {
+Status QueryRegistry::ApplyWalRecord(const std::string& payload,
+                                     bool* applied) {
+  *applied = false;
   Result<Json> doc = ParseJson(payload);
   if (!doc.ok()) {
     return InvalidArgumentError("WAL record is not JSON: " +
@@ -221,18 +238,17 @@ Status QueryRegistry::ApplyWalRecord(const std::string& payload) {
   }
   Result<std::string> op = doc->GetString("op");
   if (!op.ok()) return op.status();
-  bool applied = false;
   if (*op == "register") {
     Result<std::string> name = doc->GetString("name");
     Result<std::string> text = doc->GetString("query");
     if (!name.ok()) return name.status();
     if (!text.ok()) return text.status();
-    return ApplyRegister(*name, *text, &applied);
+    return ApplyRegister(*name, *text, applied);
   }
   if (*op == "unregister") {
     Result<std::string> name = doc->GetString("name");
     if (!name.ok()) return name.status();
-    return ApplyUnregister(*name, &applied);
+    return ApplyUnregister(*name, applied);
   }
   return InvalidArgumentError("WAL record has unknown op '" + *op + "'");
 }
@@ -337,6 +353,7 @@ Status QueryRegistry::CheckpointLocked() {
     item.Set("query", Json::String(entry.text));
     entries.Append(std::move(item));
   }
+  doc.Set("epoch", Json::Number(double(epoch_)));
   doc.Set("entries", std::move(entries));
   std::string payload = doc.Serialize();
 

@@ -77,7 +77,9 @@ class QueryRegistry {
 
   // Recovers from the registry directory: load checkpoint (if any),
   // replay the WAL, rebuild the containment lattice by re-inserting
-  // every live query in registration order.
+  // every live query in registration order. The epoch resumes from the
+  // checkpoint's and advances once per WAL record that applies, so it
+  // never falls below the last epoch acked before the restart.
   Status Open();
 
   struct RegisterOutcome {
@@ -104,9 +106,9 @@ class QueryRegistry {
   Status ApplyRegister(const std::string& name, const std::string& text,
                        bool* applied);
   Status ApplyUnregister(const std::string& name, bool* applied);
-  Status ApplyWalRecord(const std::string& payload);
+  Status ApplyWalRecord(const std::string& payload, bool* applied);
   Status LoadCheckpoint(std::vector<RegistryEntryView>* entries,
-                        bool* found);
+                        uint64_t* epoch, bool* found);
   Status CheckpointLocked();
   // Cadence checkpoint after a mutation: a failure here is reported, not
   // returned — the mutation is already durable in the WAL.

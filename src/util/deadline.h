@@ -137,8 +137,9 @@ class ExecGovernor {
   }
 
   /// Counts `n` units of work in one call, for inner loops too hot even
-  /// for Tick()'s member decrement (the leapfrog driver batches its
-  /// ticks through a register counter and settles every n iterations).
+  /// for Tick()'s member decrement (the hom kernel's candidate loop
+  /// batches its ticks through a register counter and settles every n
+  /// iterations).
   /// Equivalent to n Tick() calls except that the budgets are consulted
   /// at batch granularity; keep n well under kStride.
   bool TickBatch(uint32_t n) {

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <mutex>
 
+#include "util/json.h"
 #include "util/request_context.h"
 #include "util/strings.h"
 
@@ -29,32 +30,6 @@ bool ParseLogLevel(std::string_view text, LogLevel* out) {
   return false;
 }
 
-namespace {
-
-std::string JsonEscape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 LogEvent::LogEvent(Logger* logger, LogLevel level, std::string_view msg)
     : logger_(logger) {
   double now = std::chrono::duration<double>(
@@ -63,14 +38,15 @@ LogEvent::LogEvent(Logger* logger, LogLevel level, std::string_view msg)
   char ts[32];
   std::snprintf(ts, sizeof(ts), "%.3f", now);
   line_ = StrCat("{\"ts\": ", ts, ", \"level\": \"", LogLevelName(level),
-                 "\", \"msg\": \"", JsonEscape(msg), "\"");
+                 "\", \"msg\": ");
+  AppendJsonString(msg, &line_);
   // Ambient request attribution: every line inside a request scope carries
   // the same request_id the reply and the span tree do.
   if (const RequestContext* context = CurrentRequestContext()) {
     line_ += StrCat(", \"request_id\": ", context->id);
     if (!context->trace_id.empty()) {
-      line_ += StrCat(", \"trace_id\": \"", JsonEscape(context->trace_id),
-                      "\"");
+      line_ += ", \"trace_id\": ";
+      AppendJsonString(context->trace_id, &line_);
     }
   }
 }
@@ -83,15 +59,19 @@ LogEvent::~LogEvent() {
 
 LogEvent& LogEvent::Str(std::string_view key, std::string_view value) {
   if (logger_ != nullptr) {
-    line_ += StrCat(", \"", JsonEscape(key), "\": \"", JsonEscape(value),
-                    "\"");
+    line_ += ", ";
+    AppendJsonString(key, &line_);
+    line_ += ": ";
+    AppendJsonString(value, &line_);
   }
   return *this;
 }
 
 LogEvent& LogEvent::Num(std::string_view key, int64_t value) {
   if (logger_ != nullptr) {
-    line_ += StrCat(", \"", JsonEscape(key), "\": ", value);
+    line_ += ", ";
+    AppendJsonString(key, &line_);
+    line_ += StrCat(": ", value);
   }
   return *this;
 }

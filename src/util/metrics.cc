@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 #include <deque>
 #include <mutex>
 #include <unordered_map>
 
+#include "util/json.h"
 #include "util/strings.h"
 
 namespace floq {
@@ -193,52 +193,29 @@ void MetricsRegistry::Reset() {
   for (Histogram& histogram : i.histograms) histogram.Reset();
 }
 
-namespace {
-
-// Metric names are dotted identifiers, but escape defensively anyway so
-// the export is valid JSON for any registered name.
-std::string JsonEscape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string MetricsSnapshot::ToJson() const {
   std::string out = "{\n  \"counters\": {";
+  // Metric names are dotted identifiers, but escape defensively anyway so
+  // the export is valid JSON for any registered name.
   for (size_t i = 0; i < counters.size(); ++i) {
-    out += StrCat(i == 0 ? "\n" : ",\n", "    \"",
-                  JsonEscape(counters[i].name), "\": ", counters[i].value);
+    out += i == 0 ? "\n    " : ",\n    ";
+    AppendJsonString(counters[i].name, &out);
+    out += StrCat(": ", counters[i].value);
   }
   out += counters.empty() ? "},\n" : "\n  },\n";
   out += "  \"gauges\": {";
   for (size_t i = 0; i < gauges.size(); ++i) {
-    out += StrCat(i == 0 ? "\n" : ",\n", "    \"", JsonEscape(gauges[i].name),
-                  "\": ", gauges[i].value);
+    out += i == 0 ? "\n    " : ",\n    ";
+    AppendJsonString(gauges[i].name, &out);
+    out += StrCat(": ", gauges[i].value);
   }
   out += gauges.empty() ? "},\n" : "\n  },\n";
   out += "  \"histograms\": {";
   for (size_t i = 0; i < histograms.size(); ++i) {
     const HistogramValue& h = histograms[i];
-    out += StrCat(i == 0 ? "\n" : ",\n", "    \"", JsonEscape(h.name),
-                  "\": {\"count\": ", h.count, ", \"sum\": ", h.sum,
+    out += i == 0 ? "\n    " : ",\n    ";
+    AppendJsonString(h.name, &out);
+    out += StrCat(": {\"count\": ", h.count, ", \"sum\": ", h.sum,
                   ", \"buckets\": [");
     bool first = true;
     for (int b = 0; b < Histogram::kBuckets; ++b) {

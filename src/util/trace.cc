@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "util/check.h"
+#include "util/json.h"
 
 namespace floq {
 
@@ -129,52 +130,26 @@ uint64_t TraceSession::size() const {
 
 namespace {
 
-std::string JsonEscape(const char* text) {
-  std::string out;
-  for (const char* p = text; *p != '\0'; ++p) {
-    char c = *p;
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void AppendEvent(std::string& out, const TraceEvent& event, bool first) {
   char buffer[160];
   // Chrome's ts/dur are microseconds; keep nanosecond precision with
   // fractional values.
   std::snprintf(buffer, sizeof(buffer),
                 "%s  {\"ph\": \"X\", \"pid\": 1, \"tid\": %u, "
-                "\"ts\": %.3f, \"dur\": %.3f, \"name\": \"",
+                "\"ts\": %.3f, \"dur\": %.3f, \"name\": ",
                 first ? "" : ",\n", event.tid, double(event.start_ns) / 1e3,
                 double(event.dur_ns) / 1e3);
   out += buffer;
-  out += JsonEscape(event.name);
-  out += "\"";
+  AppendJsonString(event.name, &out);
   if (event.num_args > 0) {
     out += ", \"args\": {";
     for (uint8_t i = 0; i < event.num_args; ++i) {
       const TraceArg& arg = event.args[i];
       if (i > 0) out += ", ";
-      out += "\"";
-      out += JsonEscape(arg.key);
-      out += "\": ";
+      AppendJsonString(arg.key, &out);
+      out += ": ";
       if (arg.str != nullptr) {
-        out += "\"";
-        out += JsonEscape(arg.str);
-        out += "\"";
+        AppendJsonString(arg.str, &out);
       } else {
         char num[24];
         std::snprintf(num, sizeof(num), "%lld",

@@ -608,7 +608,7 @@ TEST(SigmaBoundednessTest, QueryVariablesParticipateInTheWalk) {
   EXPECT_EQ(grade.mandatory_depth, 2);
 }
 
-// ---- chase growth model and pair cost ------------------------------------
+// ---- chase growth model ------------------------------------
 
 TEST(CostModelTest, CompletedProbeIsExactWithFullConfidence) {
   World world;
@@ -651,40 +651,6 @@ TEST(CostModelTest, GrowingProbeExtrapolatesAndDecaysConfidence) {
   EXPECT_LT(model.ConfidenceAtLevel(8), 1.0);
   EXPECT_LT(model.ConfidenceAtLevel(16), model.ConfidenceAtLevel(8));
   EXPECT_EQ(model.ConfidenceAtLevel(2), 1.0);  // within the probe: exact
-}
-
-TEST(CostModelTest, ConstantSelectivityOrdersPatterns) {
-  World world;
-  FactIndex index;
-  Term c1 = world.MakeConstant("c1");
-  Term c2 = world.MakeConstant("c2");
-  for (int i = 0; i < 50; ++i) {
-    index.Insert(Atom::Member(
-        world.MakeConstant("x" + std::to_string(i)), c1));
-  }
-  index.Insert(Atom::Member(world.MakeConstant("y"), c2));
-  TargetProfile target = ProfileFacts(index);
-  EXPECT_EQ(target.PredicateCount(pfl::kMember), 51u);
-  EXPECT_EQ(target.ConstantCount(pfl::kMember, 1, c1), 50u);
-  EXPECT_EQ(target.ConstantCount(pfl::kMember, 1, c2), 1u);
-
-  Result<ConjunctiveQuery> common = ParseQuery(world, "a() :- member(X, c1).");
-  Result<ConjunctiveQuery> rare = ParseQuery(world, "b() :- member(X, c2).");
-  ASSERT_TRUE(common.ok() && rare.ok());
-  CostEstimate common_cost =
-      EstimatePairCost(target, ProfilePattern(*common), 0, 1'000'000);
-  CostEstimate rare_cost =
-      EstimatePairCost(target, ProfilePattern(*rare), 0, 1'000'000);
-  EXPECT_GT(common_cost.hom_fanout_bound, rare_cost.hom_fanout_bound);
-
-  // A constant absent from the (completed) target can never match: the
-  // chase invents only nulls, so the fan-out collapses.
-  Result<ConjunctiveQuery> absent =
-      ParseQuery(world, "c() :- member(X, nowhere).");
-  ASSERT_TRUE(absent.ok());
-  CostEstimate absent_cost =
-      EstimatePairCost(target, ProfilePattern(*absent), 0, 1'000'000);
-  EXPECT_LT(absent_cost.hom_fanout_bound, rare_cost.hom_fanout_bound);
 }
 
 TEST(CostModelTest, Fld202FiresOnVariableDisjointBodies) {
@@ -730,31 +696,6 @@ TEST(CostModelTest, Fld203FiresWhenTheEstimateExceedsTheBudget) {
   ASSERT_TRUE(small.ok());
   EXPECT_FALSE(HasCode(AnalyzeQueryCost(world2, *small).diagnostics,
                        "FLD203"));
-}
-
-TEST(CostModelTest, FromEstimateOnlyEverRaisesTheBudget) {
-  ResourceBudget base;
-  base.hom_step_budget = 100;
-  // Cheap pairs keep the base budget.
-  EXPECT_EQ(ResourceBudget::FromEstimate(base, 50.0, 100.0).hom_step_budget,
-            100u);
-  EXPECT_EQ(ResourceBudget::FromEstimate(base, 100.0, 100.0).hom_step_budget,
-            100u);
-  // Expensive pairs scale linearly with the cost ratio...
-  EXPECT_EQ(ResourceBudget::FromEstimate(base, 400.0, 100.0).hom_step_budget,
-            400u);
-  // ...up to the 64x cap.
-  EXPECT_EQ(ResourceBudget::FromEstimate(base, 1e9, 1.0).hom_step_budget,
-            6400u);
-  // An unlimited budget stays unlimited; degenerate means stay put.
-  ResourceBudget unlimited;
-  EXPECT_EQ(ResourceBudget::FromEstimate(unlimited, 400.0, 100.0)
-                .hom_step_budget,
-            0u);
-  EXPECT_EQ(ResourceBudget::FromEstimate(base, 400.0, 0.0).hom_step_budget,
-            100u);
-  EXPECT_EQ(ResourceBudget::FromEstimate(base, 0.0, 100.0).hom_step_budget,
-            100u);
 }
 
 }  // namespace

@@ -263,119 +263,6 @@ TEST(ContainmentIndexTest, DifferentialSoundnessLevelZeroAndClassical) {
   }
 }
 
-// ---- cost-ordered scheduling ---------------------------------------------
-
-// use_cost_scheduling may only *reorder* the batch pipeline and *raise*
-// per-pair hom budgets (ResourceBudget::FromEstimate): the verdict matrix
-// must match the unscheduled engine pair-for-pair, in every depth mode
-// and with any fan-out width.
-void ExpectSchedulingParity(const std::vector<ConjunctiveQuery>& queries,
-                            World& world, ChaseDepth depth, int jobs) {
-  BatchContainmentOptions plain;
-  plain.jobs = jobs;
-  plain.containment.depth = depth;
-  BatchContainmentOptions scheduled = plain;
-  scheduled.containment.use_cost_scheduling = true;
-
-  ContainmentEngine base(world, plain);
-  ContainmentEngine cost(world, scheduled);
-  for (const ConjunctiveQuery& q : queries) {
-    ASSERT_TRUE(base.AddQuery(q).ok());
-    ASSERT_TRUE(cost.AddQuery(q).ok());
-  }
-  Result<std::vector<std::vector<PairVerdict>>> b = base.CheckAll();
-  Result<std::vector<std::vector<PairVerdict>>> c = cost.CheckAll();
-  ASSERT_TRUE(b.ok()) << b.status().ToString();
-  ASSERT_TRUE(c.ok()) << c.status().ToString();
-
-  bool any_predicted = false;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    for (size_t j = 0; j < queries.size(); ++j) {
-      if (i == j) continue;
-      const PairVerdict& p = (*b)[i][j];
-      const PairVerdict& s = (*c)[i][j];
-      EXPECT_EQ(p.resolution, s.resolution)
-          << "depth " << int(depth) << " jobs " << jobs << ": "
-          << queries[i].name() << " ⊆ " << queries[j].name();
-      EXPECT_EQ(p.contained, s.contained);
-      EXPECT_EQ(p.pruned, s.pruned);
-      EXPECT_EQ(p.lhs_unsatisfiable, s.lhs_unsatisfiable);
-      // The scheduler's prediction rides along on unpruned verdicts only.
-      EXPECT_EQ(p.predicted_cost, 0.0);
-      if (s.predicted_cost > 0.0) {
-        EXPECT_FALSE(s.pruned);
-        any_predicted = true;
-      }
-    }
-  }
-  EXPECT_TRUE(any_predicted) << "no pair was ever costed";
-}
-
-TEST(CostSchedulingTest, VerdictParityBooleanWorkloadAllDepths) {
-  for (ChaseDepth depth :
-       {ChaseDepth::kPaperBound, ChaseDepth::kLevelZero, ChaseDepth::kNone}) {
-    World world;
-    std::vector<ConjunctiveQuery> queries = BooleanWorkload(world);
-    ExpectSchedulingParity(queries, world, depth, 1);
-  }
-}
-
-TEST(CostSchedulingTest, VerdictParityUnaryWorkload) {
-  World world;
-  std::vector<ConjunctiveQuery> queries = UnaryWorkload(world);
-  ExpectSchedulingParity(queries, world, ChaseDepth::kPaperBound, 1);
-}
-
-TEST(CostSchedulingTest, VerdictParityUnderParallelFanOut) {
-  World world;
-  std::vector<ConjunctiveQuery> queries = BooleanWorkload(world);
-  ExpectSchedulingParity(queries, world, ChaseDepth::kPaperBound, 4);
-}
-
-TEST(CostSchedulingTest, CalibratedBudgetsOnlyReduceUnknowns) {
-  // With a hom step budget set, calibration scales the budget *up* for
-  // pairs predicted expensive: every pair the base engine decides must
-  // come back with the identical verdict, and a scheduled kUnknown
-  // implies a base kUnknown (never the reverse). The step budget is
-  // deterministic (unlike a timeout), so this is an exact property.
-  for (uint64_t step_budget : {1u, 8u, 64u, 4096u}) {
-    World world;
-    std::vector<ConjunctiveQuery> queries = UnaryWorkload(world);
-    BatchContainmentOptions plain;
-    plain.jobs = 1;
-    plain.containment.budget.hom_step_budget = step_budget;
-    BatchContainmentOptions scheduled = plain;
-    scheduled.containment.use_cost_scheduling = true;
-
-    ContainmentEngine base(world, plain);
-    ContainmentEngine cost(world, scheduled);
-    for (const ConjunctiveQuery& q : queries) {
-      ASSERT_TRUE(base.AddQuery(q).ok());
-      ASSERT_TRUE(cost.AddQuery(q).ok());
-    }
-    Result<std::vector<std::vector<PairVerdict>>> b = base.CheckAll();
-    Result<std::vector<std::vector<PairVerdict>>> c = cost.CheckAll();
-    ASSERT_TRUE(b.ok() && c.ok());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      for (size_t j = 0; j < queries.size(); ++j) {
-        if (i == j) continue;
-        const PairVerdict& p = (*b)[i][j];
-        const PairVerdict& s = (*c)[i][j];
-        if (s.resolution == Resolution::kUnknown) {
-          EXPECT_EQ(p.resolution, Resolution::kUnknown)
-              << "budget " << step_budget << ": calibration introduced an "
-              << "UNKNOWN on " << queries[i].name() << " ⊆ "
-              << queries[j].name();
-        } else if (p.resolution != Resolution::kUnknown) {
-          EXPECT_EQ(p.resolution, s.resolution)
-              << queries[i].name() << " ⊆ " << queries[j].name();
-        }
-      }
-    }
-    EXPECT_LE(cost.stats().unknown_pairs, base.stats().unknown_pairs);
-  }
-}
-
 // ---- the incremental index -----------------------------------------------
 
 TEST(ContainmentIndexTest, IncrementalInsertMatchesBatchClassifier) {

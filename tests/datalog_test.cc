@@ -27,10 +27,10 @@ TEST(FactIndexTest, InsertDeduplicates) {
 }
 
 TEST(FactIndexTest, PostingListsAreStrictlyIncreasing) {
-  // The galloping intersection in the homomorphism kernel relies on every
-  // posting list being strictly increasing in fact id — which holds by
-  // construction (ids are assigned in insertion order, each Insert
-  // appends) and is FLOQ_DCHECKed per append in debug builds.
+  // The frozen tier's delta encoding relies on every posting list being
+  // strictly increasing in fact id — which holds by construction (ids
+  // are assigned in insertion order, each Insert appends) and is
+  // FLOQ_DCHECKed per append in debug builds.
   World world;
   FactIndex index;
   Term a = world.MakeConstant("a");

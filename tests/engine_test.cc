@@ -606,10 +606,8 @@ TEST(GovernedEngineTest, TimedOutPairsFreeWorkersPromptly) {
   World world;
   BatchContainmentOptions options;
   options.jobs = 2;
-  // Worst-case order on purpose: no cost model to float the cheap pairs
-  // ahead, no signature filter to discharge anything before the governed
-  // stages (it would also skew the queue_wait sample count below).
-  options.containment.use_cost_scheduling = false;
+  // No signature filter to discharge anything before the governed stages
+  // (it would also skew the queue_wait sample count below).
   options.containment.use_signature_index = false;
   options.containment.budget.timeout_ms = 500;
   ContainmentEngine engine(world, options);

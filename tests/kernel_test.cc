@@ -1,10 +1,10 @@
 // Tests for the compiled homomorphism kernel (DESIGN.md §9): the
-// BindingTrail, the galloping posting-list intersection, pattern
-// compilation, and — the load-bearing part — differential properties
-// asserting that the kernel, with and without list intersection, and the
-// legacy map-based matcher enumerate *identical* match sets over the
-// src/gen corpus and produce identical verdicts through the batch
-// ContainmentEngine in sequential and parallel modes.
+// BindingTrail, pattern compilation, and — the load-bearing part —
+// differential properties asserting that the kernel and the legacy
+// map-based matcher enumerate *identical* match sets over the src/gen
+// corpus (including targets whose posting lists span several frozen
+// blocks plus a mutable tail) and produce identical verdicts through the
+// batch ContainmentEngine in sequential and parallel modes.
 
 #include <gtest/gtest.h>
 
@@ -19,11 +19,10 @@
 #include "datalog/binding_trail.h"
 #include "datalog/compiled_pattern.h"
 #include "datalog/match.h"
-#include "datalog/posting_intersect.h"
+#include "datalog/posting_block.h"
 #include "gen/generators.h"
 #include "query/parser.h"
 #include "term/world.h"
-#include "util/rng.h"
 
 namespace floq {
 namespace {
@@ -55,71 +54,6 @@ TEST(BindingTrailTest, BindMarkUndo) {
   EXPECT_EQ(trail.Mark(), 0u);
 }
 
-// ---- galloping search and k-way intersection --------------------------------
-
-std::vector<uint32_t> RandomSortedIds(Rng& rng, size_t len, uint32_t universe) {
-  std::set<uint32_t> ids;
-  while (ids.size() < len) ids.insert(uint32_t(rng.Below(universe)));
-  return {ids.begin(), ids.end()};
-}
-
-TEST(GallopTest, AgreesWithLowerBound) {
-  Rng rng(42);
-  for (int trial = 0; trial < 50; ++trial) {
-    std::vector<uint32_t> list =
-        RandomSortedIds(rng, 1 + rng.Below(200), 1000);
-    for (int probe = 0; probe < 40; ++probe) {
-      uint32_t target = uint32_t(rng.Below(1100));
-      size_t begin = rng.Below(list.size() + 1);
-      size_t expected =
-          size_t(std::lower_bound(list.begin() + begin, list.end(), target) -
-                 list.begin());
-      EXPECT_EQ(GallopToLowerBound(list, begin, target), expected)
-          << "begin=" << begin << " target=" << target;
-    }
-  }
-}
-
-TEST(IntersectTest, AgreesWithSetIntersection) {
-  Rng rng(7);
-  for (int trial = 0; trial < 60; ++trial) {
-    size_t k = 2 + rng.Below(4);
-    uint32_t universe = 50 + uint32_t(rng.Below(500));
-    std::vector<std::vector<uint32_t>> lists;
-    for (size_t i = 0; i < k; ++i) {
-      lists.push_back(RandomSortedIds(rng, 1 + rng.Below(universe / 2),
-                                      universe));
-    }
-    std::vector<uint32_t> expected = lists[0];
-    for (size_t i = 1; i < k; ++i) {
-      std::vector<uint32_t> next;
-      std::set_intersection(expected.begin(), expected.end(),
-                            lists[i].begin(), lists[i].end(),
-                            std::back_inserter(next));
-      expected = std::move(next);
-    }
-
-    std::vector<PostingView> views(lists.begin(), lists.end());
-    std::vector<uint32_t> actual;
-    IntersectPostingLists(views, actual);
-    EXPECT_EQ(actual, expected) << "k=" << k << " trial=" << trial;
-  }
-}
-
-TEST(IntersectTest, EmptyAndDisjointLists) {
-  std::vector<uint32_t> a = {1, 3, 5};
-  std::vector<uint32_t> b;
-  std::vector<uint32_t> out = {99};
-  std::vector<PostingView> lists = {PostingView(a), PostingView(b)};
-  IntersectPostingLists(lists, out);
-  EXPECT_TRUE(out.empty());
-
-  std::vector<uint32_t> c = {2, 4, 6};
-  lists = {PostingView(a), PostingView(c)};
-  IntersectPostingLists(lists, out);
-  EXPECT_TRUE(out.empty());
-}
-
 // ---- pattern compilation ----------------------------------------------------
 
 TEST(CompiledPatternTest, ClassifiesArgumentPositions) {
@@ -146,7 +80,6 @@ TEST(CompiledPatternTest, ClassifiesArgumentPositions) {
   EXPECT_EQ(data.args[2].kind, CompiledArg::Kind::kSlot);
   EXPECT_TRUE(data.args[2].repeated_in_atom);
   EXPECT_EQ(data.args[1].slot, data.args[2].slot);
-  EXPECT_EQ(data.num_const_lists, 0);
   EXPECT_EQ(data.num_slot_positions, 3);
 
   const CompiledAtom& member = compiled.atoms()[1];
@@ -154,13 +87,9 @@ TEST(CompiledPatternTest, ClassifiesArgumentPositions) {
   EXPECT_EQ(member.args[0].slot, data.args[0].slot);  // same X
   EXPECT_EQ(member.args[1].kind, CompiledArg::Kind::kConstant);
   EXPECT_EQ(member.args[1].value, world.MakeConstant("person"));
-  // The constant position's posting list was resolved at compile time.
-  EXPECT_EQ(member.num_const_lists, 1);
-  EXPECT_EQ(member.const_lists[0].size(), 1u);
-  // static_best is the constant list (views have no identity, so the
-  // compiled atom records which input won).
-  EXPECT_EQ(member.static_best_const_index, 0);
-  EXPECT_EQ(member.static_best.size(), member.const_lists[0].size());
+  // The constant position's posting list was resolved at compile time
+  // and, being no longer than the predicate bucket, is static_best.
+  EXPECT_EQ(member.static_best.size(), 1u);
   EXPECT_FALSE(compiled.impossible());
   EXPECT_EQ(stats.index_probes, 1u);
 }
@@ -218,7 +147,6 @@ TEST(CompiledPatternTest, InitialBindingsBecomeConstants) {
   EXPECT_FALSE(compiled.impossible());
   // static_best is the resolved sub(b, _) list: exactly one fact.
   EXPECT_EQ(sub.static_best.size(), 1u);
-  EXPECT_EQ(sub.static_best_const_index, 0);
 }
 
 // ---- differential property: identical match sets ----------------------------
@@ -253,24 +181,63 @@ std::set<std::string> AllMatches(std::span<const Atom> pattern,
   return matches;
 }
 
+// Seeds below kNarrowSeeds search the level-0 chase of a small random
+// query, whose posting lists are all short. Later seeds use a wide target
+// instead: the body of a large random query over a 13-term universe, dense
+// enough that predicate buckets span many 128-id blocks and argument lists
+// more than one. Two thirds of it is frozen into the compressed tier and
+// the rest appended to the mutable tails afterwards, so candidate scans
+// cross block boundaries and the frozen/tail seam. The small universe keeps
+// every probe's match set enumerable (at most 13^4 assignments).
+constexpr uint64_t kNarrowSeeds = 25;
+constexpr uint64_t kWideSeeds = 8;
+
 class KernelEquivalenceProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(KernelEquivalenceProperty, SameMatchSetsOnGenCorpus) {
   const uint64_t seed = GetParam();
   World world;
 
-  // Target: the level-0 chase of a random query (dense, join-heavy).
-  gen::RandomQuerySpec target_spec;
-  target_spec.seed = seed;
-  target_spec.atoms = 10 + int(seed % 6);
-  target_spec.variable_pool = 5 + int(seed % 3);
-  target_spec.constant_pool = 3;
-  target_spec.constant_probability = 0.25;
-  target_spec.arity = 0;
-  ConjunctiveQuery q1 =
-      gen::MakeRandomQuery(world, target_spec, "target");
-  ChaseResult chase = ChaseLevelZero(world, q1);
-  ASSERT_TRUE(chase.conjuncts().PostingListsSorted());
+  ChaseResult chase;
+  FactIndex wide;
+  if (seed < kNarrowSeeds) {
+    // Target: the level-0 chase of a random query (dense, join-heavy).
+    gen::RandomQuerySpec target_spec;
+    target_spec.seed = seed;
+    target_spec.atoms = 10 + int(seed % 6);
+    target_spec.variable_pool = 5 + int(seed % 3);
+    target_spec.constant_pool = 3;
+    target_spec.constant_probability = 0.25;
+    target_spec.arity = 0;
+    ConjunctiveQuery q1 =
+        gen::MakeRandomQuery(world, target_spec, "target");
+    chase = ChaseLevelZero(world, q1);
+  } else {
+    gen::RandomQuerySpec target_spec;
+    target_spec.seed = seed;
+    target_spec.atoms = 24000;
+    target_spec.variable_pool = 10;
+    target_spec.constant_pool = 3;
+    target_spec.constant_probability = 0.25;
+    target_spec.arity = 0;
+    target_spec.with_constraints = false;
+    ConjunctiveQuery q1 =
+        gen::MakeRandomQuery(world, target_spec, "target");
+    const std::vector<Atom>& body = q1.body();
+    const size_t freeze_at = body.size() * 2 / 3;
+    for (size_t i = 0; i < body.size(); ++i) {
+      if (i == freeze_at) wide.Freeze();
+      wide.Insert(body[i]);
+    }
+    const PostingView data = wide.WithPredicate(pfl::kData);
+    ASSERT_GE(data.frozen_count(), 4 * kPostingBlockSize);
+    ASSERT_FALSE(data.tail().empty());
+    ASSERT_GT(wide.WithArgument(pfl::kData, 1, world.MakeConstant("c0"))
+                  .frozen_count(),
+              kPostingBlockSize);
+  }
+  const FactIndex& target = seed < kNarrowSeeds ? chase.conjuncts() : wide;
+  ASSERT_TRUE(target.PostingListsSorted());
 
   for (int probe_index = 0; probe_index < 4; ++probe_index) {
     gen::RandomQuerySpec probe_spec;
@@ -286,24 +253,17 @@ TEST_P(KernelEquivalenceProperty, SameMatchSetsOnGenCorpus) {
 
     MatchOptions legacy;
     legacy.use_compiled_kernel = false;
-    MatchOptions kernel;  // compiled + intersection (production defaults)
-    MatchOptions kernel_no_intersect;
-    kernel_no_intersect.use_list_intersection = false;
+    MatchOptions kernel;  // production defaults
 
-    std::set<std::string> expected =
-        AllMatches(probe.body(), chase.conjuncts(), legacy);
-    EXPECT_EQ(AllMatches(probe.body(), chase.conjuncts(), kernel), expected)
+    EXPECT_EQ(AllMatches(probe.body(), target, kernel),
+              AllMatches(probe.body(), target, legacy))
         << "kernel vs legacy, probe " << probe.ToString(world);
-    EXPECT_EQ(
-        AllMatches(probe.body(), chase.conjuncts(), kernel_no_intersect),
-        expected)
-        << "kernel (no intersection) vs legacy, probe "
-        << probe.ToString(world);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KernelEquivalenceProperty,
-                         ::testing::Range(uint64_t(0), uint64_t(25)));
+                         ::testing::Range(uint64_t(0),
+                                          kNarrowSeeds + kWideSeeds));
 
 // The head-seeded search path (initial substitution non-empty) must agree
 // too: full CheckContainment with kernel on vs off.
@@ -348,12 +308,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, KernelContainmentProperty,
 TEST(KernelEngineEquivalence, SameMatrixAcrossKernelAndJobs) {
   struct Config {
     bool use_compiled_kernel;
-    bool use_list_intersection;
     int jobs;
   };
   const Config configs[] = {
-      {true, true, 1}, {true, true, 4}, {true, false, 1}, {false, false, 1},
-      {false, false, 4},
+      {true, 1}, {true, 4}, {false, 1}, {false, 4},
   };
 
   std::vector<std::vector<uint8_t>> matrices;
@@ -361,8 +319,6 @@ TEST(KernelEngineEquivalence, SameMatrixAcrossKernelAndJobs) {
     World world;
     BatchContainmentOptions options;
     options.containment.match.use_compiled_kernel = config.use_compiled_kernel;
-    options.containment.match.use_list_intersection =
-        config.use_list_intersection;
     options.jobs = config.jobs;
     ContainmentEngine engine(world, options);
     for (uint64_t seed = 0; seed < 10; ++seed) {
@@ -390,7 +346,7 @@ TEST(KernelEngineEquivalence, SameMatrixAcrossKernelAndJobs) {
   }
 }
 
-// ---- sortedness invariant the intersection relies on ------------------------
+// ---- sortedness invariant the frozen-tier encoding relies on ----------------
 
 TEST(FactIndexInvariant, PostingListsSortedOnChasedCorpus) {
   for (uint64_t seed = 0; seed < 10; ++seed) {

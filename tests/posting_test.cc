@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
-#include <deque>
 #include <map>
 #include <random>
 #include <set>
@@ -14,16 +13,15 @@
 
 #include "datalog/fact_index.h"
 #include "datalog/posting_block.h"
-#include "datalog/posting_intersect.h"
 #include "datalog/snapshot.h"
 #include "kb/knowledge_base.h"
 #include "term/world.h"
 #include "util/metrics.h"
 
 // Tests for the block-compressed posting storage (DESIGN.md §14): codec
-// round trips, SIMD-vs-scalar differential parity, cursor streaming and
-// SeekGE against plain-vector oracles, FactIndex freezing at random
-// points, and snapshot write -> mmap-load parity up to KB answers.
+// round trips, SIMD-vs-scalar differential parity, cursor streaming
+// against plain-vector oracles, FactIndex freezing at random points, and
+// snapshot write -> mmap-load parity up to KB answers.
 
 namespace floq {
 namespace {
@@ -153,27 +151,7 @@ TEST(PostingSimdTest, DecodeBlockMatchesScalar) {
   }
 }
 
-TEST(PostingSimdTest, LowerBoundMatchesScalarAndStd) {
-  std::mt19937 rng(19);
-  for (int trial = 0; trial < 200; ++trial) {
-    uint32_t n = 1 + rng() % kPostingBlockSize;
-    std::vector<uint32_t> data = RandomIds(rng, n, 1000);
-    // Probe below, above, at every element, and between elements.
-    std::vector<uint32_t> targets = {0, data.front(), data.back(),
-                                     data.back() + 1, UINT32_MAX};
-    for (int i = 0; i < 16; ++i) {
-      targets.push_back(rng() % (data.back() + 2));
-    }
-    for (uint32_t t : targets) {
-      uint32_t expected = uint32_t(
-          std::lower_bound(data.begin(), data.end(), t) - data.begin());
-      EXPECT_EQ(LowerBoundInBlockScalar(data.data(), n, t), expected);
-      EXPECT_EQ(LowerBoundInBlock(data.data(), n, t), expected);
-    }
-  }
-}
-
-// ---- Cursor streaming and seeking ----------------------------------------
+// ---- Cursor streaming ---------------------------------------------------
 
 // A view with `ids[0..split)` frozen in `arena` and the rest as tail.
 PostingView SplitView(PostingArena& arena, const std::vector<uint32_t>& ids,
@@ -199,79 +177,6 @@ TEST(PostingCursorTest, StreamMatchesVectorAtEverySplit) {
     for (uint32_t id : view) streamed.push_back(id);
     EXPECT_EQ(streamed, ids) << "split=" << split;
     EXPECT_EQ(view.ToVector(), ids) << "split=" << split;
-  }
-}
-
-TEST(PostingCursorTest, SeekGEDifferentialAgainstLowerBound) {
-  std::mt19937 rng(29);
-  for (int trial = 0; trial < 40; ++trial) {
-    size_t n = 1 + size_t(rng() % 900);
-    std::vector<uint32_t> ids = RandomIds(rng, n, 1 + rng() % 500);
-    size_t split = size_t(rng() % (n + 1));
-    PostingArena arena;
-    PostingView view = SplitView(arena, ids, split);
-
-    // Non-decreasing random targets (the leapfrog discipline).
-    std::vector<uint32_t> targets;
-    uint32_t t = 0;
-    while (t < ids.back() + 2) {
-      targets.push_back(t);
-      t += rng() % 97;
-    }
-
-    PostingCursor cursor(view);
-    size_t floor_pos = 0;  // SeekGE never moves backwards
-    for (uint32_t target : targets) {
-      bool ok = cursor.SeekGE(target);
-      size_t expected = std::max(
-          floor_pos, size_t(std::lower_bound(ids.begin(), ids.end(), target) -
-                            ids.begin()));
-      EXPECT_EQ(GallopToLowerBound(ids, 0, target),
-                size_t(std::lower_bound(ids.begin(), ids.end(), target) -
-                       ids.begin()));
-      EXPECT_EQ(cursor.position(), expected) << "target=" << target;
-      EXPECT_EQ(ok, expected < ids.size());
-      if (ok) {
-        EXPECT_EQ(cursor.value(), ids[expected]);
-        // Occasionally interleave a Next, as the kernel loop does.
-        if (rng() % 4 == 0) {
-          cursor.Next();
-          ++expected;
-        }
-      }
-      floor_pos = expected;
-    }
-  }
-}
-
-TEST(IntersectTest, MatchesSetIntersectionOverMixedTiers) {
-  std::mt19937 rng(31);
-  for (int trial = 0; trial < 30; ++trial) {
-    size_t k = 2 + rng() % 3;
-    // One arena per list: EncodeList may reallocate, so views over a shared
-    // arena must all be taken after the last append (FactIndex::Freeze
-    // two-passes for exactly this reason).
-    std::deque<PostingArena> arenas;
-    std::vector<std::vector<uint32_t>> plain;
-    for (size_t i = 0; i < k; ++i) {
-      plain.push_back(RandomIds(rng, 50 + rng() % 500, 4));
-    }
-    std::vector<PostingView> views;
-    for (const std::vector<uint32_t>& ids : plain) {
-      views.push_back(SplitView(arenas.emplace_back(), ids,
-                                size_t(rng() % (ids.size() + 1))));
-    }
-    std::vector<uint32_t> expected = plain[0];
-    for (size_t i = 1; i < k; ++i) {
-      std::vector<uint32_t> next;
-      std::set_intersection(expected.begin(), expected.end(),
-                            plain[i].begin(), plain[i].end(),
-                            std::back_inserter(next));
-      expected = std::move(next);
-    }
-    std::vector<uint32_t> got;
-    IntersectPostingLists(views, got);
-    EXPECT_EQ(got, expected) << "k=" << k << " trial=" << trial;
   }
 }
 
@@ -397,14 +302,17 @@ TEST(PostingMetricsTest, CursorWorkIsCounted) {
   std::vector<uint32_t> ids = RandomIds(rng, 4096, 3);
   uint32_t offset = arena.EncodeList(ids);
   PostingView view(arena.data(), offset, uint32_t(ids.size()), {});
-  PostingCursor cursor(view);
-  for (uint32_t target = 0; cursor.SeekGE(target); target += 512) {
+  size_t streamed = 0;
+  for (PostingCursor cursor(view); !cursor.AtEnd(); cursor.Next()) {
+    EXPECT_EQ(cursor.value(), ids[streamed]);
+    ++streamed;
   }
   MetricsSnapshot snapshot = MetricsRegistry::Get().Snapshot();
   MetricsRegistry::set_enabled(false);
-  EXPECT_GT(CounterValue(snapshot, "index.seek_calls"), 0u);
-  EXPECT_GT(CounterValue(snapshot, "index.blocks_decoded"), 0u);
-  EXPECT_GT(CounterValue(snapshot, "index.seek_blocks_skipped"), 0u);
+  EXPECT_EQ(streamed, ids.size());
+  // A full stream decodes every block exactly once.
+  EXPECT_EQ(CounterValue(snapshot, "index.blocks_decoded"),
+            ids.size() / kPostingBlockSize);
 }
 
 // ---- Snapshots -----------------------------------------------------------

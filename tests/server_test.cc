@@ -33,6 +33,7 @@
 #include "server/protocol.h"
 #include "server/registry.h"
 #include "server/wal.h"
+#include "util/crc32.h"
 #include "util/deadline.h"
 #include "util/fault.h"
 
@@ -188,8 +189,10 @@ const std::vector<std::pair<std::string, std::string>>& Workload() {
   return queries;
 }
 
-// Deterministic lattice fingerprint: the classify reply minus the epoch
-// (recovery replays bump epochs; the lattice itself must not move).
+// Deterministic lattice fingerprint: the classify reply minus the epoch.
+// A recovered registry's epoch need only be >= the last acked one (WAL
+// records replayed on top of a checkpoint that already holds them can
+// advance it further); the lattice itself must not move.
 std::string LatticeFingerprint(const Json& classify_reply) {
   Json fingerprint = Json::Object();
   const Json* classes = classify_reply.Find("classes");
@@ -420,13 +423,20 @@ TEST(RegistryTest, RegisterUnregisterAndSnapshotIsolation) {
 TEST(RegistryTest, ReopenRecoversEntriesAndLattice) {
   std::string dir = MakeTempDir();
   std::string fingerprint_before;
+  uint64_t last_acked_epoch = 0;
   {
     QueryRegistry registry(TestRegistryOptions(dir, /*checkpoint_every=*/2));
     ASSERT_TRUE(registry.Open().ok());
     for (const auto& [name, text] : Workload()) {
-      ASSERT_TRUE(registry.Register(name, text).ok()) << name;
+      Result<QueryRegistry::RegisterOutcome> outcome =
+          registry.Register(name, text);
+      ASSERT_TRUE(outcome.ok()) << name;
+      last_acked_epoch = outcome->epoch;
     }
-    ASSERT_TRUE(registry.Unregister("people").ok());
+    Result<uint64_t> unregistered = registry.Unregister("people");
+    ASSERT_TRUE(unregistered.ok());
+    EXPECT_GT(*unregistered, last_acked_epoch);
+    last_acked_epoch = *unregistered;
     std::shared_ptr<const RegistrySnapshotView> snap = registry.Snapshot();
     for (Resolution r : snap->resolution[0]) {
       fingerprint_before += ResolutionName(r);
@@ -437,6 +447,7 @@ TEST(RegistryTest, ReopenRecoversEntriesAndLattice) {
   QueryRegistry recovered(TestRegistryOptions(dir));
   ASSERT_TRUE(recovered.Open().ok());
   std::shared_ptr<const RegistrySnapshotView> snap = recovered.Snapshot();
+  EXPECT_GE(snap->epoch, last_acked_epoch) << "epoch went backwards";
   ASSERT_EQ(snap->entries.size(), Workload().size() - 1);
   EXPECT_EQ(snap->Find("people"), nullptr);
   EXPECT_NE(snap->Find("students"), nullptr);
@@ -446,6 +457,33 @@ TEST(RegistryTest, ReopenRecoversEntriesAndLattice) {
     fingerprint_after += ',';
   }
   EXPECT_EQ(fingerprint_after, fingerprint_before);
+}
+
+// A checkpoint written before the epoch was persisted has no "epoch"
+// field: it loads as epoch 0, and the next mutation publishes epoch 1.
+TEST(RegistryTest, CheckpointWithoutEpochLoadsAsZero) {
+  std::string dir = MakeTempDir();
+  const std::string payload =
+      R"({"entries": [{"name": "a", "query": "q(X) :- X : student."}]})";
+  const uint32_t len = uint32_t(payload.size());
+  const uint32_t crc = Crc32(payload);
+  std::string bytes = "FLOQREG1";
+  bytes.append(reinterpret_cast<const char*>(&len), 4);
+  bytes.append(reinterpret_cast<const char*>(&crc), 4);
+  bytes += payload;
+  std::FILE* file = std::fopen((dir + "/registry.floqreg").c_str(), "wb");
+  ASSERT_NE(file, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), file), bytes.size());
+  ASSERT_EQ(std::fclose(file), 0);
+
+  QueryRegistry registry(TestRegistryOptions(dir));
+  ASSERT_TRUE(registry.Open().ok());
+  EXPECT_EQ(registry.Snapshot()->epoch, 0u);
+  EXPECT_NE(registry.Snapshot()->Find("a"), nullptr);
+  Result<QueryRegistry::RegisterOutcome> next =
+      registry.Register("b", "q(X) :- X : person.");
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(next->epoch, 1u);
 }
 
 TEST(RegistryTest, RejectsInvalidNames) {
@@ -1044,7 +1082,8 @@ class CrashRecoveryTest : public ::testing::TestWithParam<CrashScenario> {};
 // For each durability-critical fault point: run a daemon armed to die
 // there, register the workload until the crash, then restart and assert
 //   (1) the process really died at the injected point (exit 42),
-//   (2) every ACKED registration survived (durability before ack),
+//   (2) every ACKED registration survived (durability before ack) and
+//       the epoch did not fall below the last acked one,
 //   (3) nothing un-attempted was invented,
 //   (4) re-registering the full workload is idempotent, and
 //   (5) the recovered lattice — classify fingerprint and the complete
@@ -1061,11 +1100,13 @@ TEST_P(CrashRecoveryTest, AckedStateAndLatticeSurviveKill) {
   ASSERT_TRUE(WaitForDaemon(daemon)) << scenario.fault;
 
   std::set<std::string> acked;
+  int64_t last_acked_epoch = 0;
   for (const auto& [name, text] : Workload()) {
     Result<Json> reply =
         Request(daemon.socket_path, RegisterRequest(name, text));
     if (reply.ok() && reply->GetBool("ok").ok() && *reply->GetBool("ok")) {
       acked.insert(name);
+      last_acked_epoch = *reply->GetInt("epoch");
     } else {
       break;  // the daemon died mid-request (or is already gone)
     }
@@ -1084,6 +1125,8 @@ TEST_P(CrashRecoveryTest, AckedStateAndLatticeSurviveKill) {
   int64_t queries = *status->GetInt("queries");
   EXPECT_GE(queries, static_cast<int64_t>(acked.size()))
       << scenario.fault << ": an acked registration was lost";
+  EXPECT_GE(*status->GetInt("epoch"), last_acked_epoch)
+      << scenario.fault << ": the epoch went backwards across the restart";
   EXPECT_LE(queries, static_cast<int64_t>(Workload().size()))
       << scenario.fault << ": recovery invented state";
   for (const std::string& name : acked) {

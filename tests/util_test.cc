@@ -9,11 +9,11 @@
 
 #include "util/function_ref.h"
 #include "util/interner.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/strings.h"
 #include "util/thread_pool.h"
-#include "util/union_find.h"
 
 namespace floq {
 namespace {
@@ -130,38 +130,15 @@ TEST(InternerTest, IdsAreDense) {
   }
 }
 
-// ---- union-find -----------------------------------------------------------
+// ---- JSON strings ---------------------------------------------------------
 
-TEST(UnionFindTest, SingletonsAreDistinct) {
-  UnionFind uf;
-  uf.GrowTo(4);
-  EXPECT_FALSE(uf.Same(0, 1));
-  EXPECT_EQ(uf.Find(3), 3u);
-}
-
-TEST(UnionFindTest, WinnerBecomesRepresentative) {
-  UnionFind uf;
-  uf.GrowTo(4);
-  EXPECT_TRUE(uf.Union(2, 1));
-  EXPECT_EQ(uf.Find(1), 2u);
-  EXPECT_EQ(uf.Find(2), 2u);
-  // Merging again is a no-op.
-  EXPECT_FALSE(uf.Union(2, 1));
-}
-
-TEST(UnionFindTest, TransitiveMerges) {
-  UnionFind uf;
-  uf.GrowTo(10);
-  uf.Union(0, 1);
-  uf.Union(1, 2);  // winner is 0's class root (0)
-  EXPECT_TRUE(uf.Same(0, 2));
-  EXPECT_EQ(uf.Find(2), 0u);
-}
-
-TEST(UnionFindTest, GrowsOnDemand) {
-  UnionFind uf;
-  EXPECT_EQ(uf.Find(100), 100u);
-  EXPECT_GE(uf.size(), 101u);
+TEST(JsonStringTest, QuotesAndEscapes) {
+  std::string out = "x";
+  AppendJsonString("a\"b\\c\nd\re\tf\x01g\xc3\xa9", &out);
+  EXPECT_EQ(out, "x\"a\\\"b\\\\c\\nd\\re\\tf\\u0001g\xc3\xa9\"");
+  out.clear();
+  AppendJsonString("", &out);
+  EXPECT_EQ(out, "\"\"");
 }
 
 // ---- rng ------------------------------------------------------------------

@@ -25,7 +25,7 @@
 //   floq analyze [--json] [--deps d.fl] [file.fl]
 //                                      static cost & boundedness report
 //                                      (DESIGN.md §15): per-query chase
-//                                      growth and hom fan-out estimates
+//                                      growth estimates and lints
 //                                      (FLD202/FLD203), fact-base
 //                                      null-generation grade, and — with
 //                                      --deps — the dependency set's
@@ -77,10 +77,6 @@
 //                      snapshot to F when the command finishes
 //   --trace-out F      record scoped spans and write Chrome trace_event
 //                      JSON to F (loads in chrome://tracing / Perfetto)
-//   --cost-schedule    classify: run the batch pipeline in ascending
-//                      predicted-cost order with calibrated hom budgets
-//                      (analysis/cost_model.h); verdicts are unchanged,
-//                      only the schedule
 //   --kb-snapshot F    for the KB commands (query, consistency, lint):
 //                      when F exists, restore the knowledge base from it
 //                      (one mmap — parsing is skipped, and saturation
@@ -125,6 +121,7 @@
 #include "server/daemon.h"
 #include "server/protocol.h"
 #include "util/metrics.h"
+#include "util/json.h"
 #include "util/strings.h"
 #include "util/trace.h"
 #include "term/world.h"
@@ -235,13 +232,11 @@ int CmdExplain(const std::string& path, const ResourceBudget& budget,
                 static_cast<unsigned long long>(cs.fresh_nulls),
                 static_cast<unsigned long long>(cs.egd_merges));
     std::printf("  %-12s %10.3f  nodes=%llu matches=%llu probes=%llu "
-                "intersections=%llu gallops=%llu prepass_rejects=%llu\n",
+                "prepass_rejects=%llu\n",
                 "hom-search", result->hom_ms,
                 static_cast<unsigned long long>(hs.nodes_visited),
                 static_cast<unsigned long long>(hs.matches_found),
                 static_cast<unsigned long long>(hs.index_probes),
-                static_cast<unsigned long long>(hs.intersect_nodes),
-                static_cast<unsigned long long>(hs.gallop_skips),
                 static_cast<unsigned long long>(hs.reject_prepass_hits));
     std::printf("  rule firings:");
     bool any = false;
@@ -270,8 +265,7 @@ int CmdExplain(const std::string& path, const ResourceBudget& budget,
 }
 
 int CmdClassify(const std::string& path, int jobs,
-                const ResourceBudget& budget, bool no_prune,
-                bool cost_schedule) {
+                const ResourceBudget& budget, bool no_prune) {
   World world;
   Result<std::vector<ConjunctiveQuery>> rules = LoadRules(world, path);
   if (!rules.ok()) return Fail(rules.status().ToString());
@@ -279,7 +273,6 @@ int CmdClassify(const std::string& path, int jobs,
   options.jobs = jobs;  // 0 = hardware concurrency
   options.containment.budget = budget;
   options.containment.use_signature_index = !no_prune;
-  options.containment.use_cost_scheduling = cost_schedule;
   Result<QueryTaxonomy> taxonomy = ClassifyQueries(world, *rules, options);
   if (!taxonomy.ok()) return Fail(taxonomy.status().ToString());
   std::printf("%zu queries, %zu equivalence classes, %d checks\n",
@@ -729,28 +722,6 @@ int CmdLint(const std::string& path, const std::string& deps_path,
   return ReachesSeverity(groups, fail_on) ? kExitNo : kExitOk;
 }
 
-std::string JsonEscape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 // "linear(depth 2)" / "unbounded" — a query or fact base's Sigma_FL
 // null-generation grade for the analyze table.
 std::string SigmaGradeToString(const analysis::SigmaBoundedness& grade) {
@@ -764,8 +735,8 @@ std::string SigmaGradeToString(const analysis::SigmaBoundedness& grade) {
 
 // Static cost & boundedness analysis (DESIGN.md §15). For each rule/goal
 // of `path`: the probe-fitted chase growth estimate at the query's own
-// Theorem-12 level, the predicted hom-search fan-out, the confidence tag,
-// and the instance-level Sigma_FL boundedness grade, plus any FLD202 /
+// Theorem-12 level, its confidence tag, and the instance-level Sigma_FL
+// boundedness grade, plus any FLD202 /
 // FLD203 diagnostics. The program's fact base gets its own grade (the
 // mandatory-attribute chain depth that bounds the rho_5 cascade). With
 // --deps, the dependency set is graded over the labeled dependency graph
@@ -828,17 +799,17 @@ int CmdAnalyze(const std::string& path, const std::string& deps_path,
         char buffer[256];
         std::snprintf(buffer, sizeof buffer,
                       "{\"chase_atoms_bound\": %llu, "
-                      "\"chase_levels_bound\": %d, "
-                      "\"hom_fanout_bound\": %.6g, \"confidence\": %.4f, "
+                      "\"chase_levels_bound\": %d, \"confidence\": %.4f, "
                       "\"boundedness\": \"%s\", \"mandatory_depth\": %d}",
                       static_cast<unsigned long long>(e.chase_atoms_bound),
-                      e.chase_levels_bound, e.hom_fanout_bound, e.confidence,
+                      e.chase_levels_bound, e.confidence,
                       analysis::NullDegreeName(reports[i].boundedness.degree),
                       reports[i].boundedness.mandatory_depth);
-        out += (i > 0 ? ",\n  " : "\n  ");
-        out += "{\"query\": \"" +
-               JsonEscape(flogic::QueryToSurface(queries[i], world)) +
-               "\", \"estimate\": " + buffer + "}";
+        out += (i > 0 ? ",\n  {\"query\": " : "\n  {\"query\": ");
+        AppendJsonString(flogic::QueryToSurface(queries[i], world), &out);
+        out += ", \"estimate\": ";
+        out += buffer;
+        out += "}";
       }
       out += "\n],\n";
     }
@@ -869,13 +840,13 @@ int CmdAnalyze(const std::string& path, const std::string& deps_path,
   } else {
     if (!queries.empty()) {
       std::printf("query cost estimates (%s):\n", path.c_str());
-      std::printf("  %12s %7s %12s %6s %-16s %s\n", "chase_atoms", "levels",
-                  "hom_nodes", "conf", "boundedness", "query");
+      std::printf("  %12s %7s %6s %-16s %s\n", "chase_atoms", "levels",
+                  "conf", "boundedness", "query");
       for (size_t i = 0; i < queries.size(); ++i) {
         const analysis::CostEstimate& e = reports[i].estimate;
-        std::printf("  %12llu %7d %12.4g %6.2f %-16s %s\n",
+        std::printf("  %12llu %7d %6.2f %-16s %s\n",
                     static_cast<unsigned long long>(e.chase_atoms_bound),
-                    e.chase_levels_bound, e.hom_fanout_bound, e.confidence,
+                    e.chase_levels_bound, e.confidence,
                     SigmaGradeToString(reports[i].boundedness).c_str(),
                     flogic::QueryToSurface(queries[i], world).c_str());
       }
@@ -1379,8 +1350,7 @@ int Usage() {
                "usage:\n"
                "  floq check <queries.fl>\n"
                "  floq explain <queries.fl> [--profile] [--chase-dot FILE]\n"
-               "  floq classify [--jobs N] [--no-prune] [--cost-schedule] "
-               "<queries.fl>\n"
+               "  floq classify [--jobs N] [--no-prune] <queries.fl>\n"
                "  floq chase <queries.fl> [max_level]\n"
                "  floq dot <queries.fl> [max_level]\n"
                "  floq minimize <queries.fl>\n"
@@ -1413,8 +1383,6 @@ int Usage() {
                "shutdown | watch\n"
                "global flags: --jobs N, --timeout-ms N, --hom-steps N,\n"
                "              --no-prune (disable the signature prefilter),\n"
-               "              --cost-schedule (classify: cheapest-predicted-"
-               "first order),\n"
                "              --metrics-out <m.json>, --trace-out <t.json>,\n"
                "              --kb-snapshot <kb.snap> (query/consistency/"
                "lint:\n"
@@ -1426,7 +1394,7 @@ int Usage() {
 
 int RunCommand(const std::string& command, std::vector<std::string>& args,
                int jobs, const ResourceBudget& budget, bool no_prune,
-               bool cost_schedule, const std::string& kb_snapshot,
+               const std::string& kb_snapshot,
                const std::string& metrics_out) {
   if (command == "check" && args.size() == 2) {
     return CmdCheck(args[1], budget);
@@ -1450,7 +1418,7 @@ int RunCommand(const std::string& command, std::vector<std::string>& args,
     return CmdExplain(file_path, budget, profile, chase_dot);
   }
   if (command == "classify" && args.size() == 2) {
-    return CmdClassify(args[1], jobs, budget, no_prune, cost_schedule);
+    return CmdClassify(args[1], jobs, budget, no_prune);
   }
   if ((command == "chase" || command == "dot") &&
       (args.size() == 2 || args.size() == 3)) {
@@ -1539,15 +1507,10 @@ int main(int argc, char** argv) {
   int64_t jobs64 = 0, timeout_ms = 0, hom_steps = 0;
   std::string metrics_out, trace_out, kb_snapshot;
   // Boolean flags first (the loop below consumes flag+value pairs).
-  bool no_prune = false, cost_schedule = false;
+  bool no_prune = false;
   for (size_t i = 1; i < args.size();) {
     if (args[i] == "--no-prune") {
       no_prune = true;
-      args.erase(args.begin() + long(i));
-      continue;
-    }
-    if (args[i] == "--cost-schedule") {
-      cost_schedule = true;
       args.erase(args.begin() + long(i));
       continue;
     }
@@ -1592,7 +1555,7 @@ int main(int argc, char** argv) {
   if (!trace_out.empty()) trace_session.emplace();
 
   int exit_code = RunCommand(command, args, jobs, budget, no_prune,
-                             cost_schedule, kb_snapshot, metrics_out);
+                             kb_snapshot, metrics_out);
 
   if (!metrics_out.empty() &&
       !WriteFile(metrics_out, MetricsRegistry::Get().ToJson())) {
