@@ -22,6 +22,12 @@
 //                         (no checkpoint), and on the same state after a
 //                         checkpoint: the price of crash recovery, and
 //                         what checkpointing buys.
+//   * growth            — `register` round trips while one registry fills
+//                         to 5000 queries, as the p50 of the registrations
+//                         that reach each size, then a register/unregister
+//                         churn at a fixed live size; after the churn,
+//                         `status` must count only live queries in the
+//                         index.
 //
 // FLOQ_BENCH_SMALL=1 shrinks the registry and request counts ~8x for CI
 // smoke runs.
@@ -81,16 +87,24 @@ std::string QueryText(int i) {
   }
 }
 
-int ConnectUnix(const std::string& path) {
-  int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  FLOQ_CHECK(fd >= 0);
-  struct sockaddr_un addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  FLOQ_CHECK(::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                       sizeof(addr)) == 0);
-  return fd;
+// A connection to a daemon that is starting: polls for up to 10 s.
+int ConnectWhenUp(const std::string& path) {
+  for (int i = 0; i < 500; ++i) {
+    ::usleep(20'000);
+    int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    FLOQ_CHECK(fd >= 0);
+    struct sockaddr_un addr;
+    std::memset(&addr, 0, sizeof(addr));
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
+                  sizeof(addr)) == 0) {
+      return fd;
+    }
+    ::close(fd);
+  }
+  FLOQ_CHECK(false);
+  return -1;
 }
 
 Json RoundTrip(int fd, const Json& request) {
@@ -121,6 +135,20 @@ LatencyStats Summarize(std::vector<double>& samples_us, double wall_ms) {
   return out;
 }
 
+struct GrowthPoint {
+  int size = 0;
+  double register_p50_us = 0.0;
+};
+
+struct ChurnMix {
+  int live = 0;
+  int cycles = 0;
+  double register_p50_us = 0.0;
+  double unregister_p50_us = 0.0;
+  // The daemon's `status` after the churn.
+  int64_t queries = 0, inserts = 0, removed = 0, engine_queries = 0;
+};
+
 struct Report {
   int queries = 0;
   int requests = 0;
@@ -133,6 +161,8 @@ struct Report {
   double wal_records = 0;
   double recovery_wal_ms = 0.0;
   double recovery_checkpoint_ms = 0.0;
+  std::vector<GrowthPoint> growth;
+  ChurnMix churn;
 };
 
 std::string MakeBenchDir() {
@@ -153,23 +183,7 @@ LatencyStats MeasureDaemonContain(const DaemonOptions& options, int queries,
   });
 
   // Wait for the socket, then register the working set.
-  int fd = -1;
-  for (int i = 0; i < 500 && fd < 0; ++i) {
-    ::usleep(20'000);
-    int probe = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    struct sockaddr_un addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, options.socket_path.c_str(),
-                 sizeof(addr.sun_path) - 1);
-    if (::connect(probe, reinterpret_cast<struct sockaddr*>(&addr),
-                  sizeof(addr)) == 0) {
-      fd = probe;
-    } else {
-      ::close(probe);
-    }
-  }
-  FLOQ_CHECK(fd >= 0);
+  int fd = ConnectWhenUp(options.socket_path);
 
   double start = NowMs();
   for (int i = 0; i < queries; ++i) {
@@ -295,7 +309,7 @@ void RunRecoveryArm(Report& report) {
       FLOQ_CHECK(
           registry.Register("q" + std::to_string(i), QueryText(i)).ok());
     }
-    report.wal_records = double(registry.mutations_since_checkpoint());
+    report.wal_records = double(registry.Snapshot()->wal_mutations);
   }
   {
     double start = NowMs();
@@ -316,6 +330,101 @@ void RunRecoveryArm(Report& report) {
   }
 }
 
+Json RegisterRequest(int i) {
+  Json request = Json::Object();
+  request.Set("cmd", Json::String("register"));
+  request.Set("name", Json::String("q" + std::to_string(i)));
+  request.Set("query", Json::String(QueryText(i)));
+  return request;
+}
+
+// Round trip of one mutation, asserted ok; returns its microseconds.
+double TimedMutation(int fd, const Json& request) {
+  double t0 = NowMs();
+  Json reply = RoundTrip(fd, request);
+  double us = (NowMs() - t0) * 1000.0;
+  Result<bool> ok = reply.GetBool("ok");
+  FLOQ_CHECK(ok.ok() && *ok);
+  return us;
+}
+
+double Median(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  return samples[samples.size() / 2];
+}
+
+// Starts a daemon with the shipped options on a fresh directory and
+// returns a connection to it.
+int StartGrowthDaemon(std::thread* daemon) {
+  DaemonOptions options;
+  options.workers = 2;
+  options.dir = MakeBenchDir();
+  options.socket_path = options.dir + "/s.sock";
+  *daemon = std::thread([options] { FLOQ_CHECK(RunDaemon(options).ok()); });
+  return ConnectWhenUp(options.socket_path);
+}
+
+void StopDaemon(int fd, std::thread& daemon) {
+  Json shutdown = Json::Object();
+  shutdown.Set("cmd", Json::String("shutdown"));
+  (void)RoundTrip(fd, shutdown);
+  ::close(fd);
+  daemon.join();
+}
+
+void RunGrowthArm(Report& report) {
+  // Growth: one registry filled to the largest size; each size reads the
+  // p50 of the registrations that bring the registry up to it.
+  const std::vector<int> sizes = SmallMode()
+                                     ? std::vector<int>{25, 50, 100, 200}
+                                     : std::vector<int>{100, 500, 1000,
+                                                        2500, 5000};
+  std::thread daemon;
+  int fd = StartGrowthDaemon(&daemon);
+  std::vector<double> register_us;
+  for (int i = 0; i < sizes.back(); ++i) {
+    register_us.push_back(TimedMutation(fd, RegisterRequest(i)));
+  }
+  StopDaemon(fd, daemon);
+  for (int size : sizes) {
+    const int window = std::min(50, size / 2);
+    report.growth.push_back(
+        {size, Median(std::vector<double>(register_us.begin() + size - window,
+                                          register_us.begin() + size))});
+  }
+
+  // Churn: unregister the oldest query and register a new one, at the
+  // live size serve_write uses, through more queries than stay live.
+  ChurnMix& churn = report.churn;
+  churn.live = SmallMode() ? 100 : 1000;
+  churn.cycles = SmallMode() ? 200 : 1000;
+  fd = StartGrowthDaemon(&daemon);
+  for (int i = 0; i < churn.live; ++i) {
+    (void)TimedMutation(fd, RegisterRequest(i));
+  }
+  std::vector<double> churn_register_us, churn_unregister_us;
+  for (int cycle = 0; cycle < churn.cycles; ++cycle) {
+    Json unregister = Json::Object();
+    unregister.Set("cmd", Json::String("unregister"));
+    unregister.Set("name", Json::String("q" + std::to_string(cycle)));
+    churn_unregister_us.push_back(TimedMutation(fd, unregister));
+    churn_register_us.push_back(
+        TimedMutation(fd, RegisterRequest(churn.live + cycle)));
+  }
+  churn.register_p50_us = Median(churn_register_us);
+  churn.unregister_p50_us = Median(churn_unregister_us);
+  Json status_request = Json::Object();
+  status_request.Set("cmd", Json::String("status"));
+  Json status = RoundTrip(fd, status_request);
+  const Json* index = status.Find("index");
+  FLOQ_CHECK(index != nullptr);
+  churn.queries = *status.GetInt("queries");
+  churn.inserts = *index->GetInt("inserts");
+  churn.removed = *index->GetInt("removed");
+  churn.engine_queries = *index->GetInt("engine_queries");
+  StopDaemon(fd, daemon);
+}
+
 void PrintReport() {
   Report report;
   report.queries = SmallMode() ? 24 : 96;
@@ -325,6 +434,11 @@ void PrintReport() {
   report.requests = 2000;
   RunDaemonArms(report);
   RunRecoveryArm(report);
+  RunGrowthArm(report);
+  // The ROADMAP's target for a registration at the largest size: within
+  // 2x of one at the smallest.
+  const double growth_ratio = report.growth.back().register_p50_us /
+                              report.growth.front().register_p50_us;
 
   std::printf("{\n");
   std::printf("  \"bench\": \"serve\",\n");
@@ -349,9 +463,29 @@ void PrintReport() {
   std::printf("  \"speedup_p50\": %.2f,\n", report.speedup_p50);
   std::printf(
       "  \"recovery\": {\"wal_records\": %.0f, \"wal_open_ms\": %.2f, "
-      "\"checkpoint_open_ms\": %.2f}\n",
+      "\"checkpoint_open_ms\": %.2f},\n",
       report.wal_records, report.recovery_wal_ms,
       report.recovery_checkpoint_ms);
+  std::printf("  \"growth\": {\"register_p50_us\": {");
+  for (size_t k = 0; k < report.growth.size(); ++k) {
+    std::printf("%s\"%d\": %.1f", k == 0 ? "" : ", ", report.growth[k].size,
+                report.growth[k].register_p50_us);
+  }
+  std::printf(
+      "},\n    \"ratio_largest_to_smallest\": %.2f, \"ratio_target\": 2.0, "
+      "\"ratio_target_met\": %s,\n",
+      growth_ratio, growth_ratio <= 2.0 ? "true" : "false");
+  const ChurnMix& churn = report.churn;
+  std::printf(
+      "    \"churn\": {\"live\": %d, \"cycles\": %d, "
+      "\"register_p50_us\": %.1f, \"unregister_p50_us\": %.1f, "
+      "\"queries\": %lld, \"inserts\": %lld, \"removed\": %lld, "
+      "\"engine_queries\": %lld}}\n",
+      churn.live, churn.cycles, churn.register_p50_us,
+      churn.unregister_p50_us, static_cast<long long>(churn.queries),
+      static_cast<long long>(churn.inserts),
+      static_cast<long long>(churn.removed),
+      static_cast<long long>(churn.engine_queries));
   std::printf("}\n");
 }
 
@@ -363,23 +497,7 @@ void BM_DaemonCachedContain(benchmark::State& state) {
   options.dir = dir;
   options.socket_path = dir + "/s.sock";
   std::thread daemon([options] { (void)RunDaemon(options); });
-  int fd = -1;
-  for (int i = 0; i < 500 && fd < 0; ++i) {
-    ::usleep(20'000);
-    int probe = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    struct sockaddr_un addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, options.socket_path.c_str(),
-                 sizeof(addr.sun_path) - 1);
-    if (::connect(probe, reinterpret_cast<struct sockaddr*>(&addr),
-                  sizeof(addr)) == 0) {
-      fd = probe;
-    } else {
-      ::close(probe);
-    }
-  }
-  FLOQ_CHECK(fd >= 0);
+  int fd = ConnectWhenUp(options.socket_path);
   for (int i = 0; i < 8; ++i) {
     Json request = Json::Object();
     request.Set("cmd", Json::String("register"));

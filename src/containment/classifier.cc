@@ -1,7 +1,10 @@
 #include "containment/classifier.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
 
+#include "util/check.h"
 #include "util/strings.h"
 
 namespace floq {
@@ -47,56 +50,114 @@ Result<QueryTaxonomy> ClassifyQueries(
       unknown_checks, int(stats.pruned_pairs));
 }
 
-QueryTaxonomy TaxonomyFromContainment(
-    const std::vector<std::vector<bool>>& contained, int checks,
-    int unknown_checks, int pruned_checks) {
-  const size_t n = contained.size();
+void ContainmentRelation::Reserve(size_t rows, size_t edges) {
+  offsets_.reserve(rows + 1);
+  edges_.reserve(edges);
+}
+
+void ContainmentRelation::AddRow(std::span<const Edge> edges) {
+  edges_.insert(edges_.end(), edges.begin(), edges.end());
+  offsets_.push_back(edges_.size());
+}
+
+Resolution ContainmentRelation::At(size_t lhs, size_t rhs) const {
+  FLOQ_CHECK_LT(lhs, size());
+  FLOQ_CHECK_LT(rhs, size());
+  if (lhs == rhs) return Resolution::kContained;  // reflexive
+  std::span<const Edge> row = edges(lhs);
+  auto it = std::lower_bound(
+      row.begin(), row.end(), rhs,
+      [](const Edge& edge, size_t target) { return edge.rhs < target; });
+  return it != row.end() && it->rhs == rhs ? it->resolution
+                                           : Resolution::kNotContained;
+}
+
+QueryTaxonomy TaxonomyFromRelation(const ContainmentRelation& relation,
+                                   int checks, int unknown_checks,
+                                   int pruned_checks) {
+  const size_t n = relation.size();
   QueryTaxonomy taxonomy;
   taxonomy.class_of.assign(n, -1);
   taxonomy.checks = checks;
   taxonomy.unknown_checks = unknown_checks;
   taxonomy.pruned_checks = pruned_checks;
-  if (n == 0) return taxonomy;
+  // Only kContained edges order or merge anything: the taxonomy never acts
+  // on an UNKNOWN verdict, so budget trips can hide structure but never
+  // fabricate it.
+  auto contained = [](const ContainmentRelation::Edge& edge) {
+    return edge.resolution == Resolution::kContained;
+  };
 
-  // Equivalence classes: mutual containment.
+  // Equivalence classes: each query not yet placed opens a class, and
+  // every later unplaced query mutually contained with it joins. Rows are
+  // ascending, so members land in input order.
   for (size_t i = 0; i < n; ++i) {
     if (taxonomy.class_of[i] >= 0) continue;
-    int cls = int(taxonomy.classes.size());
+    const int cls = int(taxonomy.classes.size());
     taxonomy.classes.push_back({i});
     taxonomy.class_of[i] = cls;
-    for (size_t j = i + 1; j < n; ++j) {
-      if (taxonomy.class_of[j] < 0 && contained[i][j] && contained[j][i]) {
+    for (const ContainmentRelation::Edge& edge : relation.edges(i)) {
+      const size_t j = edge.rhs;
+      if (j > i && contained(edge) && taxonomy.class_of[j] < 0 &&
+          relation.At(j, i) == Resolution::kContained) {
         taxonomy.class_of[j] = cls;
-        taxonomy.classes[cls].push_back(j);
+        taxonomy.classes[size_t(cls)].push_back(j);
       }
     }
   }
 
-  // Strict containment between classes (via representatives).
+  // Strict containment between classes, through their first members, as
+  // flat adjacency: supers[begin[a], begin[a + 1]) lists every b != a with
+  // first(a) ⊆ first(b). Class ids follow their first members' order, so
+  // each list comes out ascending.
   const size_t m = taxonomy.classes.size();
-  taxonomy.contains.assign(m, std::vector<bool>(m, false));
+  std::vector<size_t> begin(m + 1, 0);
+  std::vector<int> supers;
   for (size_t a = 0; a < m; ++a) {
-    for (size_t b = 0; b < m; ++b) {
-      if (a == b) continue;
-      size_t i = taxonomy.classes[a][0];
-      size_t j = taxonomy.classes[b][0];
-      taxonomy.contains[a][b] = contained[i][j];
-    }
-  }
-
-  // Hasse reduction: keep (a, b) with nothing strictly between.
-  for (size_t a = 0; a < m; ++a) {
-    for (size_t b = 0; b < m; ++b) {
-      if (!taxonomy.contains[a][b]) continue;
-      bool direct = true;
-      for (size_t c = 0; c < m && direct; ++c) {
-        if (c == a || c == b) continue;
-        direct = !(taxonomy.contains[a][c] && taxonomy.contains[c][b]);
+    for (const ContainmentRelation::Edge& edge :
+         relation.edges(taxonomy.classes[a][0])) {
+      const int b = taxonomy.class_of[edge.rhs];
+      if (contained(edge) && taxonomy.classes[size_t(b)][0] == edge.rhs) {
+        supers.push_back(b);
       }
-      if (direct) taxonomy.hasse_edges.emplace_back(int(a), int(b));
+    }
+    begin[a + 1] = supers.size();
+  }
+  auto supers_of = [&](size_t a) {
+    return std::span<const int>(supers.data() + begin[a],
+                                supers.data() + begin[a + 1]);
+  };
+
+  // Hasse reduction: keep (a, b) unless some c has a ⊂ c ⊂ b. Every class
+  // two steps above a is stamped first; a's direct supers that carry no
+  // stamp are the edges.
+  std::vector<size_t> stamp(m, SIZE_MAX);
+  for (size_t a = 0; a < m; ++a) {
+    for (int c : supers_of(a)) {
+      for (int b : supers_of(size_t(c))) stamp[size_t(b)] = a;
+    }
+    for (int b : supers_of(a)) {
+      if (stamp[size_t(b)] != a) taxonomy.hasse_edges.emplace_back(int(a), b);
     }
   }
   return taxonomy;
+}
+
+QueryTaxonomy TaxonomyFromContainment(
+    const std::vector<std::vector<bool>>& contained, int checks,
+    int unknown_checks, int pruned_checks) {
+  const size_t n = contained.size();
+  ContainmentRelation relation;
+  std::vector<ContainmentRelation::Edge> row;
+  for (size_t i = 0; i < n; ++i) {
+    row.clear();
+    for (size_t j = 0; j < n; ++j) {
+      if (j != i && contained[i][j]) row.push_back({j, Resolution::kContained});
+    }
+    relation.AddRow(row);
+  }
+  return TaxonomyFromRelation(relation, checks, unknown_checks,
+                              pruned_checks);
 }
 
 Result<QueryTaxonomy> ClassifyQueries(

@@ -1,6 +1,7 @@
 #ifndef FLOQ_CONTAINMENT_CLASSIFIER_H_
 #define FLOQ_CONTAINMENT_CLASSIFIER_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,11 +30,9 @@ struct QueryTaxonomy {
   std::vector<std::vector<size_t>> classes;
 
   /// Hasse edges over classes: (sub, super) with sub ⊂ super and no class
-  /// strictly between.
+  /// strictly between, in (sub, super) order. Classes are compared through
+  /// their first members.
   std::vector<std::pair<int, int>> hasse_edges;
-
-  /// Transitively closed strict containment between classes.
-  std::vector<std::vector<bool>> contains;  // contains[sub][super]
 
   /// Number of pairwise containment checks that ran the full chase + hom
   /// pipeline.
@@ -52,10 +51,59 @@ struct QueryTaxonomy {
   int pruned_checks = 0;
 };
 
-/// Builds the taxonomy (equivalence classes, strict containment, Hasse
-/// diagram) from a reflexive pairwise containment matrix; `checks`,
-/// `unknown_checks` and `pruned_checks` seed the counters. Shared by the
-/// one-shot classifier below and the incremental ContainmentIndex.
+/// A containment relation over n queries numbered 0..n-1, stored sparse:
+/// row `lhs` lists, ascending by rhs, only the pairs whose verdict is not
+/// kNotContained. An absent pair reads kNotContained and the diagonal
+/// reads kContained. Built once, then only read: concurrent readers need
+/// no lock.
+class ContainmentRelation {
+ public:
+  struct Edge {
+    size_t rhs = 0;
+    Resolution resolution = Resolution::kContained;
+  };
+
+  /// Positional row access, so `relation[lhs][rhs]` reads like a matrix.
+  class Row {
+   public:
+    Row(const ContainmentRelation& relation, size_t lhs)
+        : relation_(relation), lhs_(lhs) {}
+    Resolution operator[](size_t rhs) const { return relation_.At(lhs_, rhs); }
+
+   private:
+    const ContainmentRelation& relation_;
+    size_t lhs_;
+  };
+
+  void Reserve(size_t rows, size_t edges);
+  /// Appends row size(): its edges ascending by rhs, without the diagonal.
+  void AddRow(std::span<const Edge> edges);
+
+  size_t size() const { return offsets_.size() - 1; }
+  size_t edge_count() const { return edges_.size(); }
+  std::span<const Edge> edges(size_t lhs) const {
+    return {edges_.data() + offsets_[lhs], edges_.data() + offsets_[lhs + 1]};
+  }
+  Resolution At(size_t lhs, size_t rhs) const;
+  Row operator[](size_t lhs) const { return Row(*this, lhs); }
+
+ private:
+  // Row lhs is edges_[offsets_[lhs], offsets_[lhs + 1]).
+  std::vector<size_t> offsets_ = {0};
+  std::vector<Edge> edges_;
+};
+
+/// Builds the taxonomy (equivalence classes, Hasse diagram) from a sparse
+/// containment relation in O(n + sum of squared degrees); kUnknown edges
+/// count as not contained. `checks`, `unknown_checks` and `pruned_checks`
+/// seed the counters. The one algorithm behind the one-shot classifier
+/// below and the incremental ContainmentIndex.
+QueryTaxonomy TaxonomyFromRelation(const ContainmentRelation& relation,
+                                   int checks, int unknown_checks,
+                                   int pruned_checks);
+
+/// The dense entry point: converts a pairwise containment matrix (the
+/// diagonal is ignored) to a relation and calls TaxonomyFromRelation.
 QueryTaxonomy TaxonomyFromContainment(
     const std::vector<std::vector<bool>>& contained, int checks,
     int unknown_checks, int pruned_checks);

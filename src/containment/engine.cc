@@ -84,24 +84,38 @@ Result<size_t> ContainmentEngine::AddQuery(const ConjunctiveQuery& query) {
         ComputeClosureSignature(entry->query, copts.depth, probe);
   }
   entries_.push_back(std::move(entry));
+  ++live_entries_;
   return entries_.size() - 1;
+}
+
+Status ContainmentEngine::RemoveQuery(size_t id) {
+  if (!has_query(id)) {
+    return NotFoundError(StrCat("no query with engine id ", id));
+  }
+  entries_[id].reset();
+  --live_entries_;
+  return Status::Ok();
 }
 
 size_t ContainmentEngine::query_count() const { return entries_.size(); }
 
+bool ContainmentEngine::has_query(size_t id) const {
+  return id < entries_.size() && entries_[id] != nullptr;
+}
+
 const ConjunctiveQuery& ContainmentEngine::query(size_t id) const {
-  FLOQ_CHECK_LT(id, entries_.size());
+  FLOQ_CHECK(has_query(id));
   return entries_[id]->query;
 }
 
 const ChaseResult* ContainmentEngine::chase_of(size_t id) const {
-  FLOQ_CHECK_LT(id, entries_.size());
+  FLOQ_CHECK(has_query(id));
   const Entry& entry = *entries_[id];
   return entry.chase.has_value() ? &entry.chase->result() : nullptr;
 }
 
 const ClosureSignature* ContainmentEngine::signature_of(size_t id) const {
-  FLOQ_CHECK_LT(id, entries_.size());
+  FLOQ_CHECK(has_query(id));
   const Entry& entry = *entries_[id];
   return entry.signature.has_value() ? &*entry.signature : nullptr;
 }
@@ -152,13 +166,16 @@ Status ContainmentEngine::CheckPairsCore(
   // entries_ for every one of n(n-1) pairs costs more than the whole
   // signature stage.
   const size_t num_queries = entries_.size();
-  std::vector<int> arities(num_queries);
+  std::vector<int> arities(num_queries, -1);  // -1: removed
   for (size_t i = 0; i < num_queries; ++i) {
-    arities[i] = entries_[i]->query.arity();
+    if (entries_[i] != nullptr) arities[i] = entries_[i]->query.arity();
   }
   for (const auto& [lhs, rhs] : pairs) {
     if (lhs >= num_queries || rhs >= num_queries) {
       return InvalidArgumentError("pair refers to an unregistered query id");
+    }
+    if (arities[lhs] < 0 || arities[rhs] < 0) {
+      return InvalidArgumentError("pair refers to a removed query id");
     }
     if (arities[lhs] != arities[rhs]) {
       return InvalidArgumentError(
@@ -202,7 +219,7 @@ Status ContainmentEngine::CheckPairsCore(
     // two per pair.
     std::vector<const ClosureSignature*> sigs(num_queries, nullptr);
     for (size_t i = 0; i < num_queries; ++i) {
-      if (entries_[i]->signature.has_value()) {
+      if (entries_[i] != nullptr && entries_[i]->signature.has_value()) {
         sigs[i] = &*entries_[i]->signature;
       }
     }
@@ -318,7 +335,7 @@ Status ContainmentEngine::CheckPairsCore(
   // Freeze every handle: from here on the chase artifacts are immutable
   // and may be shared across threads (asserted by ResumableChase).
   for (const std::unique_ptr<Entry>& entry : entries_) {
-    if (entry->chase.has_value()) entry->chase->Freeze();
+    if (entry != nullptr && entry->chase.has_value()) entry->chase->Freeze();
   }
 
   // ---- parallel phase: stateless homomorphism searches -------------------
@@ -404,7 +421,7 @@ Status ContainmentEngine::CheckPairsCore(
   // The fan-out has joined; a later CheckPairs call on this engine may
   // legally deepen the handles again.
   for (const std::unique_ptr<Entry>& entry : entries_) {
-    if (entry->chase.has_value()) entry->chase->Thaw();
+    if (entry != nullptr && entry->chase.has_value()) entry->chase->Thaw();
   }
 
   stats_.pairs_checked += pairs.size();

@@ -159,7 +159,19 @@ class ContainmentEngine {
   /// copy instead of re-renaming per pair.
   Result<size_t> AddQuery(const ConjunctiveQuery& query);
 
+  /// Frees the entry of `id`: the query, its renamed copy, the resumable
+  /// chase with its fact index, and the signature. The id is never
+  /// reused; a pair naming it fails CheckPairs with InvalidArgument, and
+  /// the accessors below must not be called with it. NotFound when `id`
+  /// is out of range or already removed. Must not race a batch.
+  Status RemoveQuery(size_t id);
+
+  /// Ids ever assigned, removed ones included (one past the largest id).
   size_t query_count() const;
+  /// Whether `id` names an entry that has not been removed.
+  bool has_query(size_t id) const;
+  /// Entries held: query_count() minus the removed ones.
+  size_t live_query_count() const { return live_entries_; }
   const ConjunctiveQuery& query(size_t id) const;
 
   /// Decides lhs ⊆_Sigma rhs for every requested (lhs, rhs) id pair.
@@ -172,6 +184,7 @@ class ContainmentEngine {
 
   /// The full matrix: verdicts[i][j] answers query(i) ⊆ query(j) for all
   /// i != j (the diagonal is left defaulted — containment is reflexive).
+  /// Fails once any query has been removed.
   Result<std::vector<std::vector<PairVerdict>>> CheckAll();
 
   /// The materialized chase of a query, if one was built (nullptr before
@@ -215,7 +228,9 @@ class ContainmentEngine {
 
   World& world_;
   BatchContainmentOptions options_;
+  // By id; a removed entry is null.
   std::vector<std::unique_ptr<Entry>> entries_;
+  size_t live_entries_ = 0;
   BatchStats stats_;
   CancellationSource cancel_source_;
 };

@@ -895,7 +895,7 @@ class Daemon {
 
   std::string CmdStatus() {
     std::shared_ptr<const RegistrySnapshotView> snap = registry_.Snapshot();
-    const IndexStats& stats = registry_.index_stats();
+    const IndexStats& stats = snap->index;
     Json reply = Json::Object();
     reply.Set("ok", Json::Bool(true));
     reply.Set("epoch", Json::Number(double(snap->epoch)));
@@ -905,10 +905,11 @@ class Daemon {
     reply.Set("draining",
               Json::Bool(draining_.load(std::memory_order_relaxed)));
     reply.Set("active_requests", Json::Number(double(gate_.active())));
-    reply.Set("wal_mutations",
-              Json::Number(double(registry_.mutations_since_checkpoint())));
+    reply.Set("wal_mutations", Json::Number(double(snap->wal_mutations)));
     Json index = Json::Object();
     index.Set("inserts", Json::Number(double(stats.inserts)));
+    index.Set("removed", Json::Number(double(stats.removed)));
+    index.Set("engine_queries", Json::Number(double(snap->engine_queries)));
     index.Set("checked_pairs", Json::Number(double(stats.checked_pairs)));
     index.Set("pruned_pairs", Json::Number(double(stats.pruned_pairs)));
     index.Set("unknown_pairs", Json::Number(double(stats.unknown_pairs)));

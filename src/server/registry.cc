@@ -6,6 +6,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <utility>
@@ -191,9 +192,8 @@ Status QueryRegistry::ApplyRegister(const std::string& name,
                                     const std::string& text, bool* applied) {
   *applied = false;
   FLOQ_RETURN_IF_ERROR(ValidateName(name));
-  auto it = live_.find(name);
-  if (it != live_.end()) {
-    if (it->second.text == text) return Status::Ok();  // idempotent replay
+  if (const RegistryEntryView* live = FindLocked(name); live != nullptr) {
+    if (live->text == text) return Status::Ok();  // idempotent replay
     return FailedPreconditionError("query '" + name +
                                    "' already registered with a "
                                    "different definition");
@@ -206,8 +206,8 @@ Status QueryRegistry::ApplyRegister(const std::string& name,
   entry.name = name;
   entry.text = text;
   entry.id = *id;
-  live_.emplace(name, std::move(entry));
-  order_.push_back(name);
+  by_name_.Insert(name, entries_.size());
+  entries_.push_back(std::move(entry));
   *applied = true;
   return Status::Ok();
 }
@@ -215,15 +215,12 @@ Status QueryRegistry::ApplyRegister(const std::string& name,
 Status QueryRegistry::ApplyUnregister(const std::string& name,
                                       bool* applied) {
   *applied = false;
-  auto it = live_.find(name);
-  if (it == live_.end()) return Status::Ok();  // idempotent replay
-  live_.erase(it);
-  for (auto order_it = order_.begin(); order_it != order_.end(); ++order_it) {
-    if (*order_it == name) {
-      order_.erase(order_it);
-      break;
-    }
-  }
+  const NameIndex::Item* it = by_name_.find(name);
+  if (it == by_name_.end()) return Status::Ok();  // idempotent replay
+  const size_t position = it->second;
+  FLOQ_RETURN_IF_ERROR(index_.Remove(entries_[position].id));
+  entries_.erase(entries_.begin() + std::ptrdiff_t(position));
+  by_name_.EraseAndShift(name);
   *applied = true;
   return Status::Ok();
 }
@@ -257,8 +254,8 @@ Result<QueryRegistry::RegisterOutcome> QueryRegistry::Register(
     const std::string& name, const std::string& text) {
   std::lock_guard<std::mutex> lock(mu_);
   FLOQ_RETURN_IF_ERROR(ValidateName(name));
-  if (auto it = live_.find(name); it != live_.end()) {
-    if (it->second.text != text) {
+  if (const RegistryEntryView* live = FindLocked(name); live != nullptr) {
+    if (live->text != text) {
       return FailedPreconditionError("query '" + name +
                                      "' already registered with a "
                                      "different definition");
@@ -297,7 +294,7 @@ Result<QueryRegistry::RegisterOutcome> QueryRegistry::Register(
 
 Result<uint64_t> QueryRegistry::Unregister(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (live_.find(name) == live_.end()) {
+  if (FindLocked(name) == nullptr) {
     return NotFoundError("no registered query named '" + name + "'");
   }
   Json record = Json::Object();
@@ -315,7 +312,9 @@ Result<uint64_t> QueryRegistry::Unregister(const std::string& name) {
 
 Status QueryRegistry::Checkpoint() {
   std::lock_guard<std::mutex> lock(mu_);
-  return CheckpointLocked();
+  FLOQ_RETURN_IF_ERROR(CheckpointLocked());
+  PublishLocked();  // the snapshot's wal_mutations now reads 0
+  return Status::Ok();
 }
 
 // The mutation is already fsync'd in the WAL when this runs, so a failed
@@ -346,8 +345,7 @@ Status QueryRegistry::CheckpointLocked() {
 
   Json doc = Json::Object();
   Json entries = Json::Array();
-  for (const std::string& name : order_) {
-    const RegistryEntryView& entry = live_.find(name)->second;
+  for (const RegistryEntryView& entry : entries_) {
     Json item = Json::Object();
     item.Set("name", Json::String(entry.name));
     item.Set("query", Json::String(entry.text));
@@ -429,23 +427,16 @@ Status QueryRegistry::CheckpointLocked() {
 void QueryRegistry::PublishLocked() {
   auto view = std::make_shared<RegistrySnapshotView>();
   view->epoch = epoch_;
-  view->entries.reserve(order_.size());
+  view->entries = entries_;
+  view->by_name = by_name_;
   std::vector<size_t> ids;
-  ids.reserve(order_.size());
-  for (const std::string& name : order_) {
-    const RegistryEntryView& entry = live_.find(name)->second;
-    view->by_name.emplace(entry.name, view->entries.size());
-    view->entries.push_back(entry);
-    ids.push_back(entry.id);
-  }
-  const size_t n = ids.size();
-  view->resolution.assign(n, std::vector<Resolution>(n));
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < n; ++j) {
-      view->resolution[i][j] = index_.ResolutionOf(ids[i], ids[j]);
-    }
-  }
-  view->taxonomy = index_.TaxonomyOf(ids);
+  ids.reserve(entries_.size());
+  for (const RegistryEntryView& entry : entries_) ids.push_back(entry.id);
+  view->resolution = index_.RelationOf(ids);
+  view->taxonomy = index_.TaxonomyOf(view->resolution);
+  view->index = index_.index_stats();
+  view->wal_mutations = dirty_;
+  view->engine_queries = index_.engine().live_query_count();
   if (MetricsRegistry::enabled()) {
     static Gauge& queries = MetricsRegistry::Get().gauge("serve.registry.queries");
     static Gauge& epoch = MetricsRegistry::Get().gauge("serve.registry.epoch");
@@ -456,18 +447,24 @@ void QueryRegistry::PublishLocked() {
     hasse.Set(int64_t(view->taxonomy.hasse_edges.size()));
     wal_dirty.Set(int64_t(dirty_));
   }
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  snapshot_ = std::move(view);
+  // The previous epoch is released outside the lock: when no reader holds
+  // it, freeing it must not delay readers acquiring the new one.
+  std::shared_ptr<const RegistrySnapshotView> previous;
+  {
+    std::lock_guard<std::mutex> lock(snapshot_mu_);
+    previous = std::exchange(snapshot_, std::move(view));
+  }
+}
+
+const RegistryEntryView* QueryRegistry::FindLocked(
+    std::string_view name) const {
+  const NameIndex::Item* it = by_name_.find(name);
+  return it == by_name_.end() ? nullptr : &entries_[it->second];
 }
 
 std::shared_ptr<const RegistrySnapshotView> QueryRegistry::Snapshot() const {
   std::lock_guard<std::mutex> lock(snapshot_mu_);
   return snapshot_;
-}
-
-uint64_t QueryRegistry::mutations_since_checkpoint() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dirty_;
 }
 
 }  // namespace floq::server

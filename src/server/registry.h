@@ -1,12 +1,13 @@
 #ifndef FLOQ_SERVER_REGISTRY_H_
 #define FLOQ_SERVER_REGISTRY_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "containment/index.h"
@@ -37,7 +38,8 @@
 //
 // Reads are epoch-based: every mutation publishes a new immutable
 // RegistrySnapshotView; `contain`/`classify`/`status` grab the current
-// shared_ptr and never block behind a registration in progress.
+// shared_ptr and never block behind a registration in progress. A
+// publish costs O(live + edges of the sparse relation), never O(live^2).
 
 namespace floq::server {
 
@@ -56,14 +58,63 @@ struct RegistryEntryView {
   size_t id = 0;     // dense id in the underlying ContainmentIndex
 };
 
+// Names in sorted order, each with its position in a list of entries. A
+// flat sorted vector, not a map, so a snapshot copies it in one contiguous
+// allocation.
+class NameIndex {
+ public:
+  using Item = std::pair<std::string, size_t>;
+
+  const Item* find(std::string_view name) const {
+    auto it = LowerBound(name);
+    return it != items_.end() && it->first == name ? &*it : end();
+  }
+  const Item* end() const { return items_.data() + items_.size(); }
+
+  // `name` must be absent.
+  void Insert(std::string name, size_t position) {
+    auto it = LowerBound(name);
+    items_.emplace(it, std::move(name), position);
+  }
+  // Removes `name` (present) and moves every position above its own down
+  // by one, as erasing that position from the entry list does.
+  void EraseAndShift(std::string_view name) {
+    auto it = LowerBound(name);
+    const size_t position = it->second;
+    items_.erase(it);
+    for (Item& item : items_) {
+      if (item.second > position) --item.second;
+    }
+  }
+
+ private:
+  std::vector<Item>::const_iterator LowerBound(std::string_view name) const {
+    return std::lower_bound(items_.begin(), items_.end(), name,
+                            [](const Item& item, std::string_view key) {
+                              return std::string_view(item.first) < key;
+                            });
+  }
+
+  std::vector<Item> items_;
+};
+
 struct RegistrySnapshotView {
   uint64_t epoch = 0;
   // Live entries in registration order; `resolution` and `taxonomy` are
   // positional over this vector.
   std::vector<RegistryEntryView> entries;
-  std::map<std::string, size_t, std::less<>> by_name;
-  std::vector<std::vector<Resolution>> resolution;
+  NameIndex by_name;
+  // This epoch's sparse relation over the live entries:
+  // resolution[li][ri] answers entries[li] ⊆ entries[ri].
+  ContainmentRelation resolution;
   QueryTaxonomy taxonomy;
+  // The index's accounting and the WAL records since the last checkpoint,
+  // as of this epoch.
+  IndexStats index;
+  uint64_t wal_mutations = 0;
+  // Engine entries the index holds; equals entries.size() because
+  // unregister frees its query.
+  size_t engine_queries = 0;
 
   const RegistryEntryView* Find(std::string_view name) const {
     auto it = by_name.find(name);
@@ -88,8 +139,9 @@ class QueryRegistry {
   };
   Result<RegisterOutcome> Register(const std::string& name,
                                    const std::string& text);
-  // NotFound when `name` is not live. The engine entry is tombstoned,
-  // not destroyed: verdicts already paid for stay cached.
+  // NotFound when `name` is not live. Removes the query from the index
+  // and frees its engine entry; a re-registration of the same name gets a
+  // fresh id and is decided again.
   Result<uint64_t> Unregister(const std::string& name);
 
   // Writes a checkpoint and truncates the WAL. Also invoked internally
@@ -98,9 +150,6 @@ class QueryRegistry {
 
   // Current immutable view; never nullptr after a successful Open.
   std::shared_ptr<const RegistrySnapshotView> Snapshot() const;
-
-  const IndexStats& index_stats() const { return index_.index_stats(); }
-  uint64_t mutations_since_checkpoint() const;
 
  private:
   Status ApplyRegister(const std::string& name, const std::string& text,
@@ -119,11 +168,16 @@ class QueryRegistry {
   const std::string checkpoint_path_;
   const std::string wal_path_;
 
+  // The live entry named `name`, or nullptr.
+  const RegistryEntryView* FindLocked(std::string_view name) const;
+
   mutable std::mutex mu_;       // serializes mutations + file I/O
   World world_;
   ContainmentIndex index_;
-  std::vector<std::string> order_;  // live names in registration order
-  std::map<std::string, RegistryEntryView, std::less<>> live_;
+  // Live entries in registration order (ids ascending) and their names;
+  // every publish copies both into the snapshot.
+  std::vector<RegistryEntryView> entries_;
+  NameIndex by_name_;
   Wal wal_;
   uint64_t epoch_ = 0;
   uint64_t dirty_ = 0;  // mutations since the last checkpoint

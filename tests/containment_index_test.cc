@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -284,7 +286,6 @@ TEST(ContainmentIndexTest, IncrementalInsertMatchesBatchClassifier) {
   EXPECT_EQ(incremental.class_of, batch->class_of);
   EXPECT_EQ(incremental.classes, batch->classes);
   EXPECT_EQ(incremental.hasse_edges, batch->hasse_edges);
-  EXPECT_EQ(incremental.contains, batch->contains);
 }
 
 TEST(ContainmentIndexTest, InsertChecksOnlySurvivingCandidates) {
@@ -319,6 +320,149 @@ TEST(ContainmentIndexTest, CrossArityPairsAreIncomparable) {
   EXPECT_FALSE(index.Contains(0, 1));
   EXPECT_FALSE(index.Contains(1, 0));
   EXPECT_TRUE(index.Contains(0, 0));  // reflexive diagonal
+}
+
+// Removing queries leaves exactly the relation a fresh batch computes
+// over the survivors, frees their engine entries, and keeps later inserts
+// off the removed ids.
+TEST(ContainmentIndexTest, RemoveLeavesTheBatchRelationOfTheLiveQueries) {
+  World world;
+  std::vector<ConjunctiveQuery> queries = UnaryWorkload(world);
+  std::vector<ConjunctiveQuery> boolean = BooleanWorkload(world);
+  queries.insert(queries.end(), boolean.begin(), boolean.end());
+  BatchContainmentOptions options;
+  options.jobs = 1;
+  ContainmentIndex index(world, options);
+  for (const ConjunctiveQuery& q : queries) {
+    ASSERT_TRUE(index.Insert(q).ok());
+  }
+  std::vector<size_t> removed;
+  for (size_t id = 1; id < queries.size(); id += 3) {
+    ASSERT_TRUE(index.Remove(id).ok());
+    removed.push_back(id);
+  }
+  // Re-inserting a removed query gives it a fresh id, decided against the
+  // live queries only: two candidate pairs per live same-arity query.
+  const size_t unary_live = size_t(std::count_if(
+      index.live_ids().begin(), index.live_ids().end(),
+      [&](size_t id) { return index.query(id).arity() == 1; }));
+  const uint64_t candidates_before = index.index_stats().candidate_pairs;
+  Result<size_t> again = index.Insert(queries[removed[0]]);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*again, queries.size());
+  EXPECT_EQ(index.index_stats().candidate_pairs - candidates_before,
+            2 * unary_live);
+
+  std::vector<ConjunctiveQuery> live;
+  for (size_t id : index.live_ids()) live.push_back(index.query(id));
+  const IndexStats& stats = index.index_stats();
+  EXPECT_EQ(stats.removed, removed.size());
+  EXPECT_EQ(stats.inserts - stats.removed, live.size());
+  EXPECT_EQ(index.engine().live_query_count(), live.size());
+  for (size_t id : removed) {
+    EXPECT_FALSE(index.live(id));
+    EXPECT_FALSE(index.engine().has_query(id)) << id;
+  }
+
+  // Pair for pair against a fresh engine over the live queries, and the
+  // taxonomy against ClassifyQueries. Cross-arity pairs read
+  // kNotContained in the index; the batch engine only checks same-arity
+  // pairs, so those are compared per arity.
+  std::span<const size_t> ids = index.live_ids();
+  for (int arity : {0, 1}) {
+    std::vector<size_t> group;
+    std::vector<ConjunctiveQuery> group_queries;
+    for (size_t id : ids) {
+      if (index.query(id).arity() != arity) continue;
+      group.push_back(id);
+      group_queries.push_back(index.query(id));
+    }
+    ContainmentEngine fresh(world, options);
+    for (const ConjunctiveQuery& q : group_queries) {
+      ASSERT_TRUE(fresh.AddQuery(q).ok());
+    }
+    Result<std::vector<std::vector<PairVerdict>>> matrix = fresh.CheckAll();
+    ASSERT_TRUE(matrix.ok()) << matrix.status().ToString();
+    ContainmentRelation relation = index.RelationOf(group);
+    for (size_t i = 0; i < group.size(); ++i) {
+      for (size_t j = 0; j < group.size(); ++j) {
+        const Resolution expected =
+            i == j ? Resolution::kContained : (*matrix)[i][j].resolution;
+        EXPECT_EQ(index.ResolutionOf(group[i], group[j]), expected);
+        EXPECT_EQ(relation[i][j], expected);
+      }
+    }
+    Result<QueryTaxonomy> batch =
+        ClassifyQueries(world, group_queries, options);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    QueryTaxonomy incremental = index.TaxonomyOf(group);
+    EXPECT_EQ(incremental.class_of, batch->class_of);
+    EXPECT_EQ(incremental.classes, batch->classes);
+    EXPECT_EQ(incremental.hasse_edges, batch->hasse_edges);
+  }
+  for (size_t i = 0; i < ids.size(); ++i) {
+    for (size_t j = 0; j < ids.size(); ++j) {
+      if (index.query(ids[i]).arity() != index.query(ids[j]).arity()) {
+        EXPECT_EQ(index.ResolutionOf(ids[i], ids[j]),
+                  Resolution::kNotContained);
+      }
+    }
+  }
+  // Remove dropped the removed ids' pairs in both directions: every pair
+  // still stored is between live ids.
+  EXPECT_EQ(index.edge_count(), index.RelationOf(ids).edge_count());
+
+  // A removed or unknown id is a typed error, in the index and the engine.
+  EXPECT_EQ(index.Remove(removed[0]).code(), StatusCode::kNotFound);
+  EXPECT_EQ(index.Remove(10'000).code(), StatusCode::kNotFound);
+  EXPECT_EQ(index.engine().RemoveQuery(removed[0]).code(),
+            StatusCode::kNotFound);
+  const std::pair<size_t, size_t> dead_pair[1] = {{ids[0], removed[0]}};
+  Result<std::vector<PairVerdict>> dead = index.engine().CheckPairs(dead_pair);
+  EXPECT_EQ(dead.status().code(), StatusCode::kInvalidArgument);
+}
+
+// Positions follow the order of the ids asked for, ascending or not.
+TEST(ContainmentIndexTest, RelationOfIsPositionalInAnyIdOrder) {
+  World world;
+  // A chain: query k is contained in every query j < k, so rows hold
+  // several pairs and a reversed id order reverses each of them.
+  std::vector<ConjunctiveQuery> queries;
+  std::string body;
+  for (int k = 1; k <= 7; ++k) {
+    body += std::string(k == 1 ? "" : ", ") + "member(X, c" +
+            std::to_string(k) + ")";
+    queries.push_back(
+        Q(world, ("k" + std::to_string(k) + "(X) :- " + body + ".").c_str()));
+  }
+  BatchContainmentOptions options;
+  options.jobs = 1;
+  ContainmentIndex index(world, options);
+  for (const ConjunctiveQuery& q : queries) {
+    ASSERT_TRUE(index.Insert(q).ok());
+  }
+  ASSERT_TRUE(index.Remove(2).ok());
+  std::vector<size_t> ids = {6, 5, 4, 3, 1, 0};
+  ContainmentRelation relation = index.RelationOf(ids);
+  ASSERT_EQ(relation.size(), ids.size());
+  size_t edges = 0;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    for (size_t j = 0; j < ids.size(); ++j) {
+      EXPECT_EQ(relation[i][j], index.ResolutionOf(ids[i], ids[j]));
+      EXPECT_EQ(relation[i][j], i <= j ? Resolution::kContained
+                                       : Resolution::kNotContained);
+      edges += i != j && relation[i][j] != Resolution::kNotContained;
+    }
+  }
+  EXPECT_EQ(relation.edge_count(), edges);
+
+  std::vector<ConjunctiveQuery> in_order;
+  for (size_t id : ids) in_order.push_back(queries[id]);
+  Result<QueryTaxonomy> batch = ClassifyQueries(world, in_order, options);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  QueryTaxonomy positional = index.TaxonomyOf(ids);
+  EXPECT_EQ(positional.classes, batch->classes);
+  EXPECT_EQ(positional.hasse_edges, batch->hasse_edges);
 }
 
 }  // namespace

@@ -4,16 +4,19 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <set>
 
 #include "chase/chase.h"
 #include "chase/sigma_fl.h"
+#include "containment/classifier.h"
 #include "containment/containment.h"
 #include "containment/homomorphism.h"
 #include "datalog/evaluator.h"
 #include "gen/generators.h"
 #include "kb/knowledge_base.h"
 #include "term/world.h"
+#include "util/rng.h"
 
 namespace floq {
 namespace {
@@ -402,6 +405,134 @@ TEST_P(ClassifierProperty, ClassesMatchPairwiseEquivalence) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ClassifierProperty,
                          ::testing::Range(uint64_t(0), uint64_t(25)));
+
+// ---- the sparse taxonomy matches the dense reference ---------------------------
+
+// The dense class and Hasse passes over an n x n matrix and an m x m class
+// relation that TaxonomyFromContainment ran before the taxonomy moved to
+// adjacency lists, kept verbatim as the reference.
+QueryTaxonomy DenseReferenceTaxonomy(
+    const std::vector<std::vector<bool>>& contained) {
+  const size_t n = contained.size();
+  QueryTaxonomy taxonomy;
+  taxonomy.class_of.assign(n, -1);
+  for (size_t i = 0; i < n; ++i) {
+    if (taxonomy.class_of[i] >= 0) continue;
+    int cls = int(taxonomy.classes.size());
+    taxonomy.classes.push_back({i});
+    taxonomy.class_of[i] = cls;
+    for (size_t j = i + 1; j < n; ++j) {
+      if (taxonomy.class_of[j] < 0 && contained[i][j] && contained[j][i]) {
+        taxonomy.class_of[j] = cls;
+        taxonomy.classes[cls].push_back(j);
+      }
+    }
+  }
+  const size_t m = taxonomy.classes.size();
+  std::vector<std::vector<bool>> contains(m, std::vector<bool>(m, false));
+  for (size_t a = 0; a < m; ++a) {
+    for (size_t b = 0; b < m; ++b) {
+      if (a == b) continue;
+      contains[a][b] =
+          contained[taxonomy.classes[a][0]][taxonomy.classes[b][0]];
+    }
+  }
+  for (size_t a = 0; a < m; ++a) {
+    for (size_t b = 0; b < m; ++b) {
+      if (!contains[a][b]) continue;
+      bool direct = true;
+      for (size_t c = 0; c < m && direct; ++c) {
+        if (c == a || c == b) continue;
+        direct = !(contains[a][c] && contains[c][b]);
+      }
+      if (direct) taxonomy.hasse_edges.emplace_back(int(a), int(b));
+    }
+  }
+  return taxonomy;
+}
+
+// A random verdict matrix shaped like a registry's: equivalence groups,
+// chains of groups (closed transitively over a random span), and noise
+// that breaks symmetry and transitivity the way UNKNOWN verdicts and
+// budget-cut chases leave them.
+std::vector<std::vector<Resolution>> RandomVerdicts(uint64_t seed) {
+  Rng rng(seed * 7919 + 3);
+  const size_t n = seed < 2 ? size_t(seed) : size_t(rng.Below(201));
+  const size_t groups = 1 + size_t(rng.Below(n + 1));
+  std::vector<size_t> group(n);
+  for (size_t& g : group) g = size_t(rng.Below(groups));
+  std::vector<size_t> rank(groups);
+  std::iota(rank.begin(), rank.end(), size_t{0});
+  for (size_t i = groups; i > 1; --i) {
+    std::swap(rank[i - 1], rank[size_t(rng.Below(i))]);
+  }
+  const size_t span = size_t(rng.Below(4));  // 0: no chains
+  const double noise = rng.Chance(0.5) ? 0.0 : 0.02;
+  std::vector<std::vector<Resolution>> verdicts(
+      n, std::vector<Resolution>(n, Resolution::kNotContained));
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      if (i == j) continue;
+      const size_t gi = rank[group[i]], gj = rank[group[j]];
+      if (gi == gj || (gi < gj && gj - gi <= span)) {
+        verdicts[i][j] = Resolution::kContained;
+      }
+      if (rng.Chance(noise)) {
+        verdicts[i][j] = Resolution::kContained;
+      } else if (rng.Chance(noise)) {
+        verdicts[i][j] = Resolution::kUnknown;
+      } else if (rng.Chance(noise)) {
+        verdicts[i][j] = Resolution::kNotContained;
+      }
+    }
+  }
+  return verdicts;
+}
+
+class TaxonomyDifferentialProperty
+    : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(TaxonomyDifferentialProperty, SparseCoreMatchesDenseReference) {
+  const std::vector<std::vector<Resolution>> verdicts =
+      RandomVerdicts(GetParam());
+  const size_t n = verdicts.size();
+  std::vector<std::vector<bool>> contained(n, std::vector<bool>(n, false));
+  ContainmentRelation relation;
+  std::vector<ContainmentRelation::Edge> row;
+  for (size_t i = 0; i < n; ++i) {
+    contained[i][i] = true;
+    row.clear();
+    for (size_t j = 0; j < n; ++j) {
+      if (i == j) continue;
+      contained[i][j] = verdicts[i][j] == Resolution::kContained;
+      if (verdicts[i][j] != Resolution::kNotContained) {
+        row.push_back({j, verdicts[i][j]});
+      }
+    }
+    relation.AddRow(row);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      ASSERT_EQ(relation[i][j],
+                i == j ? Resolution::kContained : verdicts[i][j]);
+    }
+  }
+
+  const QueryTaxonomy reference = DenseReferenceTaxonomy(contained);
+  const QueryTaxonomy sparse = TaxonomyFromRelation(relation, 1, 2, 3);
+  const QueryTaxonomy dense = TaxonomyFromContainment(contained, 1, 2, 3);
+  for (const QueryTaxonomy* got : {&sparse, &dense}) {
+    EXPECT_EQ(got->class_of, reference.class_of) << "n=" << n;
+    EXPECT_EQ(got->classes, reference.classes) << "n=" << n;
+    EXPECT_EQ(got->hasse_edges, reference.hasse_edges) << "n=" << n;
+    EXPECT_EQ(got->checks, 1);
+    EXPECT_EQ(got->unknown_checks, 2);
+    EXPECT_EQ(got->pruned_checks, 3);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TaxonomyDifferentialProperty,
+                         ::testing::Range(uint64_t(0), uint64_t(60)));
 
 // ---- UCQ containment degenerates correctly -------------------------------------
 

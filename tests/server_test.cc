@@ -20,14 +20,18 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "containment/classifier.h"
+#include "flogic/parser.h"
 #include "gtest/gtest.h"
 #include "server/daemon.h"
 #include "server/protocol.h"
@@ -36,6 +40,7 @@
 #include "util/crc32.h"
 #include "util/deadline.h"
 #include "util/fault.h"
+#include "util/rng.h"
 
 namespace floq::server {
 namespace {
@@ -63,6 +68,17 @@ int ConnectUnix(const std::string& path) {
   return fd;
 }
 
+// One request, one reply, on an open connection.
+Result<Json> Call(int fd, const Json& request, int64_t timeout_ms = 20'000) {
+  FLOQ_RETURN_IF_ERROR(WriteFrame(fd, request.Serialize(),
+                                  Deadline::AfterMillis(timeout_ms)));
+  FrameDecoder decoder;
+  Result<std::string> payload =
+      ReadFrame(fd, decoder, Deadline::AfterMillis(timeout_ms));
+  if (!payload.ok()) return payload.status();
+  return ParseJson(*payload);
+}
+
 // One request, one reply, fresh connection. Error Status when the daemon
 // is unreachable or drops the connection mid-request (how a crashed
 // daemon presents to a client).
@@ -70,18 +86,9 @@ Result<Json> Request(const std::string& socket_path, const Json& request,
                      int64_t timeout_ms = 20'000) {
   int fd = ConnectUnix(socket_path);
   if (fd < 0) return InternalError("connect " + socket_path);
-  Status sent = WriteFrame(fd, request.Serialize(),
-                           Deadline::AfterMillis(timeout_ms));
-  if (!sent.ok()) {
-    ::close(fd);
-    return sent;
-  }
-  FrameDecoder decoder;
-  Result<std::string> payload =
-      ReadFrame(fd, decoder, Deadline::AfterMillis(timeout_ms));
+  Result<Json> reply = Call(fd, request, timeout_ms);
   ::close(fd);
-  if (!payload.ok()) return payload.status();
-  return ParseJson(*payload);
+  return reply;
 }
 
 Json MakeRequest(const std::string& cmd) {
@@ -438,8 +445,8 @@ TEST(RegistryTest, ReopenRecoversEntriesAndLattice) {
     EXPECT_GT(*unregistered, last_acked_epoch);
     last_acked_epoch = *unregistered;
     std::shared_ptr<const RegistrySnapshotView> snap = registry.Snapshot();
-    for (Resolution r : snap->resolution[0]) {
-      fingerprint_before += ResolutionName(r);
+    for (size_t j = 0; j < snap->entries.size(); ++j) {
+      fingerprint_before += ResolutionName(snap->resolution[0][j]);
       fingerprint_before += ',';
     }
     // No clean shutdown: drop the registry with WAL + checkpoint as-is.
@@ -452,11 +459,194 @@ TEST(RegistryTest, ReopenRecoversEntriesAndLattice) {
   EXPECT_EQ(snap->Find("people"), nullptr);
   EXPECT_NE(snap->Find("students"), nullptr);
   std::string fingerprint_after;
-  for (Resolution r : snap->resolution[0]) {
-    fingerprint_after += ResolutionName(r);
+  for (size_t j = 0; j < snap->entries.size(); ++j) {
+    fingerprint_after += ResolutionName(snap->resolution[0][j]);
     fingerprint_after += ',';
   }
   EXPECT_EQ(fingerprint_after, fingerprint_before);
+}
+
+// ---- registry churn ------------------------------------------------------
+
+// Query texts for churn: unary, binary and boolean shapes over three
+// classes, with equivalent rewrites, strict sub-bodies, containments that
+// hold only under Sigma_FL (rho_3 through `d :: c`) and a mandatory
+// attribute.
+std::vector<std::string> ChurnPool() {
+  std::vector<std::string> pool;
+  for (int c = 0; c < 3; ++c) {
+    const std::string k = "c" + std::to_string(c);
+    const std::string d = "d" + std::to_string(c);
+    pool.push_back("q(X) :- X : " + k + ".");
+    pool.push_back("q(Y) :- Y : " + k + ", Y : " + k + ".");
+    pool.push_back("q(X) :- X : " + k + ", X[a -> Y].");
+    pool.push_back("q(X) :- X : " + k + ", X[a -> Y], Y : " + k + ".");
+    pool.push_back("q(X) :- X : " + d + ", " + d + " :: " + k + ".");
+    pool.push_back("q(X) :- X[b {1:*} *=> " + k + "], X : " + k + ".");
+    pool.push_back("q(X, Y) :- X : " + k + ", X[a -> Y].");
+    pool.push_back("q(X, Y) :- X[a -> Y].");
+    pool.push_back("q() :- X : " + k + ".");
+  }
+  return pool;
+}
+
+using NamedTexts = std::vector<std::pair<std::string, std::string>>;
+
+// The matrix and taxonomy a one-shot batch computes over `live` in
+// order: a fresh engine decides every same-arity pair (cross-arity pairs
+// are not contained), and the taxonomy comes from the dense entry point
+// ClassifyQueries uses.
+struct Batch {
+  std::vector<std::vector<Resolution>> matrix;
+  QueryTaxonomy taxonomy;
+};
+
+Batch BatchOver(const NamedTexts& live) {
+  World world;
+  BatchContainmentOptions options;
+  options.jobs = 1;
+  ContainmentEngine engine(world, options);
+  std::vector<int> arity;
+  for (const auto& [name, text] : live) {
+    Result<ConjunctiveQuery> query = flogic::ParseQuery(world, text);
+    EXPECT_TRUE(query.ok()) << text;
+    if (!query.ok()) return {};
+    arity.push_back(query->arity());
+    EXPECT_TRUE(engine.AddQuery(*query).ok());
+  }
+  const size_t n = live.size();
+  std::vector<std::pair<size_t, size_t>> pairs;
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      if (i != j && arity[i] == arity[j]) pairs.emplace_back(i, j);
+    }
+  }
+  Result<std::vector<PairVerdict>> verdicts = engine.CheckPairs(pairs);
+  EXPECT_TRUE(verdicts.ok()) << verdicts.status().ToString();
+  if (!verdicts.ok()) return {};
+  Batch batch;
+  batch.matrix.assign(
+      n, std::vector<Resolution>(n, Resolution::kNotContained));
+  std::vector<std::vector<bool>> contained(n, std::vector<bool>(n, false));
+  for (size_t i = 0; i < n; ++i) {
+    batch.matrix[i][i] = Resolution::kContained;
+    contained[i][i] = true;
+  }
+  for (size_t k = 0; k < pairs.size(); ++k) {
+    const auto [i, j] = pairs[k];
+    batch.matrix[i][j] = (*verdicts)[k].resolution;
+    contained[i][j] = (*verdicts)[k].contained;
+  }
+  batch.taxonomy = TaxonomyFromContainment(contained, 0, 0, 0);
+  return batch;
+}
+
+// Every answer a snapshot gives, as one string.
+std::string SnapshotFingerprint(const RegistrySnapshotView& snap) {
+  std::string out = std::to_string(snap.epoch) + ";";
+  for (const RegistryEntryView& entry : snap.entries) {
+    out += entry.name + "=" + entry.text + ";";
+  }
+  for (size_t i = 0; i < snap.entries.size(); ++i) {
+    for (size_t j = 0; j < snap.entries.size(); ++j) {
+      out += ResolutionName(snap.resolution[i][j]);
+      out += ',';
+    }
+  }
+  for (const std::vector<size_t>& cls : snap.taxonomy.classes) {
+    out += "[";
+    for (size_t m : cls) out += snap.entries[m].name + " ";
+    out += "]";
+  }
+  for (const auto& [sub, super] : snap.taxonomy.hasse_edges) {
+    out += std::to_string(sub) + "<" + std::to_string(super) + " ";
+  }
+  return out;
+}
+
+void ExpectSnapshotMatchesBatch(const RegistrySnapshotView& snap,
+                                const NamedTexts& live) {
+  ASSERT_EQ(snap.entries.size(), live.size());
+  for (size_t i = 0; i < live.size(); ++i) {
+    ASSERT_EQ(snap.entries[i].name, live[i].first);
+    ASSERT_EQ(snap.by_name.find(live[i].first)->second, i);
+  }
+  const Batch batch = BatchOver(live);
+  for (size_t i = 0; i < live.size(); ++i) {
+    for (size_t j = 0; j < live.size(); ++j) {
+      EXPECT_EQ(snap.resolution[i][j], batch.matrix[i][j])
+          << "epoch " << snap.epoch << ": " << live[i].first << " in "
+          << live[j].first;
+    }
+  }
+  EXPECT_EQ(snap.taxonomy.class_of, batch.taxonomy.class_of)
+      << "epoch " << snap.epoch;
+  EXPECT_EQ(snap.taxonomy.classes, batch.taxonomy.classes)
+      << "epoch " << snap.epoch;
+  EXPECT_EQ(snap.taxonomy.hasse_edges, batch.taxonomy.hasse_edges)
+      << "epoch " << snap.epoch;
+  // The index holds the live queries and nothing else.
+  EXPECT_EQ(snap.index.inserts - snap.index.removed, live.size());
+  EXPECT_EQ(snap.engine_queries, live.size());
+}
+
+// Seeded register/unregister churn around 30 live queries with frequent
+// checkpoints. At every epoch the published relation and taxonomy equal
+// a one-shot batch over the live queries in registration order; a
+// snapshot held across later unregisters still answers its own epoch
+// (the AddressSanitizer job sees any use of a freed entry); and the
+// index holds exactly the live queries, before and after a reopen.
+TEST(RegistryTest, ChurnMatchesBatchAtEveryEpochAndFreesEntries) {
+  std::string dir = MakeTempDir();
+  const std::vector<std::string> pool = ChurnPool();
+  Rng rng(20261017);
+  NamedTexts live;
+  int next_name = 0;
+  std::vector<std::pair<std::shared_ptr<const RegistrySnapshotView>,
+                        std::string>>
+      held;
+  {
+    QueryRegistry registry(TestRegistryOptions(dir, /*checkpoint_every=*/3));
+    ASSERT_TRUE(registry.Open().ok());
+    uint64_t epoch = registry.Snapshot()->epoch;
+    for (int step = 0; step < 150; ++step) {
+      const bool grow =
+          live.size() < 24 || (live.size() < 36 && rng.Chance(0.5));
+      if (grow) {
+        // A name that was unregistered earlier may come back.
+        const std::string name =
+            next_name > 0 && rng.Chance(0.2)
+                ? "n" + std::to_string(rng.Below(uint64_t(next_name)))
+                : "n" + std::to_string(next_name++);
+        bool taken = false;
+        for (const auto& entry : live) taken = taken || entry.first == name;
+        if (taken) continue;
+        const std::string& text = pool[rng.Below(pool.size())];
+        ASSERT_TRUE(registry.Register(name, text).ok()) << name;
+        live.emplace_back(name, text);
+      } else {
+        if (held.size() < 8) {
+          std::shared_ptr<const RegistrySnapshotView> snap =
+              registry.Snapshot();
+          held.emplace_back(snap, SnapshotFingerprint(*snap));
+        }
+        const size_t victim = size_t(rng.Below(live.size()));
+        ASSERT_TRUE(registry.Unregister(live[victim].first).ok());
+        live.erase(live.begin() + std::ptrdiff_t(victim));
+      }
+      std::shared_ptr<const RegistrySnapshotView> snap = registry.Snapshot();
+      EXPECT_EQ(snap->epoch, epoch + 1);
+      epoch = snap->epoch;
+      ExpectSnapshotMatchesBatch(*snap, live);
+    }
+    ASSERT_EQ(held.size(), 8u);
+    for (const auto& [snap, fingerprint] : held) {
+      EXPECT_EQ(SnapshotFingerprint(*snap), fingerprint);
+    }
+  }
+  QueryRegistry reopened(TestRegistryOptions(dir));
+  ASSERT_TRUE(reopened.Open().ok());
+  ExpectSnapshotMatchesBatch(*reopened.Snapshot(), live);
 }
 
 // A checkpoint written before the epoch was persisted has no "epoch"
@@ -600,6 +790,71 @@ TEST(DaemonTest, RegistrationsSurviveGracefulRestart) {
   ASSERT_TRUE(status.ok());
   EXPECT_EQ(*status->GetInt("wal_mutations"), 0);
   EXPECT_EQ(ShutdownDaemon(restarted), 0);
+}
+
+// `status` answers from the published snapshot alone: on one connection it
+// runs beside registrations on another without racing them (the
+// ThreadSanitizer job runs this) and without waiting for their WAL fsync,
+// and each reply is one epoch's consistent view.
+TEST(DaemonTest, StatusReadsOneSnapshotBesideRegistrations) {
+  std::string dir = MakeTempDir();
+  DaemonProc daemon = SpawnDaemon(dir, "", {"checkpoint_every=4"});
+  DaemonReaper daemon_reaper(daemon);
+  ASSERT_TRUE(WaitForDaemon(daemon));
+  const int status_fd = ConnectUnix(daemon.socket_path);
+  ASSERT_GE(status_fd, 0);
+
+  std::atomic<bool> writing{true};
+  std::atomic<int> write_failures{0};
+  std::thread writer([&] {
+    const int fd = ConnectUnix(daemon.socket_path);
+    if (fd < 0) ++write_failures;
+    for (int i = 0; fd >= 0 && i < 60; ++i) {
+      const auto& [name, text] = Workload()[size_t(i) % Workload().size()];
+      const std::string unique = name + "-" + std::to_string(i);
+      Result<Json> reply = Call(fd, RegisterRequest(unique, text));
+      if (!reply.ok() || !*reply->GetBool("ok")) ++write_failures;
+      if (i % 2 == 1) {
+        Json unregister = MakeRequest("unregister");
+        unregister.Set("name", Json::String(unique));
+        reply = Call(fd, unregister);
+        if (!reply.ok() || !*reply->GetBool("ok")) ++write_failures;
+      }
+    }
+    if (fd >= 0) ::close(fd);
+    writing = false;
+  });
+
+  int replies = 0;
+  bool consistent = true;
+  auto check_status = [&]() -> std::optional<Json> {
+    Result<Json> status = Call(status_fd, MakeRequest("status"));
+    if (!status.ok() || !*status->GetBool("ok")) return std::nullopt;
+    ++replies;
+    const Json* index = status->Find("index");
+    if (index == nullptr) return std::nullopt;
+    const int64_t queries = *status->GetInt("queries");
+    consistent = consistent &&
+                 *index->GetInt("inserts") - *index->GetInt("removed") ==
+                     queries &&
+                 *index->GetInt("engine_queries") == queries;
+    return *std::move(status);
+  };
+  while (writing.load()) {
+    if (!check_status().has_value()) break;
+  }
+  writer.join();
+  EXPECT_EQ(write_failures.load(), 0);
+  std::optional<Json> last = check_status();
+  ASSERT_TRUE(last.has_value());
+  EXPECT_TRUE(consistent);
+  EXPECT_GT(replies, 1);
+  EXPECT_EQ(*last->GetInt("queries"), 30);
+  EXPECT_EQ(*last->Find("index")->GetInt("removed"), 30);
+  ::close(status_fd);
+  // Under ThreadSanitizer a reported race turns the daemon's exit code
+  // nonzero.
+  EXPECT_EQ(ShutdownDaemon(daemon), 0);
 }
 
 TEST(DaemonTest, MalformedFramesGetTypedRepliesAndClose) {
