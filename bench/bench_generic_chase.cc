@@ -1,17 +1,11 @@
-// Ablation/extension experiment: the Sigma_FL-specialized chase engine
-// (phase split, shape-specialized rho_4 applicator) vs the generic
-// dependency engine fed Sigma_FL as a user set. Both produce the same
-// saturated sets (asserted by tests); the specialization buys the
-// difference shown here. Also benchmarks a weakly acyclic user set, the
-// regime where the generic chase is a complete decision procedure.
+// Extension experiment GX: the one chase engine on Sigma_FL's mandatory
+// cycles and on a weakly acyclic user schema, the regime where the chase
+// is a complete decision procedure for containment.
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-
 #include "chase/chase.h"
 #include "chase/dependencies.h"
-#include "chase/generic_chase.h"
 #include "containment/containment.h"
 #include "gen/generators.h"
 #include "query/parser.h"
@@ -22,32 +16,7 @@ namespace {
 
 using namespace floq;
 
-void PrintComparisonTable() {
-  std::printf("== generic vs specialized engine on Sigma_FL ==\n");
-  std::printf("%-34s %-12s %-14s %s\n", "query", "conjuncts",
-              "specialized ok", "generic ok");
-  const char* queries[] = {
-      "q() :- sub(A, B), sub(B, C).",
-      "q() :- mandatory(A, O), type(O, A, T).",
-      "q(V) :- data(O, A, V), data(O, A, W), funct(A, C), member(O, C).",
-  };
-  for (const char* text : queries) {
-    World ws, wg;
-    ConjunctiveQuery qs = *ParseQuery(ws, text);
-    ConjunctiveQuery qg = *ParseQuery(wg, text);
-    ChaseOptions options;
-    options.max_level = 9;
-    ChaseResult specialized = ChaseQuery(ws, qs, options);
-    DependencySet sigma = MakeSigmaFLDependencies(wg);
-    ChaseResult generic = GenericChase(wg, qg, sigma, options);
-    std::printf("%-34.33s %-12u %-14s %s\n", text, specialized.size(),
-                ChaseOutcomeName(specialized.outcome()),
-                ChaseOutcomeName(generic.outcome()));
-  }
-  std::printf("\n");
-}
-
-void BM_SpecializedSigmaFL(benchmark::State& state) {
+void BM_SigmaFL(benchmark::State& state) {
   const int k = int(state.range(0));
   for (auto _ : state) {
     state.PauseTiming();
@@ -61,24 +30,7 @@ void BM_SpecializedSigmaFL(benchmark::State& state) {
     state.counters["conjuncts"] = chase.size();
   }
 }
-BENCHMARK(BM_SpecializedSigmaFL)->Arg(1)->Arg(4)->Arg(16);
-
-void BM_GenericSigmaFL(benchmark::State& state) {
-  const int k = int(state.range(0));
-  for (auto _ : state) {
-    state.PauseTiming();
-    World world;
-    ConjunctiveQuery q = gen::MakeMandatoryCycleQuery(world, k);
-    DependencySet sigma = MakeSigmaFLDependencies(world);
-    state.ResumeTiming();
-    ChaseOptions options;
-    options.max_level = 12;
-    ChaseResult chase = GenericChase(world, q, sigma, options);
-    benchmark::DoNotOptimize(chase.size());
-    state.counters["conjuncts"] = chase.size();
-  }
-}
-BENCHMARK(BM_GenericSigmaFL)->Arg(1)->Arg(4)->Arg(16);
+BENCHMARK(BM_SigmaFL)->Arg(1)->Arg(4)->Arg(16);
 
 // A weakly acyclic user schema: employee/department/project layers.
 void BM_WeaklyAcyclicUserSet(benchmark::State& state) {
@@ -99,7 +51,7 @@ void BM_WeaklyAcyclicUserSet(benchmark::State& state) {
     facts.push_back(Atom(employee, {world.MakeConstant(StrCat("e", i))}));
   }
   for (auto _ : state) {
-    ChaseResult chase = GenericChaseFacts(world, facts, *deps);
+    ChaseResult chase = ChaseFacts(world, facts, *deps);
     benchmark::DoNotOptimize(chase.size());
     state.counters["conjuncts"] = chase.size();
   }
@@ -128,9 +80,4 @@ BENCHMARK(BM_UserDependencyContainment);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  PrintComparisonTable();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -7,8 +7,8 @@
 
 #include <cstdio>
 
+#include "chase/chase.h"
 #include "chase/dependencies.h"
-#include "chase/generic_chase.h"
 #include "containment/containment.h"
 #include "query/parser.h"
 #include "term/world.h"
@@ -73,7 +73,7 @@ int main() {
 
   // Show the chase itself for the first query.
   ConjunctiveQuery q = *ParseQuery(world, "q(X) :- employee(X).");
-  ChaseResult chase = GenericChase(world, q, *deps);
+  ChaseResult chase = ChaseQuery(world, q, *deps);
   std::printf("\nchase of q(X) :- employee(X) under the constraints:\n%s",
               chase.DebugString(world).c_str());
   return 0;

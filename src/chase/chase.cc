@@ -1,8 +1,9 @@
 #include "chase/chase.h"
 
 #include <algorithm>
+#include <charconv>
 #include <set>
-#include <unordered_map>
+#include <span>
 #include <unordered_set>
 
 #include "chase/term_union_find.h"
@@ -27,42 +28,223 @@ const char* ChaseOutcomeName(ChaseOutcome outcome) {
 
 namespace {
 
-// A TGD application found during a collection pass: the instantiated head,
+// A TGD as the engine runs it.
+struct ChaseTgd {
+  const Tgd* tgd;
+  RuleId id;
+  // Head variables missing from the body; empty for a full TGD.
+  std::vector<Term> existential;
+};
+
+// An EGD as the engine runs it. value_pos >= 0 marks the shape of a
+// functional dependency, V = W :- R(x, V), R(x, W), guard: `key` is
+// R(x, V) with V at value_pos, and `guard` holds the other body atoms
+// (R(x, V) itself when there are none) and binds every variable of x.
+// Each guard match then fixes one key, and all values R has at that key
+// form one class.
+struct ChaseEgd {
+  const Egd* egd = nullptr;
+  int value_pos = -1;
+  Atom key;
+  std::vector<Atom> guard;
+};
+
+// A TGD application found during a collection pass: the instantiated head
+// (an existential TGD's head still carries its existential variables),
 // the conjuncts the rule body mapped onto, and the level the new conjunct
 // would get (Definition 3(3)).
 struct PendingTgd {
-  RuleId id;
+  const ChaseTgd* tgd;
   Atom head;
   std::vector<uint32_t> parents;
   int level;
 };
 
-// A rho_5 application: mandatory(attr, object) with no data(object, attr, ·)
-// conjunct present.
-struct PendingExistential {
-  Term object;
-  Term attr;
-  uint32_t parent;
-  int level;
-};
+bool Contains(std::span<const Term> terms, Term t) {
+  return std::find(terms.begin(), terms.end(), t) != terms.end();
+}
+
+int Occurrences(std::span<const Atom> atoms, Term t) {
+  int count = 0;
+  for (const Atom& atom : atoms) {
+    for (Term u : atom) count += u == t ? 1 : 0;
+  }
+  return count;
+}
+
+// True iff `fact` matches `pattern`, whose `wildcards` match any term
+// (consistently where one repeats) and whose other terms match themselves.
+bool Matches(const Atom& pattern, const Atom& fact,
+             std::span<const Term> wildcards) {
+  for (int i = 0; i < pattern.arity(); ++i) {
+    Term t = pattern.arg(i);
+    if (!Contains(wildcards, t)) {
+      if (t != fact.arg(i)) return false;
+      continue;
+    }
+    for (int j = 0; j < i; ++j) {
+      if (pattern.arg(j) == t && fact.arg(j) != fact.arg(i)) return false;
+    }
+  }
+  return true;
+}
+
+// True iff `fact` agrees with `key` everywhere but at `value_pos`.
+bool SameKey(const Atom& key, const Atom& fact, int value_pos) {
+  for (int i = 0; i < key.arity(); ++i) {
+    if (i != value_pos && key.arg(i) != fact.arg(i)) return false;
+  }
+  return true;
+}
+
+// Chase-graph rule id of tgds[index]: Sigma_FL's rules carry their paper
+// number in their name ("rho5"); user TGDs get 1000 + index.
+RuleId TgdRuleId(const Tgd& tgd, size_t index) {
+  const std::string& name = tgd.name;
+  const char* end = name.data() + name.size();
+  int k = 0;
+  if (name.starts_with("rho") &&
+      std::from_chars(name.data() + 3, end, k).ptr == end && k >= kRho1 &&
+      k <= kRho12) {
+    return RuleId(k);
+  }
+  return RuleId(1000 + int(index));
+}
+
+ChaseEgd CompileEgd(const Egd& egd) {
+  ChaseEgd out;
+  out.egd = &egd;
+  if (!egd.left.IsVariable() || !egd.right.IsVariable() ||
+      Occurrences(egd.body, egd.left) != 1 ||
+      Occurrences(egd.body, egd.right) != 1) {
+    return out;
+  }
+  // Look for the two R atoms: they agree everywhere except at one
+  // position, where one holds V and the other W.
+  for (size_t i = 0; i < egd.body.size(); ++i) {
+    for (size_t j = i + 1; j < egd.body.size(); ++j) {
+      const Atom& a = egd.body[i];
+      const Atom& b = egd.body[j];
+      if (a.predicate() != b.predicate()) continue;
+      int differ = -1;
+      int differences = 0;
+      for (int p = 0; p < a.arity(); ++p) {
+        if (a.arg(p) != b.arg(p)) {
+          differ = p;
+          ++differences;
+        }
+      }
+      if (differences != 1) continue;
+      const Term x = a.arg(differ);
+      const Term y = b.arg(differ);
+      if (!(x == egd.left && y == egd.right) &&
+          !(x == egd.right && y == egd.left)) {
+        continue;
+      }
+      for (size_t k = 0; k < egd.body.size(); ++k) {
+        if (k != i && k != j) out.guard.push_back(egd.body[k]);
+      }
+      if (out.guard.empty()) out.guard.push_back(a);
+      for (Term t : a) {
+        if (t.IsVariable() && t != a.arg(differ) &&
+            Occurrences(out.guard, t) == 0) {
+          out.guard.clear();  // the guard leaves part of the key open
+          return out;
+        }
+      }
+      out.key = a;
+      out.value_pos = differ;
+      return out;
+    }
+  }
+  return out;
+}
+
+// Folds the difference between two stats snapshots (plus the run's final
+// shape) into the process-wide MetricsRegistry at the end of every
+// run/resume. No-op when metrics are disabled.
+void FoldChaseMetrics(const ChaseStats& before, const ChaseStats& after,
+                      const ChaseResult& result) {
+  if (!MetricsRegistry::enabled()) return;
+  MetricsRegistry& registry = MetricsRegistry::Get();
+  // All twelve rule counters are registered eagerly (not on first firing)
+  // so a metrics export always carries the full rho_1..rho_12 series,
+  // zeros included.
+  static const std::array<Counter*, 13>& rules = *[] {
+    auto* out = new std::array<Counter*, 13>{};
+    for (int k = 1; k <= 12; ++k) {
+      (*out)[size_t(k)] =
+          &MetricsRegistry::Get().counter(StrCat("chase.rule.rho", k));
+    }
+    return out;
+  }();
+  for (int k = 1; k <= 12; ++k) {
+    uint64_t fired =
+        after.rule_fired[size_t(k)] - before.rule_fired[size_t(k)];
+    if (fired > 0) rules[size_t(k)]->Add(fired);
+  }
+
+  static Counter& runs = registry.counter("chase.runs");
+  static Counter& rounds = registry.counter("chase.rounds");
+  static Counter& applications = registry.counter("chase.tgd_applications");
+  static Counter& nulls = registry.counter("chase.fresh_nulls");
+  static Counter& merges = registry.counter("chase.egd_merges");
+  static Counter& rebuilds = registry.counter("chase.rebuilds");
+  runs.Add(1);
+  if (after.rounds > before.rounds) rounds.Add(after.rounds - before.rounds);
+  if (after.tgd_applications > before.tgd_applications) {
+    applications.Add(after.tgd_applications - before.tgd_applications);
+  }
+  if (after.fresh_nulls > before.fresh_nulls) {
+    nulls.Add(after.fresh_nulls - before.fresh_nulls);
+  }
+  if (after.egd_merges > before.egd_merges) {
+    merges.Add(after.egd_merges - before.egd_merges);
+  }
+  if (after.rebuilds > before.rebuilds) {
+    rebuilds.Add(after.rebuilds - before.rebuilds);
+  }
+
+  static Histogram& level = registry.histogram("chase.max_level");
+  static Histogram& conjuncts = registry.histogram("chase.conjuncts");
+  level.Record(uint64_t(std::max(result.max_level(), 0)));
+  conjuncts.Record(result.size());
+}
 
 }  // namespace
 
 class ChaseEngine {
  public:
-  ChaseEngine(World& world, const ChaseOptions& options)
-      : world_(world), options_(options), sigma_(MakeSigmaFL(world)) {}
+  ChaseEngine(World& world, DependencySet dependencies,
+              const ChaseOptions& options)
+      : world_(world),
+        options_(options),
+        dependencies_(std::move(dependencies)) {
+    for (size_t i = 0; i < dependencies_.tgds.size(); ++i) {
+      const Tgd& tgd = dependencies_.tgds[i];
+      ChaseTgd compiled{&tgd, TgdRuleId(tgd, i), tgd.ExistentialVariables()};
+      (compiled.existential.empty() ? full_tgds_ : existential_tgds_)
+          .push_back(std::move(compiled));
+    }
+    egds_.reserve(dependencies_.egds.size());
+    for (const Egd& egd : dependencies_.egds) {
+      egds_.push_back(CompileEgd(egd));
+    }
+  }
 
-  void Run(const ConjunctiveQuery& query, ExecGovernor* governor = nullptr) {
+  void Run(std::span<const Atom> initial, const std::vector<Term>& head,
+           ExecGovernor* governor = nullptr) {
     TraceSpan span("chase.run");
     const ChaseStats before = result_.stats_;
-    // Initial conjuncts: body(q) at level 0. Inserted before the governor
-    // is armed: a resumed run cannot re-seed them, so they must all be
+    // The head comes first: a run the atom budget stops while seeding
+    // still has one, and the hom search seeds from it.
+    result_.head_ = head;
+    // Initial conjuncts at level 0. Inserted before the governor is
+    // armed: a resumed run cannot re-seed them, so they must all be
     // present before any trip can stop the engine.
-    for (const Atom& atom : query.body()) {
+    for (const Atom& atom : initial) {
       if (!InsertNode(atom, 0, kRho0, {})) return Finish(span, before);
     }
-    result_.head_ = query.head();
     SetGovernor(governor);
     Advance();
     Finish(span, before);
@@ -112,27 +294,36 @@ class ChaseEngine {
     return true;
   }
 
-  // Drives the chase from wherever it stopped: phase A (the preliminary
-  // chase with Sigma_FL^-) to fixpoint, then phase B under the current
+  // Counts one unit of work; false (with kInterrupted latched as above)
+  // once the governor has tripped.
+  bool Tick() {
+    if (governor_ == nullptr || governor_->Tick()) return true;
+    result_.outcome_ = ChaseOutcome::kInterrupted;
+    full_recheck_ = true;
+    return false;
+  }
+
+  // Drives the chase from wherever it stopped: phase A (the full TGDs —
+  // Sigma_FL^- for Sigma_FL) to fixpoint, then phase B under the current
   // level cap. First call and resumed calls share this path; phase A is
   // skipped once it has completed.
   void Advance() {
     // Always reach the EGD fixpoint first: a resumed run may have been
-    // interrupted mid-merge, and quiescence detection assumes a
-    // rho_4-saturated instance. At fixpoint this is one cheap scan.
+    // interrupted mid-merge, and quiescence detection assumes an
+    // EGD-saturated instance. At fixpoint this is one cheap scan.
     if (!EgdFixpoint()) return Seal();
 
     if (!preliminary_done_) {
-      // Phase A: saturate the ten Datalog TGDs (rho_4 interleaved);
-      // everything stays at level 0.
+      // Phase A: saturate the full TGDs (EGDs interleaved); everything
+      // stays at level 0.
       for (;;) {
         if (Interrupted()) return Seal();
         DeltaWindow window = TakeDelta();
-        std::vector<PendingTgd> pending =
-            CollectTgds(window, /*force_level_zero=*/true);
+        std::vector<PendingTgd> pending;
+        CollectTgds(full_tgds_, window, /*level_zero=*/true, pending);
         if (pending.empty()) break;
-        for (const PendingTgd& p : pending) {
-          if (!ApplyTgd(p)) return Seal();
+        for (PendingTgd& p : pending) {
+          if (!ApplyFull(p)) return Seal();
         }
         if (!EgdFixpoint()) return Seal();
         ++result_.stats_.rounds;
@@ -141,8 +332,8 @@ class ChaseEngine {
       // not fixpoint — do not advance the phase marker.
       if (Interrupted()) return Seal();
       preliminary_done_ = true;
-      // Phase B: rho_5 joins in and levels grow. Mandatory conjuncts of
-      // level 0 need a rho_5 pass, so rescan.
+      // Phase B: the existential TGDs join in and levels grow. They have
+      // not seen the level-0 instance yet, so rescan.
       full_recheck_ = true;
       delta_.clear();
     }
@@ -154,31 +345,25 @@ class ChaseEngine {
   // kLevelCapped if instances beyond the cap were deferred).
   void RunCyclic() {
     bool saw_beyond_cap = false;
+    auto drop_beyond_cap = [&](std::vector<PendingTgd>& pending) {
+      std::erase_if(pending, [&](const PendingTgd& p) {
+        const bool beyond = p.level > options_.max_level;
+        saw_beyond_cap |= beyond;
+        return beyond;
+      });
+    };
     for (;;) {
       if (Interrupted()) return Seal();
       DeltaWindow window = TakeDelta();
-      std::vector<PendingTgd> tgds =
-          CollectTgds(window, /*force_level_zero=*/false);
-      std::vector<PendingExistential> exists = CollectExistentials(window);
+      std::vector<PendingTgd> full;
+      std::vector<PendingTgd> existential;
+      CollectTgds(full_tgds_, window, /*level_zero=*/false, full);
+      CollectTgds(existential_tgds_, window, /*level_zero=*/false,
+                  existential);
+      drop_beyond_cap(full);
+      drop_beyond_cap(existential);
 
-      std::vector<PendingTgd> tgds_now;
-      std::vector<PendingExistential> exists_now;
-      for (PendingTgd& p : tgds) {
-        if (p.level <= options_.max_level) {
-          tgds_now.push_back(std::move(p));
-        } else {
-          saw_beyond_cap = true;
-        }
-      }
-      for (PendingExistential& p : exists) {
-        if (p.level <= options_.max_level) {
-          exists_now.push_back(std::move(p));
-        } else {
-          saw_beyond_cap = true;
-        }
-      }
-
-      if (tgds_now.empty() && exists_now.empty()) {
+      if (full.empty() && existential.empty()) {
         // A trip during collection truncates the pending sets; re-check
         // before declaring quiescence.
         if (Interrupted()) return Seal();
@@ -187,10 +372,10 @@ class ChaseEngine {
         return Seal();
       }
 
-      for (const PendingTgd& p : tgds_now) {
-        if (!ApplyTgd(p)) return Seal();
+      for (PendingTgd& p : full) {
+        if (!ApplyFull(p)) return Seal();
       }
-      for (const PendingExistential& p : exists_now) {
+      for (PendingTgd& p : existential) {
         if (!ApplyExistential(p)) return Seal();
       }
       if (!EgdFixpoint()) return Seal();
@@ -208,11 +393,7 @@ class ChaseEngine {
   // (outcome set).
   bool InsertNode(const Atom& atom, int level, RuleId rule,
                   std::vector<uint32_t> parents) {
-    if (governor_ != nullptr && !governor_->Tick()) {
-      result_.outcome_ = ChaseOutcome::kInterrupted;
-      full_recheck_ = true;
-      return false;
-    }
+    if (!Tick()) return false;
     auto [id, inserted] = index().Insert(atom);
     if (!inserted) return true;
     FLOQ_CHECK_EQ(id, result_.meta_.size());
@@ -230,43 +411,61 @@ class ChaseEngine {
     return true;
   }
 
-  bool ApplyTgd(const PendingTgd& p) {
-    if (index().Contains(p.head)) {
+  bool ApplyFull(PendingTgd& p) {
+    if (uint32_t existing = index().IdOf(p.head);
+        existing != kInvalidFactId) {
       // Another application in this batch got there first: by
       // Definition 3(4) this is a cross-arc situation.
-      RecordCrossArcs(p.parents, index().IdOf(p.head), p.id);
+      RecordCrossArcs(p.parents, existing, p.tgd->id);
       return true;
     }
-    return InsertNode(p.head, p.level, p.id, p.parents);
+    return InsertNode(p.head, p.level, p.tgd->id, std::move(p.parents));
   }
 
-  bool ApplyExistential(const PendingExistential& p) {
+  bool ApplyExistential(PendingTgd& p) {
+    const ChaseTgd& tgd = *p.tgd;
     if (options_.restricted_rho5) {
       // Re-check the restriction against the current instance: an earlier
-      // application in this batch may have supplied the data conjunct.
-      if (uint32_t blocker = FindDataFor(p.object, p.attr);
+      // application in this batch may have satisfied the head.
+      if (uint32_t blocker = FindMatch(p.head, tgd.existential);
           blocker != kInvalidFactId) {
-        RecordCrossArcs({p.parent}, blocker, kRho5);
+        RecordCrossArcs(p.parents, blocker, tgd.id);
         return true;
       }
+    } else {
+      fired_.insert(p.head);
     }
-    rho5_fired_.insert({p.object, p.attr});
-    Term fresh = world_.MakeFreshNull();
-    ++result_.stats_.fresh_nulls;
-    return InsertNode(Atom::Data(p.object, p.attr, fresh), p.level, kRho5,
-                      {p.parent});
+    Atom head = p.head;
+    for (Term var : tgd.existential) {
+      Term fresh = world_.MakeFreshNull();
+      ++result_.stats_.fresh_nulls;
+      for (int i = 0; i < head.arity(); ++i) {
+        if (head.arg(i) == var) head.set_arg(i, fresh);
+      }
+    }
+    return InsertNode(head, p.level, tgd.id, std::move(p.parents));
   }
 
-  // Id of some data(object, attr, ·) conjunct, or kInvalidFactId.
-  uint32_t FindDataFor(Term object, Term attr) const {
+  // The conjuncts that may match `pattern` (wildcards as in Matches): the
+  // shortest posting list among its non-wildcard positions.
+  PostingView Candidates(const Atom& pattern,
+                         std::span<const Term> wildcards) const {
     const FactIndex& idx = result_.conjuncts_;
-    const PostingView by_object = idx.WithArgument(pfl::kData, 0, object);
-    const PostingView by_attr = idx.WithArgument(pfl::kData, 1, attr);
-    const PostingView& scan =
-        by_object.size() <= by_attr.size() ? by_object : by_attr;
-    for (uint32_t id : scan) {
-      const Atom& atom = idx.at(id);
-      if (atom.arg(0) == object && atom.arg(1) == attr) return id;
+    PostingView best = idx.WithPredicate(pattern.predicate());
+    for (int i = 0; i < pattern.arity(); ++i) {
+      if (Contains(wildcards, pattern.arg(i))) continue;
+      const PostingView ids =
+          idx.WithArgument(pattern.predicate(), i, pattern.arg(i));
+      if (ids.size() < best.size()) best = ids;
+    }
+    return best;
+  }
+
+  // Id of the first conjunct matching `pattern`, or kInvalidFactId.
+  uint32_t FindMatch(const Atom& pattern,
+                     std::span<const Term> wildcards) const {
+    for (uint32_t id : Candidates(pattern, wildcards)) {
+      if (Matches(pattern, result_.conjuncts_.at(id), wildcards)) return id;
     }
     return kInvalidFactId;
   }
@@ -293,159 +492,154 @@ class ChaseEngine {
 
   DeltaWindow TakeDelta() {
     DeltaWindow window;
-    window.full = full_recheck_ || !options_.use_delta_windows;
+    window.full = full_recheck_;
     if (!window.full) window.atoms = std::move(delta_);
     delta_.clear();
     full_recheck_ = false;
     return window;
   }
 
-  // Finds every applicable TGD instance (body matches, head not yet
-  // present). In delta mode, only instances using at least one conjunct
-  // added since the previous collection are searched — applicability of
-  // TGDs is monotone, so older instances were found earlier.
-  std::vector<PendingTgd> CollectTgds(const DeltaWindow& window,
-                                      bool force_level_zero) {
-    std::vector<PendingTgd> pending;
+  // Appends every applicable instance of `rules` to `pending`: the body
+  // matches and the head is not yet satisfied (a full TGD's head is
+  // absent; under the restricted chase no conjunct matches an existential
+  // TGD's head, under the oblivious one it has not fired for this head).
+  // With a delta window, only instances using at least one conjunct added
+  // since the previous collection are searched — applicability is
+  // monotone, so older instances were found earlier.
+  void CollectTgds(const std::vector<ChaseTgd>& rules,
+                   const DeltaWindow& window, bool level_zero,
+                   std::vector<PendingTgd>& pending) {
     std::unordered_set<Atom, AtomHash> pending_heads;
 
-    auto consider = [&](const SigmaTgd& tgd, const Substitution& match) {
-      Atom head = match.Apply(tgd.rule.head);
+    auto consider = [&](const ChaseTgd& tgd, const Substitution& match) {
+      Atom head = match.Apply(tgd.tgd->head);
       std::vector<uint32_t> parents;
-      parents.reserve(tgd.rule.body.size());
+      parents.reserve(tgd.tgd->body.size());
       int level = 0;
-      for (const Atom& body_atom : tgd.rule.body) {
-        Atom ground = match.Apply(body_atom);
-        uint32_t id = index().IdOf(ground);
+      for (const Atom& body_atom : tgd.tgd->body) {
+        uint32_t id = index().IdOf(match.Apply(body_atom));
         FLOQ_CHECK_NE(id, kInvalidFactId);
         parents.push_back(id);
         level = std::max(level, result_.meta_[id].level);
       }
-      if (index().Contains(head)) {
-        RecordCrossArcs(parents, index().IdOf(head), tgd.id);
-        return;
+      if (tgd.existential.empty()) {
+        if (uint32_t existing = index().IdOf(head);
+            existing != kInvalidFactId) {
+          RecordCrossArcs(parents, existing, tgd.id);
+          return;
+        }
+        if (!pending_heads.insert(head).second) return;
+      } else {
+        if (!pending_heads.insert(head).second) return;
+        if (options_.restricted_rho5) {
+          if (uint32_t blocker = FindMatch(head, tgd.existential);
+              blocker != kInvalidFactId) {
+            RecordCrossArcs(parents, blocker, tgd.id);
+            return;
+          }
+        } else if (fired_.count(head) > 0) {
+          return;  // oblivious: fire once per head instantiation
+        }
       }
-      if (!pending_heads.insert(head).second) return;
-      pending.push_back(PendingTgd{tgd.id, head,
-                                   std::move(parents),
-                                   force_level_zero ? 0 : level + 1});
+      pending.push_back(PendingTgd{&tgd, std::move(head), std::move(parents),
+                                   level_zero ? 0 : level + 1});
     };
 
-    for (const SigmaTgd& tgd : sigma_.tgds) {
+    for (const ChaseTgd& tgd : rules) {
+      const std::vector<Atom>& body = tgd.tgd->body;
+      auto on_match = [&](const Substitution& match) {
+        consider(tgd, match);
+        return true;
+      };
       if (window.full) {
-        MatchConjunction(tgd.rule.body, index(), Substitution(),
-                         [&](const Substitution& match) {
-                           consider(tgd, match);
-                           return true;
-                         },
+        MatchConjunction(body, index(), Substitution(), on_match,
                          /*stats=*/nullptr, match_options_);
         continue;
       }
-      for (size_t pivot = 0; pivot < tgd.rule.body.size(); ++pivot) {
-        std::vector<Atom> rest;
-        for (size_t i = 0; i < tgd.rule.body.size(); ++i) {
-          if (i != pivot) rest.push_back(tgd.rule.body[i]);
-        }
+      // Pin each body atom in turn to a delta conjunct and match the rest.
+      for (size_t pivot = 0; pivot < body.size(); ++pivot) {
+        rest_.assign(body.begin(), body.end());
+        rest_.erase(rest_.begin() + pivot);
         for (const Atom& fact : window.atoms) {
           Substitution subst;
-          if (!TryUnifyAtom(tgd.rule.body[pivot], fact, subst)) continue;
-          MatchConjunction(rest, index(), subst,
-                           [&](const Substitution& match) {
-                             consider(tgd, match);
-                             return true;
-                           },
+          if (!TryUnifyAtom(body[pivot], fact, subst)) continue;
+          MatchConjunction(rest_, index(), subst, on_match,
                            /*stats=*/nullptr, match_options_);
         }
       }
     }
-    return pending;
   }
 
-  // Finds every applicable rho_5 instance: a mandatory(A, O) conjunct with
-  // no data(O, A, ·) conjunct. Blocking is permanent (data conjuncts are
-  // only rewritten, never removed), so delta mode only inspects new
-  // mandatory conjuncts; rebuilds force a full recheck.
-  std::vector<PendingExistential> CollectExistentials(
-      const DeltaWindow& window) {
-    std::vector<PendingExistential> pending;
-    std::set<std::pair<Term, Term>> seen;
+  // ---- EGDs -------------------------------------------------------------
 
-    auto consider = [&](uint32_t id) {
-      const Atom& atom = index().at(id);
-      Term attr = atom.arg(0);
-      Term object = atom.arg(1);
-      if (!seen.insert({object, attr}).second) return;
-      if (options_.restricted_rho5) {
-        uint32_t blocker = FindDataFor(object, attr);
-        if (blocker != kInvalidFactId) {
-          RecordCrossArcs({id}, blocker, kRho5);
-          return;
-        }
-      } else if (rho5_fired_.count({object, attr}) > 0) {
-        return;  // oblivious: fire once per (object, attribute) pair
-      }
-      pending.push_back(PendingExistential{object, attr, id,
-                                           result_.meta_[id].level + 1});
-    };
-
-    if (window.full) {
-      for (uint32_t id : index().WithPredicate(pfl::kMandatory)) consider(id);
-    } else {
-      for (const Atom& atom : window.atoms) {
-        if (atom.predicate() != pfl::kMandatory) continue;
-        uint32_t id = index().IdOf(atom);
-        if (id != kInvalidFactId) consider(id);
-      }
-    }
-    return pending;
-  }
-
-  // ---- EGD (rho_4) ------------------------------------------------------
-
-  // Applies rho_4 to exhaustion (chase step (a) of Definition 2). Instead
-  // of enumerating the quadratic set of homomorphisms of body(rho_4), we
-  // exploit its shape: for each funct(A, O) conjunct, all values of
-  // data(O, A, ·) form one equivalence class.
+  // Applies the EGDs to exhaustion (chase step (a) of Definition 2),
+  // rebuilding the instance after every pass that merged terms.
   bool EgdFixpoint() {
     for (;;) {
       if (Interrupted()) return false;
-      bool merged_any = false;
-      for (uint32_t fid : index().WithPredicate(pfl::kFunct)) {
-        if (governor_ != nullptr && !governor_->Tick()) {
-          result_.outcome_ = ChaseOutcome::kInterrupted;
-          full_recheck_ = true;
+      const uint64_t merges = uf_.merge_count();
+      for (const ChaseEgd& egd : egds_) {
+        if (!(egd.value_pos >= 0 ? MergeKeys(egd) : MergeMatches(egd))) {
           return false;
         }
-        const Atom& funct = index().at(fid);
-        Term attr = funct.arg(0);
-        Term object = funct.arg(1);
-        const PostingView by_object =
-            index().WithArgument(pfl::kData, 0, object);
-        const PostingView by_attr =
-            index().WithArgument(pfl::kData, 1, attr);
-        const PostingView& scan =
-            by_object.size() <= by_attr.size() ? by_object : by_attr;
-        Term first;
-        for (uint32_t id : scan) {
-          const Atom& atom = index().at(id);
-          if (atom.arg(0) != object || atom.arg(1) != attr) continue;
-          if (!first.valid()) {
-            first = atom.arg(2);
-            continue;
-          }
-          uint64_t before = uf_.merge_count();
-          Status status = uf_.Merge(first, atom.arg(2), world_);
-          if (!status.ok()) {
-            result_.outcome_ = ChaseOutcome::kFailed;
-            return false;
-          }
-          merged_any |= uf_.merge_count() != before;
-        }
       }
-      if (!merged_any) return true;
+      if (uf_.merge_count() == merges) return true;
       result_.stats_.egd_merges = uf_.merge_count();
       Rebuild();
     }
+  }
+
+  // A functional-dependency EGD: for each key a guard match fixes, merge
+  // every value R has there into the first one, instead of enumerating
+  // the quadratic set of homomorphisms of the body.
+  bool MergeKeys(const ChaseEgd& egd) {
+    for (const Atom& atom : egd.guard) {
+      if (index().WithPredicate(atom.predicate()).empty()) return true;
+    }
+    const Term value = egd.key.arg(egd.value_pos);
+    std::unordered_set<Atom, AtomHash> keys;
+    bool ok = true;
+    MatchConjunction(
+        egd.guard, index(), Substitution(),
+        [&](const Substitution& match) {
+          if (!Tick()) return ok = false;
+          Atom key = match.Apply(egd.key);
+          key.set_arg(egd.value_pos, value);
+          if (!keys.insert(key).second) return true;
+          Term first;
+          for (uint32_t id : Candidates(key, {&value, 1})) {
+            const Atom& fact = index().at(id);
+            if (!SameKey(key, fact, egd.value_pos)) continue;
+            if (!first.valid()) {
+              first = fact.arg(egd.value_pos);
+            } else if (!Merge(first, fact.arg(egd.value_pos))) {
+              return ok = false;
+            }
+          }
+          return true;
+        },
+        /*stats=*/nullptr, match_options_);
+    return ok && !Interrupted();
+  }
+
+  // Any other EGD: equate left and right under every body match.
+  bool MergeMatches(const ChaseEgd& egd) {
+    bool ok = true;
+    MatchConjunction(
+        egd.egd->body, index(), Substitution(),
+        [&](const Substitution& match) {
+          return ok = Merge(match.Apply(egd.egd->left),
+                            match.Apply(egd.egd->right));
+        },
+        /*stats=*/nullptr, match_options_);
+    return ok && !Interrupted();
+  }
+
+  // Equates two terms; false (kFailed) when both are distinct constants.
+  bool Merge(Term a, Term b) {
+    if (uf_.Merge(a, b, world_).ok()) return true;
+    result_.outcome_ = ChaseOutcome::kFailed;
+    return false;
   }
 
   // Rewrites every conjunct, the head, and the graph metadata through the
@@ -479,11 +673,9 @@ class ChaseEngine {
       arc.to = remap[arc.to];
     }
     for (Term& t : result_.head_) t = uf_.Find(t);
-    std::set<std::pair<Term, Term>> fired;
-    for (const auto& [object, attr] : rho5_fired_) {
-      fired.insert({uf_.Find(object), uf_.Find(attr)});
-    }
-    rho5_fired_ = std::move(fired);
+    std::unordered_set<Atom, AtomHash> fired;
+    for (const Atom& head : fired_) fired.insert(Canonicalize(head));
+    fired_ = std::move(fired);
 
     result_.max_level_ = 0;
     for (const ChaseNodeMeta& meta : result_.meta_) {
@@ -513,74 +705,30 @@ class ChaseEngine {
           .Arg("max_level", int64_t(result_.max_level_))
           .Arg("level_cap", int64_t(options_.max_level));
     }
-    FoldChaseMetrics(before, result_.stats_, result_,
-                     /*generic_driver=*/false);
+    FoldChaseMetrics(before, result_.stats_, result_);
   }
 
   World& world_;
   ChaseOptions options_;
-  SigmaFL sigma_;
+  DependencySet dependencies_;
+  std::vector<ChaseTgd> full_tgds_;
+  std::vector<ChaseTgd> existential_tgds_;
+  std::vector<ChaseEgd> egds_;
   ChaseResult result_;
   TermUnionFind uf_;
   std::vector<Atom> delta_;
+  // Scratch for CollectTgds: a rule body without its pinned atom.
+  std::vector<Atom> rest_;
   // Governor of the current Run/Deepen call (not owned; see SetGovernor).
   ExecGovernor* governor_ = nullptr;
   MatchOptions match_options_;
   bool preliminary_done_ = false;
   bool full_recheck_ = true;
   std::set<std::pair<uint64_t, RuleId>> cross_seen_;
-  // (object, attribute) pairs rho_5 has fired for (oblivious mode).
-  std::set<std::pair<Term, Term>> rho5_fired_;
+  // Heads of existential TGDs that have fired, existential positions
+  // still variables (oblivious mode only).
+  std::unordered_set<Atom, AtomHash> fired_;
 };
-
-void FoldChaseMetrics(const ChaseStats& before, const ChaseStats& after,
-                      const ChaseResult& result, bool generic_driver) {
-  if (!MetricsRegistry::enabled()) return;
-  MetricsRegistry& registry = MetricsRegistry::Get();
-  // All twelve rule counters are registered eagerly (not on first firing)
-  // so a metrics export always carries the full rho_1..rho_12 series,
-  // zeros included.
-  static const std::array<Counter*, 13>& rules = *[] {
-    auto* out = new std::array<Counter*, 13>{};
-    for (int k = 1; k <= 12; ++k) {
-      (*out)[size_t(k)] =
-          &MetricsRegistry::Get().counter(StrCat("chase.rule.rho", k));
-    }
-    return out;
-  }();
-  for (int k = 1; k <= 12; ++k) {
-    uint64_t fired =
-        after.rule_fired[size_t(k)] - before.rule_fired[size_t(k)];
-    if (fired > 0) rules[size_t(k)]->Add(fired);
-  }
-
-  static Counter& runs = registry.counter("chase.runs");
-  static Counter& generic_runs = registry.counter("generic_chase.runs");
-  static Counter& rounds = registry.counter("chase.rounds");
-  static Counter& applications = registry.counter("chase.tgd_applications");
-  static Counter& nulls = registry.counter("chase.fresh_nulls");
-  static Counter& merges = registry.counter("chase.egd_merges");
-  static Counter& rebuilds = registry.counter("chase.rebuilds");
-  (generic_driver ? generic_runs : runs).Add(1);
-  if (after.rounds > before.rounds) rounds.Add(after.rounds - before.rounds);
-  if (after.tgd_applications > before.tgd_applications) {
-    applications.Add(after.tgd_applications - before.tgd_applications);
-  }
-  if (after.fresh_nulls > before.fresh_nulls) {
-    nulls.Add(after.fresh_nulls - before.fresh_nulls);
-  }
-  if (after.egd_merges > before.egd_merges) {
-    merges.Add(after.egd_merges - before.egd_merges);
-  }
-  if (after.rebuilds > before.rebuilds) {
-    rebuilds.Add(after.rebuilds - before.rebuilds);
-  }
-
-  static Histogram& level = registry.histogram("chase.max_level");
-  static Histogram& conjuncts = registry.histogram("chase.conjuncts");
-  level.Record(uint64_t(std::max(result.max_level(), 0)));
-  conjuncts.Record(result.size());
-}
 
 uint32_t ChaseResult::CountUpToLevel(int level) const {
   uint32_t count = 0;
@@ -620,8 +768,24 @@ std::string ChaseResult::DebugString(const World& world) const {
 
 ChaseResult ChaseQuery(World& world, const ConjunctiveQuery& query,
                        const ChaseOptions& options) {
-  ChaseEngine engine(world, options);
-  engine.Run(query);
+  ChaseEngine engine(world, MakeSigmaFLDependencies(world), options);
+  engine.Run(query.body(), query.head());
+  return engine.TakeResult();
+}
+
+ChaseResult ChaseQuery(World& world, const ConjunctiveQuery& query,
+                       const DependencySet& dependencies,
+                       const ChaseOptions& options) {
+  ChaseEngine engine(world, dependencies, options);
+  engine.Run(query.body(), query.head());
+  return engine.TakeResult();
+}
+
+ChaseResult ChaseFacts(World& world, const std::vector<Atom>& facts,
+                       const DependencySet& dependencies,
+                       const ChaseOptions& options) {
+  ChaseEngine engine(world, dependencies, options);
+  engine.Run(facts, {});
   return engine.TakeResult();
 }
 
@@ -629,9 +793,7 @@ ChaseResult ChaseLevelZero(World& world, const ConjunctiveQuery& query,
                            const ChaseOptions& options) {
   ChaseOptions level_zero = options;
   level_zero.max_level = 0;
-  ChaseEngine engine(world, level_zero);
-  engine.Run(query);
-  return engine.TakeResult();
+  return ChaseQuery(world, query, level_zero);
 }
 
 // ---- ResumableChase ---------------------------------------------------------
@@ -650,8 +812,9 @@ const ChaseResult& ResumableChase::EnsureLevel(int level,
     FLOQ_CHECK(!frozen_);
     ChaseOptions run_options = options_;
     run_options.max_level = level;
-    engine_ = std::make_unique<ChaseEngine>(*world_, run_options);
-    engine_->Run(query_, governor);
+    engine_ = std::make_unique<ChaseEngine>(
+        *world_, MakeSigmaFLDependencies(*world_), run_options);
+    engine_->Run(query_.body(), query_.head(), governor);
     started_ = true;
     return engine_->result();
   }

@@ -14,13 +14,23 @@
 #include "term/world.h"
 #include "util/deadline.h"
 
-// The chase of a conjunctive meta-query with respect to Sigma_FL
-// (Definition 2 of the paper), organized as in Section 4: a terminating
-// preliminary phase with Sigma_FL^- = Sigma_FL - {rho_5} whose conjuncts
-// all sit at level 0, followed by the (possibly infinite) cyclic phase in
-// which rho_5 invents fresh nulls and levels grow. The engine materializes
-// the chase breadth-first, level by level, up to a caller-supplied level
-// cap — Theorem 12 shows the cap |q2| * 2|q1| suffices for containment.
+// The chase of a conjunctive meta-query (Definition 2 of the paper): one
+// restricted chase engine that runs any DependencySet — Sigma_FL
+// (sigma_fl.h) or a user set (dependencies.h). It is organized as in
+// Section 4: a terminating preliminary phase saturates the full TGDs
+// (for Sigma_FL, Sigma_FL^- = Sigma_FL - {rho_5}) with every conjunct at
+// level 0, then the (possibly infinite) cyclic phase lets the existential
+// TGDs invent fresh nulls while levels grow. EGDs are applied to
+// exhaustion between rounds. The engine materializes the chase
+// breadth-first, level by level, up to a caller-supplied level cap —
+// Theorem 12 shows the cap |q2| * 2|q1| suffices for Sigma_FL containment.
+//
+// The rules' shapes select the engine's tactics: an EGD shaped like a
+// functional dependency (V = W :- R(x, V), R(x, W), guard; rho_4 is one)
+// merges the values of each key instead of enumerating its quadratic
+// body; a full TGD checks its head with one hash lookup; an existential
+// TGD checks its restriction by probing the shortest posting list of its
+// non-existential head positions.
 //
 // Two entry points exist: the one-shot ChaseQuery below, and ResumableChase,
 // a handle that keeps the engine state (FactIndex, delta frontier, level
@@ -58,24 +68,23 @@ struct ChaseOptions {
   uint64_t max_atoms = 1'000'000;
   /// Record cross-arcs (Definition 3(4)); costs extra bookkeeping.
   bool record_cross_arcs = false;
-  /// Semi-naive delta windows for rule collection (the default). Disabling
-  /// rescans the whole instance every round — kept for the ablation
-  /// benchmark bench_ablation.
-  bool use_delta_windows = true;
   /// The paper's chase is *restricted*: rho_5 fires only when no
-  /// data(O, A, ·) conjunct exists (Definition 2(2)(ii)). Setting this to
-  /// false gives the *oblivious* chase of the later Datalog± literature:
-  /// rho_5 fires exactly once per mandatory(A, O) fact regardless of
-  /// existing values. The oblivious chase is a superset of the restricted
-  /// one and remains sound for containment; it is exposed for study and
-  /// comparison, not used by CheckContainment.
+  /// data(O, A, ·) conjunct exists (Definition 2(2)(ii)), and so does
+  /// every existential TGD of a user set (only when no conjunct satisfies
+  /// its head). Setting this to false gives the *oblivious* chase of the
+  /// later Datalog± literature: an existential TGD fires exactly once per
+  /// instantiation of its non-existential head positions (for rho_5, once
+  /// per mandatory(A, O) fact) regardless of existing values. The
+  /// oblivious chase is a superset of the restricted one and remains
+  /// sound for containment; it is exposed for study and comparison, not
+  /// used by CheckContainment.
   bool restricted_rho5 = true;
   /// Optional resource governor (not owned; must outlive the run). Checked
   /// at round boundaries and ticked per inserted conjunct; a trip stops
   /// the run with ChaseOutcome::kInterrupted. One-shot entry points
-  /// (ChaseQuery, GenericChaseEngine) read it from here; ResumableChase
-  /// instead takes a per-call governor in EnsureLevel so each resume can
-  /// run under its caller's budget.
+  /// (ChaseQuery, ChaseFacts) read it from here; ResumableChase instead
+  /// takes a per-call governor in EnsureLevel so each resume can run under
+  /// its caller's budget.
   ExecGovernor* governor = nullptr;
 };
 
@@ -102,20 +111,10 @@ struct ChaseStats {
   uint64_t egd_merges = 0;
   uint64_t rebuilds = 0;
   /// Applications per Sigma_FL rule, indexed by RuleId (kRho1..kRho12;
-  /// slot 0 is unused — initial conjuncts are not rule firings). The
-  /// generic driver's user TGDs carry synthetic ids >= 1000 and are
-  /// counted in tgd_applications only.
+  /// slot 0 is unused — initial conjuncts are not rule firings). User
+  /// TGDs carry ids >= 1000 and are counted in tgd_applications only.
   std::array<uint64_t, 13> rule_fired{};
 };
-
-class ChaseResult;
-
-/// Folds the difference between two stats snapshots (plus the run's final
-/// shape) into the process-wide MetricsRegistry. No-op when metrics are
-/// disabled. Called by both chase drivers at the end of every run/resume;
-/// exposed so external chase-like drivers can report the same series.
-void FoldChaseMetrics(const ChaseStats& before, const ChaseStats& after,
-                      const ChaseResult& result, bool generic_driver);
 
 /// The materialized (prefix of the) chase, with the chase graph.
 class ChaseResult {
@@ -165,7 +164,6 @@ class ChaseResult {
 
  private:
   friend class ChaseEngine;
-  friend class GenericChaseEngine;
 
   ChaseOutcome outcome_ = ChaseOutcome::kCompleted;
   FactIndex conjuncts_;
@@ -180,6 +178,19 @@ class ChaseResult {
 /// nulls are drawn from it). The body of the query is taken as the initial
 /// database; its variables are treated as values throughout.
 ChaseResult ChaseQuery(World& world, const ConjunctiveQuery& query,
+                       const ChaseOptions& options = {});
+
+/// Chases `query` w.r.t. a dependency set (e.g. a parsed user set). The
+/// conjuncts derived by tgds[i] carry rule id 1000 + i, or the paper's
+/// number for Sigma_FL's rules.
+ChaseResult ChaseQuery(World& world, const ConjunctiveQuery& query,
+                       const DependencySet& dependencies,
+                       const ChaseOptions& options = {});
+
+/// Chases a plain set of atoms (e.g. a ground database) w.r.t. a
+/// dependency set; the result's head is empty.
+ChaseResult ChaseFacts(World& world, const std::vector<Atom>& facts,
+                       const DependencySet& dependencies,
                        const ChaseOptions& options = {});
 
 class ChaseEngine;

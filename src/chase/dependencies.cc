@@ -1,10 +1,10 @@
 #include "chase/dependencies.h"
 
+#include <algorithm>
 #include <cctype>
 #include <map>
 #include <set>
 #include <tuple>
-#include <unordered_set>
 
 #include "query/parser.h"
 #include "term/substitution.h"
@@ -13,17 +13,19 @@
 namespace floq {
 
 std::vector<Term> Tgd::ExistentialVariables() const {
-  std::unordered_set<uint32_t> body_vars;
-  for (const Atom& atom : body) {
-    for (Term t : atom) {
-      if (t.IsVariable()) body_vars.insert(t.raw());
+  auto in_body = [&](Term t) {
+    for (const Atom& atom : body) {
+      for (Term u : atom) {
+        if (u == t) return true;
+      }
     }
-  }
+    return false;
+  };
   std::vector<Term> existential;
-  std::unordered_set<uint32_t> seen;
   for (Term t : head) {
-    if (t.IsVariable() && body_vars.count(t.raw()) == 0 &&
-        seen.insert(t.raw()).second) {
+    if (t.IsVariable() && !in_body(t) &&
+        std::find(existential.begin(), existential.end(), t) ==
+            existential.end()) {
       existential.push_back(t);
     }
   }
@@ -192,26 +194,6 @@ Result<DependencySet> ParseDependencies(World& world, std::string_view text) {
     dependencies.tgds.push_back(std::move(tgd));
   }
   return dependencies;
-}
-
-DependencySet MakeSigmaFLDependencies(World& world) {
-  // Written exactly as Section 2 of the paper lists Sigma_FL.
-  Result<DependencySet> parsed = ParseDependencies(world, R"(
-    member(V, T) :- type(O, A, T), data(O, A, V).
-    sub(C1, C2) :- sub(C1, C3), sub(C3, C2).
-    member(O, C1) :- member(O, C), sub(C, C1).
-    V = W :- data(O, A, V), data(O, A, W), funct(A, O).
-    data(O, A, V) :- mandatory(A, O).
-    type(O, A, T) :- member(O, C), type(C, A, T).
-    type(C, A, T) :- sub(C, C1), type(C1, A, T).
-    type(C, A, T) :- type(C, A, T1), sub(T1, T).
-    mandatory(A, C) :- sub(C, C1), mandatory(A, C1).
-    mandatory(A, O) :- member(O, C), mandatory(A, C).
-    funct(A, C) :- sub(C, C1), funct(A, C1).
-    funct(A, O) :- member(O, C), funct(A, C).
-  )");
-  FLOQ_CHECK(parsed.ok()) << parsed.status().ToString();
-  return std::move(parsed).value();
 }
 
 std::string DependencyPosition::ToString(const World& world) const {

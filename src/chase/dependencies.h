@@ -13,9 +13,10 @@
 // existential) and equality-generating dependencies, over any predicates.
 // This generalizes Sigma_FL in the direction the paper's conclusion calls
 // out ("finding a general class of queries ... for which our proof
-// techniques still apply"): the generic chase (generic_chase.h) runs any
-// such set, and weak acyclicity (Fagin et al.) certifies termination,
-// making the Theorem-4 containment test complete for that class.
+// techniques still apply"): the chase of chase.h runs any such set —
+// Sigma_FL itself is one (sigma_fl.h) — and weak acyclicity (Fagin et
+// al.) certifies termination, making the Theorem-4 containment test
+// complete for that class.
 //
 // Surface syntax (ParseDependencies): one dependency per statement,
 // written rule-style like the paper writes Sigma_FL:
@@ -58,10 +59,6 @@ struct DependencySet {
 /// Parses a dependency program (syntax above). Every EGD's equated sides
 /// must be variables occurring in its body.
 Result<DependencySet> ParseDependencies(World& world, std::string_view text);
-
-/// Sigma_FL expressed as a user dependency set (for cross-checking the
-/// generic chase against the specialized engine).
-DependencySet MakeSigmaFLDependencies(World& world);
 
 /// A node of the Fagin-et-al. dependency graph: a predicate position.
 struct DependencyPosition {

@@ -2,82 +2,54 @@
 
 namespace floq {
 
-SigmaFL MakeSigmaFL(World& world) {
-  SigmaFL sigma;
+DependencySet MakeSigmaFLDependencies(World& world) {
+  Term o = world.MakeVariable("$O");
+  Term a = world.MakeVariable("$A");
+  Term t = world.MakeVariable("$T");
+  Term t1 = world.MakeVariable("$T1");
+  Term v = world.MakeVariable("$V");
+  Term w = world.MakeVariable("$W");
+  Term c = world.MakeVariable("$C");
+  Term c1 = world.MakeVariable("$C1");
+  Term c2 = world.MakeVariable("$C2");
+  Term c3 = world.MakeVariable("$C3");
 
-  // Rule variables must never coincide with variables of chased queries
-  // (chase conjuncts carry query variables as values, and the matcher
-  // binds pattern variables syntactically), so each Sigma_FL instance
-  // draws globally fresh variables.
-  Term o = world.MakeReservedVariable();
-  Term a = world.MakeReservedVariable();
-  Term t = world.MakeReservedVariable();
-  Term t1 = world.MakeReservedVariable();
-  Term v = world.MakeReservedVariable();
-  Term w = world.MakeReservedVariable();
-  Term c = world.MakeReservedVariable();
-  Term c1 = world.MakeReservedVariable();
-  Term c2 = world.MakeReservedVariable();
-  Term c3 = world.MakeReservedVariable();
-
-  // rho_1: member(V,T) :- type(O,A,T), data(O,A,V).
-  sigma.tgds.push_back(
-      {kRho1,
-       Rule{Atom::Member(v, t), {Atom::Type(o, a, t), Atom::Data(o, a, v)}}});
-  // rho_2: sub(C1,C2) :- sub(C1,C3), sub(C3,C2).
-  sigma.tgds.push_back(
-      {kRho2, Rule{Atom::Sub(c1, c2), {Atom::Sub(c1, c3), Atom::Sub(c3, c2)}}});
-  // rho_3: member(O,C1) :- member(O,C), sub(C,C1).
-  sigma.tgds.push_back(
-      {kRho3,
-       Rule{Atom::Member(o, c1), {Atom::Member(o, c), Atom::Sub(c, c1)}}});
-  // rho_6: type(O,A,T) :- member(O,C), type(C,A,T).
-  sigma.tgds.push_back(
-      {kRho6,
-       Rule{Atom::Type(o, a, t), {Atom::Member(o, c), Atom::Type(c, a, t)}}});
-  // rho_7: type(C,A,T) :- sub(C,C1), type(C1,A,T).
-  sigma.tgds.push_back(
-      {kRho7,
-       Rule{Atom::Type(c, a, t), {Atom::Sub(c, c1), Atom::Type(c1, a, t)}}});
-  // rho_8: type(C,A,T) :- type(C,A,T1), sub(T1,T).
-  sigma.tgds.push_back(
-      {kRho8,
-       Rule{Atom::Type(c, a, t), {Atom::Type(c, a, t1), Atom::Sub(t1, t)}}});
-  // rho_9: mandatory(A,C) :- sub(C,C1), mandatory(A,C1).
-  sigma.tgds.push_back(
-      {kRho9,
-       Rule{Atom::Mandatory(a, c), {Atom::Sub(c, c1), Atom::Mandatory(a, c1)}}});
-  // rho_10: mandatory(A,O) :- member(O,C), mandatory(A,C).
-  sigma.tgds.push_back(
-      {kRho10, Rule{Atom::Mandatory(a, o),
-                    {Atom::Member(o, c), Atom::Mandatory(a, c)}}});
-  // rho_11: funct(A,C) :- sub(C,C1), funct(A,C1).
-  sigma.tgds.push_back(
-      {kRho11, Rule{Atom::Funct(a, c), {Atom::Sub(c, c1), Atom::Funct(a, c1)}}});
-  // rho_12: funct(A,O) :- member(O,C), funct(A,C).
-  sigma.tgds.push_back(
-      {kRho12,
-       Rule{Atom::Funct(a, o), {Atom::Member(o, c), Atom::Funct(a, c)}}});
-
-  // rho_4: V = W :- data(O,A,V), data(O,A,W), funct(A,O).
-  sigma.egd.body = {Atom::Data(o, a, v), Atom::Data(o, a, w),
-                    Atom::Funct(a, o)};
-  sigma.egd.v = v;
-  sigma.egd.w = w;
-
-  // rho_5: exists V. data(O,A,V) :- mandatory(A,O).
-  sigma.existential.body = Atom::Mandatory(a, o);
-  sigma.existential.object = o;
-  sigma.existential.attr = a;
-
+  DependencySet sigma;
+  sigma.tgds.reserve(11);
+  auto tgd = [&](const char* name, const Atom& head,
+                 std::vector<Atom> body) {
+    sigma.tgds.push_back(Tgd{head, std::move(body), name});
+  };
+  tgd("rho1", Atom::Member(v, t), {Atom::Type(o, a, t), Atom::Data(o, a, v)});
+  tgd("rho2", Atom::Sub(c1, c2), {Atom::Sub(c1, c3), Atom::Sub(c3, c2)});
+  tgd("rho3", Atom::Member(o, c1), {Atom::Member(o, c), Atom::Sub(c, c1)});
+  sigma.egds.push_back(
+      Egd{{Atom::Data(o, a, v), Atom::Data(o, a, w), Atom::Funct(a, o)},
+          v,
+          w,
+          "rho4"});
+  tgd("rho5", Atom::Data(o, a, v), {Atom::Mandatory(a, o)});
+  tgd("rho6", Atom::Type(o, a, t), {Atom::Member(o, c), Atom::Type(c, a, t)});
+  tgd("rho7", Atom::Type(c, a, t), {Atom::Sub(c, c1), Atom::Type(c1, a, t)});
+  tgd("rho8", Atom::Type(c, a, t), {Atom::Type(c, a, t1), Atom::Sub(t1, t)});
+  tgd("rho9", Atom::Mandatory(a, c),
+      {Atom::Sub(c, c1), Atom::Mandatory(a, c1)});
+  tgd("rho10", Atom::Mandatory(a, o),
+      {Atom::Member(o, c), Atom::Mandatory(a, c)});
+  tgd("rho11", Atom::Funct(a, c), {Atom::Sub(c, c1), Atom::Funct(a, c1)});
+  tgd("rho12", Atom::Funct(a, o), {Atom::Member(o, c), Atom::Funct(a, c)});
   return sigma;
 }
 
 std::vector<Rule> SigmaFLDatalogRules(World& world) {
-  SigmaFL sigma = MakeSigmaFL(world);
+  DependencySet sigma = MakeSigmaFLDependencies(world);
   std::vector<Rule> rules;
   rules.reserve(sigma.tgds.size());
-  for (SigmaTgd& tgd : sigma.tgds) rules.push_back(std::move(tgd.rule));
+  for (Tgd& tgd : sigma.tgds) {
+    if (tgd.ExistentialVariables().empty()) {
+      rules.push_back(Rule{tgd.head, std::move(tgd.body)});
+    }
+  }
   return rules;
 }
 

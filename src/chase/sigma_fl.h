@@ -3,8 +3,8 @@
 
 #include <vector>
 
+#include "chase/dependencies.h"
 #include "datalog/rule.h"
-#include "term/atom.h"
 #include "term/world.h"
 
 // The rule set Sigma_FL of Section 2: the low-level encoding of F-logic
@@ -28,6 +28,7 @@
 namespace floq {
 
 /// Rule identifiers; kRho0 marks initial conjuncts (body of the query).
+/// The chase tags conjuncts derived by a user TGD tgds[i] with 1000 + i.
 enum RuleId : int {
   kRho0 = 0,
   kRho1 = 1,
@@ -44,39 +45,14 @@ enum RuleId : int {
   kRho12 = 12,
 };
 
-/// A Datalog TGD of Sigma_FL tagged with its paper number.
-struct SigmaTgd {
-  RuleId id;
-  Rule rule;
-};
-
-/// The EGD rho_4: if the body matches, the images of `v` and `w` are
-/// equated.
-struct SigmaEgd {
-  std::vector<Atom> body;
-  Term v;
-  Term w;
-};
-
-/// The existential TGD rho_5: if mandatory(A,O) matches and no
-/// data(O,A,·) conjunct exists, add data(O,A,fresh).
-struct SigmaExistential {
-  Atom body;     // mandatory(A, O)
-  Term object;   // O
-  Term attr;     // A
-};
-
-/// The whole of Sigma_FL, instantiated with variables from `world`.
-struct SigmaFL {
-  std::vector<SigmaTgd> tgds;  // rho_1..rho_3, rho_6..rho_12 in rho order
-  SigmaEgd egd;                // rho_4
-  SigmaExistential existential;  // rho_5
-};
-
-/// Builds Sigma_FL. The rule variables are fresh variables of `world`
-/// (they never collide with query variables because matching binds them
-/// through explicit substitutions only).
-SigmaFL MakeSigmaFL(World& world);
+/// Sigma_FL as a dependency set, the one definition every chase, the KB
+/// and the analyses share: `tgds` holds rho_1..rho_3 and rho_5..rho_12 in
+/// rho order, `egds` holds rho_4, and each rule is named "rho<k>" after
+/// its paper number. The rule variables carry fixed reserved names
+/// ("$O", "$A", ...) that no parser produces, so they never collide with
+/// query variables, and building the set again in the same World interns
+/// nothing new.
+DependencySet MakeSigmaFLDependencies(World& world);
 
 /// The Datalog fragment Sigma_FL minus {rho_4, rho_5} as plain rules, for
 /// saturating ground databases with the Datalog engine.

@@ -322,7 +322,7 @@ Result<ContainmentResult> CheckContainmentUnderDependencies(
   TraceSpan span("check.under_dependencies");
   AnnotateWithRequest(span);
   const SteadyClock::time_point chase_start = SteadyClock::now();
-  result.chase = GenericChase(world, q1, dependencies, chase_options);
+  result.chase = ChaseQuery(world, q1, dependencies, chase_options);
   result.chase_ms = MsSince(chase_start);
   FoldGovernorMetrics(chase_governor);
 

@@ -7,7 +7,6 @@
 
 #include "chase/chase.h"
 #include "chase/dependencies.h"
-#include "chase/generic_chase.h"
 #include "containment/governor.h"
 #include "containment/homomorphism.h"
 #include "query/conjunctive_query.h"
@@ -151,8 +150,8 @@ Result<std::optional<size_t>> CheckUcqContainment(
     const ContainmentOptions& options = {});
 
 /// Containment under a *user* dependency set (the paper's future-work
-/// direction, realized through the generic chase): q1 ⊆_Sigma q2 for any
-/// set of TGDs/EGDs.
+/// direction, realized through the same chase engine): q1 ⊆_Sigma q2 for
+/// any set of TGDs/EGDs.
 ///   * If the set is weakly acyclic, the chase terminates and the check is
 ///     sound and complete (Theorem 4 + Fagin et al. universality).
 ///   * Otherwise options.level_override must be set (>= 0); positive

@@ -19,7 +19,7 @@ using PredicateId = uint32_t;
 inline constexpr PredicateId kInvalidPredicate = ~0u;
 
 /// Maximum predicate arity the engine supports. P_FL needs 3; the
-/// headroom is for user predicates of the generic chase (e.g., reified
+/// headroom is for user predicates of dependency sets (e.g., reified
 /// relations with a handful of roles).
 inline constexpr int kMaxArity = 6;
 

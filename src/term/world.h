@@ -54,9 +54,9 @@ class World {
 
   /// Creates a fresh variable whose name ("$R<n>") no floq parser can
   /// produce, so it can never collide with any variable of any
-  /// later-parsed query. Used for the internal variables of Sigma_FL and
-  /// of user dependency sets, whose identity must stay disjoint from all
-  /// chase values.
+  /// later-parsed query. Used for the variables of user dependency sets,
+  /// whose identity must stay disjoint from all chase values (Sigma_FL's
+  /// rules intern fixed "$" names instead; see chase/sigma_fl.h).
   Term MakeReservedVariable() {
     std::string name = "$R" + std::to_string(reserved_variable_count_++);
     return Term::Variable(variables_.Intern(name));

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "chase/chase.h"
 #include "chase/sigma_fl.h"
 #include "chase/term_union_find.h"
@@ -19,25 +22,37 @@ ConjunctiveQuery Q(World& world, const char* text) {
 
 TEST(SigmaFLTest, CatalogShape) {
   World world;
-  SigmaFL sigma = MakeSigmaFL(world);
-  EXPECT_EQ(sigma.tgds.size(), 10u);
-  EXPECT_EQ(sigma.egd.body.size(), 3u);
-  EXPECT_EQ(sigma.existential.body.predicate(), pfl::kMandatory);
-  // Every TGD is range-restricted: head variables occur in the body.
-  for (const SigmaTgd& tgd : sigma.tgds) {
-    for (Term head_term : tgd.rule.head) {
-      bool found = false;
-      for (const Atom& atom : tgd.rule.body) {
-        for (Term t : atom) found |= t == head_term;
-      }
-      EXPECT_TRUE(found) << "rho_" << int(tgd.id);
+  DependencySet sigma = MakeSigmaFLDependencies(world);
+  ASSERT_EQ(sigma.tgds.size(), 11u);
+  ASSERT_EQ(sigma.egds.size(), 1u);
+  EXPECT_EQ(sigma.egds[0].name, "rho4");
+  EXPECT_EQ(sigma.egds[0].body.size(), 3u);
+  // The TGDs are named after their paper numbers, in rho order. Every one
+  // but rho_5 is range-restricted (a full TGD); rho_5 invents the value of
+  // a mandatory attribute.
+  std::vector<std::string> names;
+  for (const Tgd& tgd : sigma.tgds) {
+    names.push_back(tgd.name);
+    const bool existential = !tgd.ExistentialVariables().empty();
+    EXPECT_EQ(existential, tgd.name == "rho5") << tgd.name;
+    if (existential) {
+      EXPECT_EQ(tgd.body[0].predicate(), pfl::kMandatory);
+      EXPECT_EQ(tgd.head.predicate(), pfl::kData);
     }
   }
+  EXPECT_EQ(names, (std::vector<std::string>{"rho1", "rho2", "rho3", "rho5",
+                                             "rho6", "rho7", "rho8", "rho9",
+                                             "rho10", "rho11", "rho12"}));
 }
 
 TEST(SigmaFLTest, DatalogFragmentHasTenRules) {
   World world;
   EXPECT_EQ(SigmaFLDatalogRules(world).size(), 10u);
+  // The rule variables have fixed names: building Sigma_FL again in the
+  // same World interns nothing.
+  const uint32_t variables = world.variable_count();
+  MakeSigmaFLDependencies(world);
+  EXPECT_EQ(world.variable_count(), variables);
 }
 
 // ---- TermUnionFind ---------------------------------------------------------

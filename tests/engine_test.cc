@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "chase/chase.h"
+#include "chase/dependencies.h"
 #include "containment/containment.h"
 #include "gen/generators.h"
 #include "query/parser.h"
@@ -838,6 +839,74 @@ TEST(GovernedEngineTest, SignatureStageDeadlineDegradesToUnknown) {
   EXPECT_EQ(engine.stats().pruned_pairs, 0u);
   EXPECT_EQ(engine.stats().unknown_pairs, 1u);
   EXPECT_EQ(engine.stats().timed_out_pairs, 1u);
+}
+
+// ---- a chase stopped while it seeds q1's body ------------------------------
+
+// With max_chase_atoms = 1 the chase of q1 stops while it inserts q1's two
+// body atoms. The prefix must still carry q1's head, which the hom search
+// seeds from: no abort, and never a definite NOT_CONTAINED.
+constexpr const char* kSeedingQ1 = "q(X) :- member(X, C), sub(C, D).";
+constexpr const char* kSeedingQ2 = "q(X) :- member(X, C).";
+
+TEST(SeedingBudgetTest, CheckContainmentKeepsTheHead) {
+  World world;
+  ContainmentOptions options;
+  options.max_chase_atoms = 1;
+  Result<ContainmentResult> result = CheckContainment(
+      world, Q(world, kSeedingQ1), Q(world, kSeedingQ2), options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->chase.head().size(), 1u);
+  EXPECT_NE(result->resolution, Resolution::kNotContained);
+}
+
+TEST(SeedingBudgetTest, CheckUnderDependenciesKeepsTheHead) {
+  World world;
+  Result<DependencySet> deps = ParseDependencies(
+      world, "member(O, D) :- member(O, C), sub(C, D).");
+  ASSERT_TRUE(deps.ok());
+  ContainmentOptions options;
+  options.max_chase_atoms = 1;
+  Result<ContainmentResult> result = CheckContainmentUnderDependencies(
+      world, Q(world, kSeedingQ1), Q(world, kSeedingQ2), *deps, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->chase.head().size(), 1u);
+  EXPECT_NE(result->resolution, Resolution::kNotContained);
+}
+
+TEST(SeedingBudgetTest, CheckPairsKeepsTheHead) {
+  World world;
+  BatchContainmentOptions options;
+  options.jobs = 1;
+  options.containment.max_chase_atoms = 1;
+  ContainmentEngine engine(world, options);
+  Result<size_t> q1 = engine.AddQuery(Q(world, kSeedingQ1));
+  Result<size_t> q2 = engine.AddQuery(Q(world, kSeedingQ2));
+  ASSERT_TRUE(q1.ok() && q2.ok());
+  std::vector<std::pair<size_t, size_t>> pairs = {{*q1, *q2}, {*q2, *q1}};
+  Result<std::vector<PairVerdict>> verdicts = engine.CheckPairs(pairs);
+  ASSERT_TRUE(verdicts.ok()) << verdicts.status().ToString();
+  EXPECT_NE((*verdicts)[0].resolution, Resolution::kNotContained);
+}
+
+// ---- the World does not grow per chase ---------------------------------------
+
+TEST(WorldGrowthTest, ChasesAndRegistrationsInternOnlyRenamedVariables) {
+  World world;
+  ConjunctiveQuery q =
+      Q(world, "q(X) :- member(X, C), mandatory(A, C), type(C, A, T).");
+  ChaseQuery(world, q);
+  const uint32_t after_first = world.variable_count();
+  for (int i = 0; i < 100; ++i) ChaseQuery(world, q);
+  EXPECT_EQ(world.variable_count(), after_first);
+
+  // A registration renames the query's four variables apart and chases it.
+  ContainmentEngine engine(world);
+  for (int i = 0; i < 100; ++i) {
+    const uint32_t before = world.variable_count();
+    ASSERT_TRUE(engine.AddQuery(q).ok());
+    ASSERT_EQ(world.variable_count(), before + 4) << "registration " << i;
+  }
 }
 
 }  // namespace

@@ -1,16 +1,19 @@
-// Tests for the generic dependency framework: parsing, weak acyclicity,
-// the generic chase, cross-checks against the Sigma_FL-specialized engine,
-// and containment under user dependency sets.
+// Tests for the dependency framework: parsing, weak acyclicity, the chase
+// under user dependency sets, cross-checks of the engine against the
+// test-only reference chase, and containment under user dependency sets.
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <vector>
 
 #include "chase/chase.h"
 #include "chase/dependencies.h"
-#include "chase/generic_chase.h"
+#include "chase/sigma_fl.h"
 #include "containment/containment.h"
 #include "query/parser.h"
+#include "reference_chase.h"
 #include "term/world.h"
 
 namespace floq {
@@ -150,8 +153,8 @@ TEST(WeakAcyclicityTest, SigmaFLWitnessRunsThroughRho5AndRho1) {
   WeakAcyclicityResult result = AnalyzeWeakAcyclicity(sigma, world);
   ASSERT_FALSE(result.weakly_acyclic);
   ASSERT_FALSE(result.witness.empty());
-  // The first witness edge is the special edge of rho_5 (tgd5 in the
-  // user-syntax listing): mandatory feeds the invented value position
+  // The first witness edge is the special edge of rho_5 (named rho5 in
+  // the rendering): mandatory feeds the invented value position
   // data[2]; the cycle then returns to a mandatory position.
   EXPECT_TRUE(result.witness[0].special);
   EXPECT_EQ(result.witness[0].to.ToString(world), "data[2]");
@@ -187,11 +190,11 @@ TEST(WeakAcyclicityTest, JointlyAcyclicSetStillTerminates) {
   ChaseOptions options;
   options.max_level = 50;
   options.max_atoms = 10'000;
-  ChaseResult chase = GenericChase(world, q, *deps, options);
+  ChaseResult chase = ChaseQuery(world, q, *deps, options);
   EXPECT_EQ(chase.outcome(), ChaseOutcome::kCompleted);
 }
 
-// ---- generic chase -----------------------------------------------------------
+// ---- the chase under user dependency sets --------------------------------
 
 TEST(GenericChaseTest, PlainTgdsSaturate) {
   World world;
@@ -199,7 +202,7 @@ TEST(GenericChaseTest, PlainTgdsSaturate) {
       world, "sub(C1, C2) :- sub(C1, C3), sub(C3, C2).");
   ASSERT_TRUE(deps.ok());
   ConjunctiveQuery q = *ParseQuery(world, "q() :- sub(A, B), sub(B, C).");
-  ChaseResult chase = GenericChase(world, q, *deps);
+  ChaseResult chase = ChaseQuery(world, q, *deps);
   EXPECT_EQ(chase.outcome(), ChaseOutcome::kCompleted);
   EXPECT_TRUE(chase.conjuncts().Contains(
       Atom::Sub(world.MakeVariable("A"), world.MakeVariable("C"))));
@@ -212,7 +215,7 @@ TEST(GenericChaseTest, ExistentialInventsOneNullPerInstance) {
   ASSERT_TRUE(deps.ok());
   ConjunctiveQuery q =
       *ParseQuery(world, "q() :- employee(ann), employee(bob).");
-  ChaseResult chase = GenericChaseFacts(world, q.body(), *deps);
+  ChaseResult chase = ChaseFacts(world, q.body(), *deps);
   EXPECT_EQ(chase.outcome(), ChaseOutcome::kCompleted);
   EXPECT_EQ(chase.stats().fresh_nulls, 2u);
   // Restricted: re-running adds nothing (heads satisfied).
@@ -225,7 +228,7 @@ TEST(GenericChaseTest, RestrictedExistentialIsBlockedByWitness) {
   ASSERT_TRUE(deps.ok());
   ConjunctiveQuery q = *ParseQuery(
       world, "q() :- employee(ann), works_in(ann, sales).");
-  ChaseResult chase = GenericChase(world, q, *deps);
+  ChaseResult chase = ChaseQuery(world, q, *deps);
   EXPECT_EQ(chase.outcome(), ChaseOutcome::kCompleted);
   EXPECT_EQ(chase.stats().fresh_nulls, 0u);
 }
@@ -238,13 +241,13 @@ TEST(GenericChaseTest, EgdMergesAndFails) {
 
   ConjunctiveQuery merging = *ParseQuery(
       world, "q(V, W) :- boss(e1, V), boss(e1, W).");
-  ChaseResult chase = GenericChase(world, merging, *deps);
+  ChaseResult chase = ChaseQuery(world, merging, *deps);
   EXPECT_EQ(chase.outcome(), ChaseOutcome::kCompleted);
   EXPECT_EQ(chase.head()[0], chase.head()[1]);
 
   ConjunctiveQuery failing = *ParseQuery(
       world, "q() :- boss(e1, ann), boss(e1, bob).");
-  ChaseResult failed = GenericChase(world, failing, *deps);
+  ChaseResult failed = ChaseQuery(world, failing, *deps);
   EXPECT_EQ(failed.outcome(), ChaseOutcome::kFailed);
 }
 
@@ -258,45 +261,64 @@ TEST(GenericChaseTest, NonTerminatingSetIsLevelCapped) {
   ConjunctiveQuery q = *ParseQuery(world, "q() :- person(adam).");
   ChaseOptions options;
   options.max_level = 9;
-  ChaseResult chase = GenericChase(world, q, *deps, options);
+  ChaseResult chase = ChaseQuery(world, q, *deps, options);
   EXPECT_EQ(chase.outcome(), ChaseOutcome::kLevelCapped);
   EXPECT_GE(chase.stats().fresh_nulls, 4u);
 }
 
-// ---- cross-check against the specialized Sigma_FL engine ---------------------
+// ---- cross-check against the reference chase ------------------------------
 
+// "Generic" is the reference chase of reference_chase.h, which follows
+// Definitions 2-3 literally (full rescans, nested-loop matching, EGDs by
+// enumerating their whole body); "specialized" is the engine, whose
+// tactics the rules' shapes select. Both run Sigma_FL in separate worlds
+// (so fresh nulls align) to level 9 and must agree on failure, on the
+// head, and on the number of conjuncts per level and predicate.
 class GenericVsSpecialized : public ::testing::TestWithParam<const char*> {};
 
+using LevelCounts = std::map<std::pair<int, PredicateId>, int>;
+
+LevelCounts CountsPerLevel(const ChaseResult& chase) {
+  LevelCounts counts;
+  for (uint32_t id = 0; id < chase.size(); ++id) {
+    counts[{chase.LevelOf(id), chase.conjunct(id).predicate()}]++;
+  }
+  return counts;
+}
+
+LevelCounts CountsPerLevel(const reference::ReferenceChaseResult& chase) {
+  LevelCounts counts;
+  for (size_t i = 0; i < chase.atoms.size(); ++i) {
+    counts[{chase.levels[i], chase.atoms[i].predicate()}]++;
+  }
+  return counts;
+}
+
+std::vector<std::string> Names(const World& world,
+                               const std::vector<Term>& terms) {
+  std::vector<std::string> names;
+  names.reserve(terms.size());
+  for (Term t : terms) names.push_back(world.NameOf(t));
+  return names;
+}
+
 TEST_P(GenericVsSpecialized, SameConjunctCountsPerPredicate) {
-  // Run both engines in separate worlds (so fresh nulls align) and compare
-  // the per-predicate conjunct counts of the level-capped chases.
-  World world_s, world_g;
-  ConjunctiveQuery qs = *ParseQuery(world_s, GetParam());
-  ConjunctiveQuery qg = *ParseQuery(world_g, GetParam());
+  World world_e, world_r;
+  ConjunctiveQuery qe = *ParseQuery(world_e, GetParam());
+  ConjunctiveQuery qr = *ParseQuery(world_r, GetParam());
 
   ChaseOptions options;
   options.max_level = 9;
-  ChaseResult specialized = ChaseQuery(world_s, qs, options);
-  DependencySet sigma = MakeSigmaFLDependencies(world_g);
-  ChaseResult generic = GenericChase(world_g, qg, sigma, options);
+  ChaseResult engine = ChaseQuery(world_e, qe, options);
+  reference::ReferenceChaseResult ref = reference::RunReferenceChase(
+      world_r, qr.body(), qr.head(), MakeSigmaFLDependencies(world_r),
+      options.max_level);
 
-  ASSERT_EQ(specialized.failed(), generic.failed());
-  if (specialized.failed()) return;
-
-  // The specialized engine puts all of chase_{Sigma^-} at level 0 while
-  // the generic one counts from the initial conjuncts, so levels differ;
-  // the saturated *sets* must agree when both completed.
-  if (specialized.outcome() == ChaseOutcome::kCompleted &&
-      generic.outcome() == ChaseOutcome::kCompleted) {
-    std::map<PredicateId, size_t> counts_s, counts_g;
-    for (uint32_t id = 0; id < specialized.size(); ++id) {
-      counts_s[specialized.conjunct(id).predicate()]++;
-    }
-    for (uint32_t id = 0; id < generic.size(); ++id) {
-      counts_g[generic.conjunct(id).predicate()]++;
-    }
-    EXPECT_EQ(counts_s, counts_g) << GetParam();
-  }
+  ASSERT_FALSE(ref.truncated);
+  ASSERT_EQ(engine.failed(), ref.failed) << GetParam();
+  if (ref.failed) return;
+  EXPECT_EQ(CountsPerLevel(engine), CountsPerLevel(ref)) << GetParam();
+  EXPECT_EQ(Names(world_e, engine.head()), Names(world_r, ref.head));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -308,6 +330,34 @@ INSTANTIATE_TEST_SUITE_P(
         "q() :- mandatory(A, O), type(O, A, T).",
         "q() :- data(O, A, one), data(O, A, two), funct(A, O).",
         "q() :- sub(C, D), mandatory(A, D), funct(B, D), member(O, C)."));
+
+TEST(ReferenceChaseTest, UserSetAgreesWithEngine) {
+  // A user set with an unguarded key EGD, a full TGD and an existential
+  // cycle: the engine and the reference chase agree level by level.
+  const char* text = R"(
+    parent_of(X, P) :- person(X).
+    person(P) :- parent_of(X, P).
+    human(X) :- person(X).
+    Y = Z :- parent_of(X, Y), parent_of(X, Z).
+  )";
+  const char* query = "q(A) :- person(A), parent_of(A, B), parent_of(A, C).";
+  World world_e, world_r;
+  ConjunctiveQuery qe = *ParseQuery(world_e, query);
+  ConjunctiveQuery qr = *ParseQuery(world_r, query);
+  Result<DependencySet> de = ParseDependencies(world_e, text);
+  Result<DependencySet> dr = ParseDependencies(world_r, text);
+  ASSERT_TRUE(de.ok() && dr.ok());
+  ChaseOptions options;
+  options.max_level = 7;
+  ChaseResult engine = ChaseQuery(world_e, qe, *de, options);
+  reference::ReferenceChaseResult ref = reference::RunReferenceChase(
+      world_r, qr.body(), qr.head(), *dr, options.max_level);
+  ASSERT_FALSE(ref.failed);
+  ASSERT_FALSE(engine.failed());
+  EXPECT_EQ(CountsPerLevel(engine), CountsPerLevel(ref));
+  EXPECT_EQ(Names(world_e, engine.head()), Names(world_r, ref.head));
+  EXPECT_EQ(engine.stats().egd_merges, 1u);
+}
 
 // ---- containment under user dependencies ---------------------------------------
 
@@ -424,7 +474,7 @@ TEST(GenericChaseTest, DebugStringNamesGenericRules) {
       ParseDependencies(world, "person(X) :- employee(X).");
   ASSERT_TRUE(deps.ok());
   ConjunctiveQuery q = *ParseQuery(world, "q() :- employee(ann).");
-  ChaseResult chase = GenericChase(world, q, *deps);
+  ChaseResult chase = ChaseQuery(world, q, *deps);
   EXPECT_NE(chase.DebugString(world).find("rho_1000"), std::string::npos);
 }
 
@@ -438,8 +488,25 @@ TEST(GenericChaseTest, BudgetExceededReported) {
   ConjunctiveQuery q = *ParseQuery(world, "q() :- person(adam).");
   ChaseOptions options;
   options.max_atoms = 10;
-  ChaseResult chase = GenericChase(world, q, *deps, options);
+  ChaseResult chase = ChaseQuery(world, q, *deps, options);
   EXPECT_EQ(chase.outcome(), ChaseOutcome::kBudgetExceeded);
+}
+
+TEST(GenericChaseTest, EveryExistentialVariableCountsANull) {
+  // Two distinct existential variables: two nulls, both counted. Checked
+  // through containment under the set, whose result carries the chase.
+  World world;
+  Result<DependencySet> deps =
+      ParseDependencies(world, "pair(X, Y, Z) :- thing(X).");
+  ASSERT_TRUE(deps.ok());
+  ConjunctiveQuery q1 = *ParseQuery(world, "q() :- thing(a).");
+  ConjunctiveQuery q2 = *ParseQuery(world, "q() :- pair(a, Y, Z).");
+  Result<ContainmentResult> result =
+      CheckContainmentUnderDependencies(world, q1, q2, *deps);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->contained);
+  EXPECT_EQ(world.null_count(), 2u);
+  EXPECT_EQ(result->chase.stats().fresh_nulls, 2u);
 }
 
 TEST(GenericChaseTest, RepeatedExistentialVariableSharesOneNull) {
@@ -449,7 +516,7 @@ TEST(GenericChaseTest, RepeatedExistentialVariableSharesOneNull) {
       ParseDependencies(world, "pair(X, Y, Y) :- thing(X).");
   ASSERT_TRUE(deps.ok());
   ConjunctiveQuery q = *ParseQuery(world, "q() :- thing(a).");
-  ChaseResult chase = GenericChase(world, q, *deps);
+  ChaseResult chase = ChaseQuery(world, q, *deps);
   ASSERT_EQ(chase.outcome(), ChaseOutcome::kCompleted);
   bool found = false;
   for (uint32_t id = 0; id < chase.size(); ++id) {

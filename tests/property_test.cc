@@ -159,14 +159,15 @@ TEST_P(ChaseModelProperty, CompletedChaseIsAModelOfSigma) {
                                             .max_atoms = 200'000});
   if (chase.outcome() != ChaseOutcome::kCompleted) return;
 
-  // Every Datalog TGD instance must have its head present.
-  SigmaFL sigma = MakeSigmaFL(world);
-  for (const SigmaTgd& tgd : sigma.tgds) {
-    MatchConjunction(tgd.rule.body, chase.conjuncts(), Substitution(),
+  // Every instance of a full TGD must have its head present.
+  DependencySet sigma = MakeSigmaFLDependencies(world);
+  for (const Tgd& tgd : sigma.tgds) {
+    if (!tgd.ExistentialVariables().empty()) continue;
+    MatchConjunction(tgd.body, chase.conjuncts(), Substitution(),
                      [&](const Substitution& match) {
                        EXPECT_TRUE(chase.conjuncts().Contains(
-                           match.Apply(tgd.rule.head)))
-                           << "rho_" << int(tgd.id) << " unsatisfied in "
+                           match.Apply(tgd.head)))
+                           << tgd.name << " unsatisfied in "
                            << q.ToString(world);
                        return true;
                      });
@@ -561,10 +562,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, UcqProperty,
 }  // namespace
 }  // namespace floq
 
-// Appended suite: the generic dependency path agrees with the paper's
-// specialized checker when fed Sigma_FL itself.
+// Appended suite: the test-only reference chase of Sigma_FL
+// (reference_chase.h), cut at the paper's level bound, decides every pair
+// as the paper checker does.
 
 #include "chase/dependencies.h"
+#include "reference_chase.h"
 
 namespace floq {
 namespace {
@@ -580,17 +583,23 @@ TEST_P(GenericAgreementProperty, GenericSigmaFLMatchesPaperChecker) {
   if (q1.arity() != q2.arity()) return;
 
   Result<ContainmentResult> paper = CheckContainment(world, q1, q2);
-  if (!paper.ok()) return;
+  ASSERT_TRUE(paper.ok()) << paper.status().ToString();
+  ASSERT_NE(paper->resolution, Resolution::kUnknown);
 
-  DependencySet sigma = MakeSigmaFLDependencies(world);
-  ContainmentOptions options;
-  options.level_override = q2.size() * 2 * q1.size();
-  Result<ContainmentResult> generic =
-      CheckContainmentUnderDependencies(world, q1, q2, sigma, options);
-  if (!generic.ok()) return;
-  EXPECT_EQ(paper->contained, generic->contained)
+  reference::ReferenceChaseResult chase = reference::RunReferenceChase(
+      world, q1.body(), q1.head(), MakeSigmaFLDependencies(world),
+      PaperLevelBound(q1, q2));
+  ASSERT_FALSE(chase.truncated);
+  EXPECT_EQ(chase.failed, paper->q1_unsatisfiable)
       << q1.ToString(world) << " vs " << q2.ToString(world);
-  EXPECT_EQ(paper->q1_unsatisfiable, generic->q1_unsatisfiable);
+  if (chase.failed) return;
+  FactIndex conjuncts;
+  for (const Atom& atom : chase.atoms) conjuncts.Insert(atom);
+  const bool contained =
+      FindQueryHomomorphism(q2.RenameApart(world), conjuncts, chase.head)
+          .has_value();
+  EXPECT_EQ(contained, paper->contained)
+      << q1.ToString(world) << " vs " << q2.ToString(world);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GenericAgreementProperty,
