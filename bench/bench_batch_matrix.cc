@@ -1,7 +1,7 @@
 // Experiment E10 — the batch-containment engine. An n-query containment
 // matrix asks n(n-1) questions over the same n queries; the engine chases
 // each query once (memoized, resumable) and fans the homomorphism
-// searches out over a thread pool. This benchmark times the same
+// searches out over `jobs` workers. This benchmark times the same
 // 16-query matrices three ways and emits the wall times plus the
 // chase-cache statistics as JSON, so the speedups and the
 // chases-per-query invariant are machine-checkable:
@@ -33,7 +33,7 @@
 #include "gen/generators.h"
 #include "term/world.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
+#include "util/parallel_for.h"
 
 namespace {
 
@@ -206,7 +206,7 @@ void PrintReport() {
   std::printf("{\n");
   std::printf("  \"experiment\": \"batch_matrix\",\n");
   std::printf("  \"hardware_concurrency\": %zu,\n",
-              ThreadPool::DefaultThreads());
+              DefaultThreads());
   PrintWorkloadReport("chase_heavy", Workload::kChaseHeavy);
   std::printf(",\n");
   PrintWorkloadReport("search_heavy", Workload::kSearchHeavy);

@@ -1,14 +1,13 @@
 #include "containment/engine.h"
 
-#include <algorithm>
 #include <chrono>
 #include <optional>
 
 #include "containment/homomorphism.h"
 #include "util/metrics.h"
+#include "util/parallel_for.h"
 #include "util/request_context.h"
 #include "util/strings.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace floq {
@@ -146,15 +145,56 @@ class StageTimer {
   SteadyClock::time_point start_ = SteadyClock::now();
 };
 
+// A pair stage 0 did not discharge, with the scratch its chase and hom
+// stages fill and the BatchStats fold reads. Only survivors carry it, so a
+// pruned pair costs its verdict cell and nothing else.
+struct Survivor {
+  Survivor(size_t lhs_in, size_t rhs_in, PairVerdict* verdict_in)
+      : lhs(lhs_in), rhs(rhs_in), verdict(verdict_in) {}
+
+  size_t lhs;
+  size_t rhs;
+  PairVerdict* verdict;
+  // Why this pair's chase prefix cannot refute containment (kNone when it
+  // can): consumed by the hom stage to settle negatives.
+  TripReason chase_trip = TripReason::kNone;
+  bool needs_search = false;
+  // Wall-clock stage costs: chase_ms covers the EnsureLevel call (near
+  // zero on a cache hit that needs no deepening), hom_ms the search,
+  // queue_wait_ms the delay before a worker picked the pair up. Zero for
+  // stages the pair never reached.
+  double chase_ms = 0.0;
+  double hom_ms = 0.0;
+  double queue_wait_ms = 0.0;
+  MatchStats hom_stats;
+};
+
 }  // namespace
 
 void ContainmentEngine::Cancel() { cancel_source_.Cancel(); }
 
 void ContainmentEngine::ResetCancel() { cancel_source_.Reset(); }
 
-template <class OutFn>
-Status ContainmentEngine::CheckPairsCore(
-    std::span<const std::pair<size_t, size_t>> pairs, OutFn&& out) {
+Status ContainmentEngine::ValidatePair(size_t lhs, size_t rhs) const {
+  if (lhs >= entries_.size() || rhs >= entries_.size()) {
+    return InvalidArgumentError("pair refers to an unregistered query id");
+  }
+  if (entries_[lhs] == nullptr || entries_[rhs] == nullptr) {
+    return InvalidArgumentError("pair refers to a removed query id");
+  }
+  const int lhs_arity = entries_[lhs]->query.arity();
+  const int rhs_arity = entries_[rhs]->query.arity();
+  if (lhs_arity != rhs_arity) {
+    return InvalidArgumentError(
+        StrCat("containment requires equal arities; got ", lhs_arity,
+               " and ", rhs_arity));
+  }
+  return Status::Ok();
+}
+
+template <class ForEachPair>
+void ContainmentEngine::CheckPairsCore(size_t pair_count,
+                                       ForEachPair&& for_each_pair) {
   const ContainmentOptions& copts = options_.containment;
   const ResourceBudget& budget = copts.budget;
   // Snapshot the token once: worker threads copy it concurrently below,
@@ -162,88 +202,64 @@ Status ContainmentEngine::CheckPairsCore(
   // batches.
   const CancellationToken engine_token = cancel_source_.token();
 
-  // Validate against dense per-query arities: chasing pointers through
-  // entries_ for every one of n(n-1) pairs costs more than the whole
-  // signature stage.
-  const size_t num_queries = entries_.size();
-  std::vector<int> arities(num_queries, -1);  // -1: removed
-  for (size_t i = 0; i < num_queries; ++i) {
-    if (entries_[i] != nullptr) arities[i] = entries_[i]->query.arity();
-  }
-  for (const auto& [lhs, rhs] : pairs) {
-    if (lhs >= num_queries || rhs >= num_queries) {
-      return InvalidArgumentError("pair refers to an unregistered query id");
-    }
-    if (arities[lhs] < 0 || arities[rhs] < 0) {
-      return InvalidArgumentError("pair refers to a removed query id");
-    }
-    if (arities[lhs] != arities[rhs]) {
-      return InvalidArgumentError(
-          StrCat("containment requires equal arities; got ",
-                 arities[lhs], " and ", arities[rhs]));
-    }
-  }
-
   TraceSpan batch_span("engine.check_pairs");
   AnnotateWithRequest(batch_span);
   if (batch_span.active()) {
-    batch_span.Arg("pairs", int64_t(pairs.size()));
+    batch_span.Arg("pairs", int64_t(pair_count));
   }
   // Snapshot for the per-batch metrics fold at the end (stats_ is
   // cumulative across batches).
   const BatchStats stats_before = stats_;
 
-  std::vector<uint8_t> needs_search(pairs.size(), 0);
-  std::vector<uint8_t> pruned(pairs.size(), 0);
-  // Why this pair's chase prefix cannot refute containment (kNone when it
-  // can): consumed by the hom phase to settle negatives.
-  std::vector<TripReason> chase_trips(pairs.size(), TripReason::kNone);
-
   // ---- stage 0: signature prefilter --------------------------------------
   //
   // A failed subset test (signature.h) is a sound definite kNotContained:
-  // the pair skips both expensive stages entirely. One governor covers the
-  // whole stage — each test is a few word ops, so per-pair re-anchoring
-  // would cost more than the work it guards. Once the governor trips,
-  // pruning STOPS and every remaining pair falls through to the governed
-  // chase/hom stages, which degrade it to kUnknown: a tripped stage-0
-  // deadline must never manufacture a definite verdict.
-  if (copts.use_signature_index && !pairs.empty()) {
+  // the pair skips both expensive stages entirely. Every other pair joins
+  // `survivors`, the only list the later stages and the stats fold walk.
+  // One governor covers the whole stage — each test is a few word ops, so
+  // per-pair re-anchoring would cost more than the work it guards. Once
+  // the governor trips, pruning STOPS and every remaining pair falls
+  // through to the governed chase/hom stages, which degrade it to
+  // kUnknown: a tripped stage-0 deadline must never manufacture a definite
+  // verdict.
+  std::vector<Survivor> survivors;
+  if (copts.use_signature_index && pair_count > 0) {
     TraceSpan sig_span("engine.signature_stage");
     AnnotateWithRequest(sig_span);
     const SteadyClock::time_point sig_start = SteadyClock::now();
-    uint64_t pruned_here = 0;
     ExecGovernor sig_governor = MakeChaseGovernor(budget);
     sig_governor.AddCancellation(engine_token);
-    // Dense signature pointers: one pointer chase per query instead of
-    // two per pair.
-    std::vector<const ClosureSignature*> sigs(num_queries, nullptr);
-    for (size_t i = 0; i < num_queries; ++i) {
-      if (entries_[i] != nullptr && entries_[i]->signature.has_value()) {
-        sigs[i] = &*entries_[i]->signature;
-      }
-    }
-    for (size_t k = 0; k < pairs.size(); ++k) {
+    size_t k = 0;
+    bool tripped = false;
+    for_each_pair([&](size_t lhs, size_t rhs, PairVerdict& verdict) {
       // A subset test is a few word ops; polling the governor every pair
       // would double the stage's cost. A 64-pair stride still bounds the
-      // deadline overshoot to a couple of microseconds — and k == 0 is
-      // polled, so an already-tripped budget prunes nothing.
-      if ((k & 63) == 0 && !sig_governor.CheckNow()) break;
-      const ClosureSignature* l = sigs[pairs[k].first];
-      const ClosureSignature* r = sigs[pairs[k].second];
-      if (l == nullptr || r == nullptr) continue;
-      if (MayContain(*l, r->base)) continue;
-      pruned[k] = 1;
-      out(k).pruned = true;
-      ++pruned_here;
-    }
+      // deadline overshoot to a couple of microseconds — and the first
+      // pair is polled, so an already-tripped budget prunes nothing.
+      if (!tripped && (k++ & 63) == 0) tripped = !sig_governor.CheckNow();
+      if (!tripped) {
+        const std::optional<ClosureSignature>& l = entries_[lhs]->signature;
+        const std::optional<ClosureSignature>& r = entries_[rhs]->signature;
+        if (l.has_value() && r.has_value() && !MayContain(*l, r->base)) {
+          verdict.pruned = true;
+          return;
+        }
+      }
+      survivors.emplace_back(lhs, rhs, &verdict);
+    });
+    const uint64_t pruned_here = pair_count - survivors.size();
     FoldGovernorMetrics(sig_governor);
     stats_.pruned_pairs += pruned_here;
     stats_.signature_us += MsSince(sig_start) * 1000.0;
     if (sig_span.active()) {
-      sig_span.Arg("pairs", int64_t(pairs.size()))
+      sig_span.Arg("pairs", int64_t(pair_count))
           .Arg("pruned", int64_t(pruned_here));
     }
+  } else {
+    survivors.reserve(pair_count);
+    for_each_pair([&](size_t lhs, size_t rhs, PairVerdict& verdict) {
+      survivors.emplace_back(lhs, rhs, &verdict);
+    });
   }
 
   // ---- sequential phase: build / deepen the shared targets ---------------
@@ -255,18 +271,16 @@ Status ContainmentEngine::CheckPairsCore(
   // and the next pair starts with a full budget again.
   ChaseOptions chase_options;
   chase_options.max_atoms = copts.max_chase_atoms;
-  for (size_t k = 0; k < pairs.size(); ++k) {
-    if (pruned[k] != 0) continue;  // discharged in stage 0
-    const auto& [lhs, rhs] = pairs[k];
-    Entry& l = *entries_[lhs];
-    PairVerdict& verdict = out(k);
+  for (Survivor& s : survivors) {
+    Entry& l = *entries_[s.lhs];
+    PairVerdict& verdict = *s.verdict;
     ++stats_.chase_requests;
     TraceSpan span("engine.chase_stage");
     AnnotateWithRequest(span);
     if (span.active()) {
-      span.Arg("lhs", int64_t(lhs)).Arg("rhs", int64_t(rhs));
+      span.Arg("lhs", int64_t(s.lhs)).Arg("rhs", int64_t(s.rhs));
     }
-    StageTimer timer(&verdict.chase_ms);
+    StageTimer timer(&s.chase_ms);
 
     if (copts.depth == ChaseDepth::kNone) {
       verdict.level_bound = -1;
@@ -277,7 +291,7 @@ Status ContainmentEngine::CheckPairsCore(
       } else {
         ++stats_.chase_cache_hits;
       }
-      needs_search[k] = 1;
+      s.needs_search = true;
       continue;
     }
 
@@ -295,7 +309,7 @@ Status ContainmentEngine::CheckPairsCore(
     if (copts.depth == ChaseDepth::kPaperBound) {
       level = copts.level_override >= 0
                   ? copts.level_override
-                  : PaperLevelBound(l.query, entries_[rhs]->query);
+                  : PaperLevelBound(l.query, entries_[s.rhs]->query);
     }
     verdict.level_bound = level;
 
@@ -321,31 +335,34 @@ Status ContainmentEngine::CheckPairsCore(
       verdict.lhs_unsatisfiable = true;
       continue;
     }
-    chase_trips[k] = ChaseTripReason(chase.outcome(), chase_governor);
-    if (chase_trips[k] == TripReason::kCancelled) {
+    s.chase_trip = ChaseTripReason(chase.outcome(), chase_governor);
+    if (s.chase_trip == TripReason::kCancelled) {
       MarkPairUnknown(verdict, TripReason::kCancelled);
       continue;
     }
     // A truncated prefix (atom budget, or this pair's chase deadline) is
     // still worth searching: a homomorphism into it is a sound positive,
     // and the hom stage anchors its own fresh timeout slice.
-    needs_search[k] = 1;
+    s.needs_search = true;
   }
 
-  // Freeze every handle: from here on the chase artifacts are immutable
-  // and may be shared across threads (asserted by ResumableChase).
-  for (const std::unique_ptr<Entry>& entry : entries_) {
-    if (entry != nullptr && entry->chase.has_value()) entry->chase->Freeze();
+  // Freeze the handles the workers read — the survivors' left-hand sides:
+  // from here on those chase artifacts are immutable and may be shared
+  // across threads (asserted by ResumableChase).
+  for (const Survivor& s : survivors) {
+    Entry& l = *entries_[s.lhs];
+    if (l.chase.has_value()) l.chase->Freeze();
   }
 
   // ---- parallel phase: stateless homomorphism searches -------------------
   //
   // Workers read frozen chase results directly (never EnsureLevel — an
   // interrupted frozen handle must not resume here) and run under a
-  // per-pair hom governor with its own anchored timeout.
+  // per-pair hom governor with its own anchored timeout. Each writes only
+  // its own survivor and verdict cell.
   const SteadyClock::time_point fanout_start = SteadyClock::now();
-  auto run_pair_inner = [&](size_t k) {
-    PairVerdict& verdict = out(k);
+  auto search = [&](Survivor& s) {
+    PairVerdict& verdict = *s.verdict;
     ExecGovernor hom_governor = MakeHomGovernor(budget);
     hom_governor.AddCancellation(engine_token);
     if (!hom_governor.CheckNow()) {
@@ -353,14 +370,13 @@ Status ContainmentEngine::CheckPairsCore(
       MarkPairUnknown(verdict,
                       hom_governor.trip() == TripReason::kCancelled
                           ? TripReason::kCancelled
-                          : chase_trips[k] != TripReason::kNone
-                                ? chase_trips[k]
+                          : s.chase_trip != TripReason::kNone
+                                ? s.chase_trip
                                 : hom_governor.trip());
       return;
     }
-    const auto& [lhs, rhs] = pairs[k];
-    const Entry& l = *entries_[lhs];
-    const Entry& r = *entries_[rhs];
+    const Entry& l = *entries_[s.lhs];
+    const Entry& r = *entries_[s.rhs];
     const FactIndex& target = copts.depth == ChaseDepth::kNone
                                   ? *l.body_index
                                   : l.chase->result().conjuncts();
@@ -370,7 +386,7 @@ Status ContainmentEngine::CheckPairsCore(
     MatchOptions match = copts.match;
     match.governor = &hom_governor;
     bool found = FindQueryHomomorphism(r.renamed, target, target_head,
-                                       &verdict.hom_stats, match)
+                                       &s.hom_stats, match)
                      .has_value();
     FoldGovernorMetrics(hom_governor);
     if (found) {
@@ -378,8 +394,8 @@ Status ContainmentEngine::CheckPairsCore(
       MarkPairContained(verdict);
       return;
     }
-    if (chase_trips[k] != TripReason::kNone) {
-      MarkPairUnknown(verdict, chase_trips[k]);
+    if (s.chase_trip != TripReason::kNone) {
+      MarkPairUnknown(verdict, s.chase_trip);
     } else if (hom_governor.tripped()) {
       MarkPairUnknown(verdict, hom_governor.trip());
     } else {
@@ -387,57 +403,48 @@ Status ContainmentEngine::CheckPairsCore(
       verdict.resolution = Resolution::kNotContained;
     }
   };
-  auto run_pair = [&](size_t k) {
-    if (needs_search[k] == 0) return;
-    PairVerdict& verdict = out(k);
-    verdict.queue_wait_ms = MsSince(fanout_start);
+  auto run_pair = [&](size_t index) {
+    Survivor& s = survivors[index];
+    if (!s.needs_search) return;
+    s.queue_wait_ms = MsSince(fanout_start);
     TraceSpan span("engine.hom_stage");
     AnnotateWithRequest(span);
     {
-      StageTimer timer(&verdict.hom_ms);
-      run_pair_inner(k);
+      StageTimer timer(&s.hom_ms);
+      search(s);
     }
     if (span.active()) {
-      const auto& [lhs, rhs] = pairs[k];
-      span.Arg("lhs", int64_t(lhs))
-          .Arg("rhs", int64_t(rhs))
+      const PairVerdict& verdict = *s.verdict;
+      span.Arg("lhs", int64_t(s.lhs))
+          .Arg("rhs", int64_t(s.rhs))
           .Arg("resolution", ResolutionName(verdict.resolution));
       if (verdict.resolution == Resolution::kUnknown) {
         span.Arg("trip", TripReasonName(verdict.unknown_reason));
       }
     }
   };
-
-  size_t jobs = options_.jobs == 0 ? ThreadPool::DefaultThreads()
-                                   : size_t(options_.jobs);
-  jobs = std::min(jobs, pairs.size());
-  if (jobs <= 1) {
-    for (size_t k = 0; k < pairs.size(); ++k) run_pair(k);
-  } else {
-    ThreadPool pool(jobs);
-    ParallelFor(pool, pairs.size(), run_pair);
-  }
+  ParallelFor(options_.jobs == 0 ? DefaultThreads() : size_t(options_.jobs),
+              survivors.size(), run_pair);
 
   // The fan-out has joined; a later CheckPairs call on this engine may
   // legally deepen the handles again.
-  for (const std::unique_ptr<Entry>& entry : entries_) {
-    if (entry != nullptr && entry->chase.has_value()) entry->chase->Thaw();
+  for (const Survivor& s : survivors) {
+    Entry& l = *entries_[s.lhs];
+    if (l.chase.has_value()) l.chase->Thaw();
   }
 
-  stats_.pairs_checked += pairs.size();
+  stats_.pairs_checked += pair_count;
   const bool metrics = MetricsRegistry::enabled();
-  for (size_t k = 0; k < pairs.size(); ++k) {
-    // Pruned pairs ran neither stage: nothing to record, and folding
-    // their zero times in would deflate every mean — skip on the dense
-    // flag so the pruned fast path never touches the verdict memory.
-    if (pruned[k] != 0) continue;
-    const PairVerdict& verdict = out(k);
+  // Pruned pairs ran neither stage and are not in `survivors`: nothing to
+  // record, and folding their zero times in would deflate every mean.
+  for (const Survivor& s : survivors) {
+    const PairVerdict& verdict = *s.verdict;
     if (verdict.resolution == Resolution::kUnknown) {
       // Degraded pairs: their search was cut off mid-flight, so their
       // effort and stage times stay out of the throughput aggregates
       // (hom / chase_stage / hom_stage / queue_wait) and land in their
       // own bucket instead.
-      stats_.hom_degraded.Accumulate(verdict.hom_stats);
+      stats_.hom_degraded.Accumulate(s.hom_stats);
       ++stats_.unknown_pairs;
       if (verdict.unknown_reason == TripReason::kDeadlineExceeded) {
         ++stats_.timed_out_pairs;
@@ -446,13 +453,13 @@ Status ContainmentEngine::CheckPairsCore(
       }
       continue;
     }
-    stats_.hom.Accumulate(verdict.hom_stats);
+    stats_.hom.Accumulate(s.hom_stats);
     if (copts.depth != ChaseDepth::kNone) {
-      stats_.chase_stage.Record(verdict.chase_ms);
+      stats_.chase_stage.Record(s.chase_ms);
     }
-    if (needs_search[k] != 0) {
-      stats_.hom_stage.Record(verdict.hom_ms);
-      stats_.queue_wait.Record(verdict.queue_wait_ms);
+    if (s.needs_search) {
+      stats_.hom_stage.Record(s.hom_ms);
+      stats_.queue_wait.Record(s.queue_wait_ms);
     }
     if (metrics) {
       MetricsRegistry& registry = MetricsRegistry::Get();
@@ -460,11 +467,11 @@ Status ContainmentEngine::CheckPairsCore(
       static Histogram& hom_us = registry.histogram("engine.hom_stage_us");
       static Histogram& wait_us = registry.histogram("engine.queue_wait_us");
       if (copts.depth != ChaseDepth::kNone) {
-        chase_us.Record(uint64_t(verdict.chase_ms * 1000.0));
+        chase_us.Record(uint64_t(s.chase_ms * 1000.0));
       }
-      if (needs_search[k] != 0) {
-        hom_us.Record(uint64_t(verdict.hom_ms * 1000.0));
-        wait_us.Record(uint64_t(verdict.queue_wait_ms * 1000.0));
+      if (s.needs_search) {
+        hom_us.Record(uint64_t(s.hom_ms * 1000.0));
+        wait_us.Record(uint64_t(s.queue_wait_ms * 1000.0));
       }
     }
   }
@@ -483,7 +490,7 @@ Status ContainmentEngine::CheckPairsCore(
     fold(pairs_checked, stats_before.pairs_checked, stats_.pairs_checked);
     fold(pruned_pairs, stats_before.pruned_pairs, stats_.pruned_pairs);
     fold(unknown, stats_before.unknown_pairs, stats_.unknown_pairs);
-    if (copts.use_signature_index && !pairs.empty()) {
+    if (copts.use_signature_index && pair_count > 0) {
       static Histogram& sig_us =
           registry.histogram("engine.signature_stage_us");
       sig_us.Record(
@@ -494,34 +501,39 @@ Status ContainmentEngine::CheckPairsCore(
     fold(chases, stats_before.chases_run, stats_.chases_run);
     fold(deepenings, stats_before.chase_deepenings, stats_.chase_deepenings);
   }
-  return Status::Ok();
 }
 
 Result<std::vector<PairVerdict>> ContainmentEngine::CheckPairs(
     std::span<const std::pair<size_t, size_t>> pairs) {
+  for (const auto& [lhs, rhs] : pairs) {
+    FLOQ_RETURN_IF_ERROR(ValidatePair(lhs, rhs));
+  }
   std::vector<PairVerdict> verdicts(pairs.size());
-  FLOQ_RETURN_IF_ERROR(CheckPairsCore(
-      pairs, [&](size_t k) -> PairVerdict& { return verdicts[k]; }));
+  CheckPairsCore(pairs.size(), [&](auto&& visit) {
+    for (size_t k = 0; k < pairs.size(); ++k) {
+      visit(pairs[k].first, pairs[k].second, verdicts[k]);
+    }
+  });
   return verdicts;
 }
 
 Result<std::vector<std::vector<PairVerdict>>> ContainmentEngine::CheckAll() {
   const size_t n = entries_.size();
-  std::vector<std::pair<size_t, size_t>> pairs;
-  pairs.reserve(n * (n - 1));
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < n; ++j) {
-      if (i != j) pairs.emplace_back(i, j);
-    }
-  }
+  // Row 0 names every id, and a full scan in pair order would meet its
+  // first removed id or arity mismatch in row 0: checking (0, j) for every
+  // j reports the same error in O(n).
+  for (size_t j = 1; j < n; ++j) FLOQ_RETURN_IF_ERROR(ValidatePair(0, j));
   // Verdicts land directly in their matrix cells (the diagonal stays
-  // defaulted): no flat intermediate vector, no n^2 copy.
+  // defaulted): no pair list, no flat intermediate vector, no n^2 copy.
   std::vector<std::vector<PairVerdict>> matrix(n,
                                                std::vector<PairVerdict>(n));
-  FLOQ_RETURN_IF_ERROR(CheckPairsCore(pairs, [&](size_t k) -> PairVerdict& {
-    const auto& [i, j] = pairs[k];
-    return matrix[i][j];
-  }));
+  CheckPairsCore(n * (n - 1), [&](auto&& visit) {
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j < n; ++j) {
+        if (i != j) visit(i, j, matrix[i][j]);
+      }
+    }
+  });
   return matrix;
 }
 

@@ -21,7 +21,7 @@
 // registered query, deepens it lazily to the largest Theorem 12 bound
 // |q2| * 2|q1| any requested pair demands (a deeper chase prefix is still
 // a universal-model prefix, so homomorphism verdicts are unchanged), and
-// then fans the pairwise homomorphism searches out across a thread pool.
+// then fans the pairwise homomorphism searches out across `jobs` workers.
 //
 // With options.containment.use_signature_index on (the default), a stage-0
 // signature filter runs first: registration computes a closure signature
@@ -35,7 +35,8 @@
 // fresh nulls/variables from the shared World, which is not thread-safe);
 // the handles are then frozen (ResumableChase::Freeze) and shared
 // read-only with stateless workers that only perform const FactIndex
-// lookups. n queries cost n chases instead of n(n-1).
+// lookups. n queries cost n chases instead of n(n-1), and everything after
+// stage 0 runs over the pairs it did not discharge.
 
 namespace floq {
 
@@ -48,8 +49,9 @@ struct BatchContainmentOptions {
   /// ~2x timeout_ms) and every other pair still gets its full share. The
   /// absolute deadline and cancellation token are shared batch-wide.
   ContainmentOptions containment;
-  /// Worker threads for the homomorphism fan-out. 0 = hardware
-  /// concurrency; 1 = run everything on the calling thread.
+  /// Workers for the homomorphism fan-out: the calling thread plus
+  /// jobs - 1 threads started per batch. 0 = hardware concurrency; 1 = run
+  /// everything on the calling thread.
   int jobs = 0;
 };
 
@@ -124,8 +126,7 @@ struct PairVerdict {
   Resolution resolution = Resolution::kNotContained;
   TripReason unknown_reason = TripReason::kNone;
   /// The stage-0 signature filter discharged this pair (a sound definite
-  /// kNotContained; see signature.h): no chase or hom stage ran, and
-  /// chase_ms / hom_ms / hom_stats stay zero.
+  /// kNotContained; see signature.h): no chase or hom stage ran.
   bool pruned = false;
   /// Containment holds vacuously: chase(lhs) failed (rho_4 equated two
   /// distinct constants), so lhs is unsatisfiable under Sigma_FL.
@@ -133,16 +134,10 @@ struct PairVerdict {
   /// Level the lhs chase was materialized to when searching (-1 for
   /// ChaseDepth::kNone).
   int level_bound = -1;
-  /// Search effort of this pair's homomorphism search.
-  MatchStats hom_stats;
-  /// Wall-clock stage costs for this pair. chase_ms covers the EnsureLevel
-  /// call (near zero on a cache hit that needs no deepening); hom_ms the
-  /// homomorphism search; queue_wait_ms the delay before a worker picked
-  /// the pair up. All zero for stages the pair never reached.
-  double chase_ms = 0.0;
-  double hom_ms = 0.0;
-  double queue_wait_ms = 0.0;
 };
+// The verdict alone: a cell of CheckAll's n x n matrix. Per-pair effort and
+// stage times are folded into BatchStats instead of stored per cell.
+static_assert(sizeof(PairVerdict) <= 12);
 
 class ContainmentEngine {
  public:
@@ -216,15 +211,17 @@ class ContainmentEngine {
  private:
   struct Entry;
 
-  /// The batch pipeline behind CheckPairs and CheckAll. `out(k)` returns
-  /// the verdict slot for pairs[k]; templating the output lets CheckAll
-  /// write each verdict straight into its final matrix cell instead of
-  /// filling a flat vector and copying — on an n-thousand-query registry
-  /// that copy (and its second allocation) would dominate the pruned-pair
-  /// fast path. Instantiated only in engine.cc.
-  template <class OutFn>
-  Status CheckPairsCore(std::span<const std::pair<size_t, size_t>> pairs,
-                        OutFn&& out);
+  /// InvalidArgument unless both ids name live entries of equal arity.
+  Status ValidatePair(size_t lhs, size_t rhs) const;
+
+  /// The batch pipeline behind CheckPairs and CheckAll, over pairs the
+  /// caller has validated. `for_each_pair(visit)` calls
+  /// visit(lhs, rhs, verdict) once per pair, in order, with the pair's
+  /// output slot: CheckAll hands out its matrix cells directly, so no pair
+  /// list and no flat verdict vector is built. Instantiated only in
+  /// engine.cc.
+  template <class ForEachPair>
+  void CheckPairsCore(size_t pair_count, ForEachPair&& for_each_pair);
 
   World& world_;
   BatchContainmentOptions options_;

@@ -14,12 +14,10 @@
 // context instead of threading an extra parameter through the engine,
 // registry, and WAL signatures.
 //
-// The context is thread-local: spans and log lines emitted on the serving
-// thread (the chase, the hom search at jobs=1, WAL appends, checkpoint
-// writes) are attributed; work fanned out to pool threads under jobs>1 is
-// not (the span is still recorded, just without the request_id arg). The
-// daemon serves with jobs=1 per request, so in practice the whole span
-// tree of a request carries its id.
+// The context is thread-local. ParallelFor (util/parallel_for.h), the
+// batch engine's fan-out, installs the caller's context in every thread it
+// starts, so a request's spans and log lines carry its id whichever thread
+// emits them.
 
 namespace floq {
 

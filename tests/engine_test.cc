@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -17,6 +18,8 @@
 #include "term/atom.h"
 #include "term/term.h"
 #include "term/world.h"
+#include "util/request_context.h"
+#include "util/trace.h"
 
 namespace floq {
 namespace {
@@ -195,43 +198,116 @@ TEST(ContainmentEngineTest, SecondCheckReusesAndDeepensHandles) {
 // ---- parallel == sequential ---------------------------------------------
 
 TEST(ContainmentEngineTest, ParallelVerdictsEqualSequential) {
+  for (bool use_index : {true, false}) {
+    SCOPED_TRACE(use_index ? "signature index on" : "signature index off");
+    World world;
+    std::vector<ConjunctiveQuery> queries = Workload(world);
+    for (int seed = 1; seed <= 6; ++seed) {
+      gen::RandomQuerySpec spec;
+      spec.seed = uint64_t(seed);
+      spec.atoms = 4;
+      spec.variable_pool = 3;
+      spec.arity = 1;
+      queries.push_back(
+          gen::MakeRandomQuery(world, spec, "r" + std::to_string(seed)));
+    }
+
+    BatchContainmentOptions sequential;
+    sequential.jobs = 1;
+    sequential.containment.use_signature_index = use_index;
+    ContainmentEngine seq_engine(world, sequential);
+    BatchContainmentOptions parallel = sequential;
+    parallel.jobs = 4;
+    ContainmentEngine par_engine(world, parallel);
+    for (const ConjunctiveQuery& q : queries) {
+      ASSERT_TRUE(seq_engine.AddQuery(q).ok());
+      ASSERT_TRUE(par_engine.AddQuery(q).ok());
+    }
+
+    Result<std::vector<std::vector<PairVerdict>>> seq = seq_engine.CheckAll();
+    Result<std::vector<std::vector<PairVerdict>>> par = par_engine.CheckAll();
+    ASSERT_TRUE(seq.ok()) << seq.status().ToString();
+    ASSERT_TRUE(par.ok()) << par.status().ToString();
+
+    for (size_t i = 0; i < queries.size(); ++i) {
+      for (size_t j = 0; j < queries.size(); ++j) {
+        if (i == j) continue;
+        const PairVerdict& s = (*seq)[i][j];
+        const PairVerdict& p = (*par)[i][j];
+        EXPECT_EQ(s.contained, p.contained) << i << " ⊆ " << j;
+        EXPECT_EQ(s.resolution, p.resolution) << i << " ⊆ " << j;
+        EXPECT_EQ(s.unknown_reason, p.unknown_reason) << i << " ⊆ " << j;
+        EXPECT_EQ(s.pruned, p.pruned) << i << " ⊆ " << j;
+        EXPECT_EQ(s.lhs_unsatisfiable, p.lhs_unsatisfiable)
+            << i << " ⊆ " << j;
+        EXPECT_EQ(s.level_bound, p.level_bound) << i << " ⊆ " << j;
+      }
+    }
+
+    const BatchStats& s = seq_engine.stats();
+    const BatchStats& p = par_engine.stats();
+    EXPECT_EQ(s.chases_run, p.chases_run);
+    EXPECT_EQ(s.pairs_checked, p.pairs_checked);
+    EXPECT_EQ(s.pruned_pairs, p.pruned_pairs);
+    EXPECT_EQ(s.chase_requests, p.chase_requests);
+    EXPECT_EQ(s.chase_deepenings, p.chase_deepenings);
+    EXPECT_EQ(s.unknown_pairs, p.unknown_pairs);
+    EXPECT_EQ(s.hom.nodes_visited, p.hom.nodes_visited);
+    EXPECT_EQ(s.chase_stage.samples, p.chase_stage.samples);
+    EXPECT_EQ(s.hom_stage.samples, p.hom_stage.samples);
+    EXPECT_EQ(s.queue_wait.samples, p.queue_wait.samples);
+    EXPECT_GT(s.hom.nodes_visited, 0u);
+    EXPECT_EQ(s.pruned_pairs > 0, use_index);
+  }
+}
+
+// ---- fan-out workers run in the caller's request scope -------------------
+
+// The request context and trace suppression are thread-local: the threads
+// a jobs > 1 batch starts must take both over from the calling thread.
+TEST(ContainmentEngineTest, FanOutWorkersInheritRequestContextAndSuppression) {
   World world;
+  BatchContainmentOptions options;
+  options.jobs = 2;
+  // Every pair reaches the hom stage.
+  options.containment.use_signature_index = false;
+  ContainmentEngine engine(world, options);
   std::vector<ConjunctiveQuery> queries = Workload(world);
-  for (int seed = 1; seed <= 6; ++seed) {
-    gen::RandomQuerySpec spec;
-    spec.seed = uint64_t(seed);
-    spec.atoms = 4;
-    spec.variable_pool = 3;
-    spec.arity = 1;
-    queries.push_back(
-        gen::MakeRandomQuery(world, spec, "r" + std::to_string(seed)));
-  }
-
-  BatchContainmentOptions sequential;
-  sequential.jobs = 1;
-  ContainmentEngine seq_engine(world, sequential);
-  BatchContainmentOptions parallel;
-  parallel.jobs = 4;
-  ContainmentEngine par_engine(world, parallel);
   for (const ConjunctiveQuery& q : queries) {
-    ASSERT_TRUE(seq_engine.AddQuery(q).ok());
-    ASSERT_TRUE(par_engine.AddQuery(q).ok());
+    ASSERT_TRUE(engine.AddQuery(q).ok());
   }
-
-  Result<std::vector<std::vector<PairVerdict>>> seq = seq_engine.CheckAll();
-  Result<std::vector<std::vector<PairVerdict>>> par = par_engine.CheckAll();
-  ASSERT_TRUE(seq.ok()) << seq.status().ToString();
-  ASSERT_TRUE(par.ok()) << par.status().ToString();
-
+  std::vector<std::pair<size_t, size_t>> pairs;
   for (size_t i = 0; i < queries.size(); ++i) {
     for (size_t j = 0; j < queries.size(); ++j) {
-      if (i == j) continue;
-      EXPECT_EQ((*seq)[i][j].contained, (*par)[i][j].contained)
-          << i << " ⊆ " << j;
-      EXPECT_EQ((*seq)[i][j].lhs_unsatisfiable, (*par)[i][j].lhs_unsatisfiable);
+      if (i != j) pairs.emplace_back(i, j);
     }
   }
-  EXPECT_EQ(seq_engine.stats().chases_run, par_engine.stats().chases_run);
+
+  TraceSession session;
+  {
+    RequestContext request;
+    request.id = 4242;
+    ScopedRequestContext scope(&request);
+    ASSERT_TRUE(engine.CheckPairs(pairs).ok());
+  }
+  // ToJson renders one event per line.
+  std::istringstream lines(session.ToJson());
+  size_t hom_spans = 0;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("\"name\": \"engine.hom_stage\"") == std::string::npos) {
+      continue;
+    }
+    ++hom_spans;
+    EXPECT_NE(line.find("\"request_id\": 4242"), std::string::npos) << line;
+  }
+  EXPECT_EQ(hom_spans, pairs.size());
+
+  const uint64_t recorded = session.size();
+  {
+    TraceSuppress quiet;
+    ASSERT_TRUE(engine.CheckPairs(pairs).ok());
+  }
+  EXPECT_EQ(session.size(), recorded);
 }
 
 // ---- edge cases ----------------------------------------------------------
@@ -282,6 +358,42 @@ TEST(ContainmentEngineTest, EmptyPairListAndEmptyEngine) {
   Result<std::vector<PairVerdict>> verdicts = engine.CheckPairs(none);
   ASSERT_TRUE(verdicts.ok());
   EXPECT_TRUE(verdicts->empty());
+}
+
+TEST(ContainmentEngineTest, CheckAllOfOneQueryIsOneByOne) {
+  World world;
+  ContainmentEngine engine(world);
+  ASSERT_TRUE(engine.AddQuery(Q(world, "q(X) :- member(X, C).")).ok());
+  Result<std::vector<std::vector<PairVerdict>>> matrix = engine.CheckAll();
+  ASSERT_TRUE(matrix.ok()) << matrix.status().ToString();
+  ASSERT_EQ(matrix->size(), 1u);
+  EXPECT_EQ((*matrix)[0].size(), 1u);
+  EXPECT_EQ(engine.stats().pairs_checked, 0u);
+}
+
+TEST(ContainmentEngineTest, CheckAllRejectsMixedArities) {
+  World world;
+  ContainmentEngine engine(world);
+  ASSERT_TRUE(engine.AddQuery(Q(world, "q(X) :- member(X, C).")).ok());
+  ASSERT_TRUE(engine.AddQuery(Q(world, "r(X) :- sub(X, C).")).ok());
+  ASSERT_TRUE(engine.AddQuery(Q(world, "p(X, C) :- member(X, C).")).ok());
+  Result<std::vector<std::vector<PairVerdict>>> matrix = engine.CheckAll();
+  ASSERT_FALSE(matrix.ok());
+  EXPECT_EQ(matrix.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(matrix.status().message().find("got 1 and 2"), std::string::npos)
+      << matrix.status().ToString();
+}
+
+TEST(ContainmentEngineTest, CheckAllFailsAfterRemoveQuery) {
+  World world;
+  ContainmentEngine engine(world);
+  ASSERT_TRUE(engine.AddQuery(Q(world, "q(X) :- member(X, C).")).ok());
+  ASSERT_TRUE(engine.AddQuery(Q(world, "r(X) :- sub(X, C).")).ok());
+  ASSERT_TRUE(engine.AddQuery(Q(world, "s(X) :- data(X, A, V).")).ok());
+  ASSERT_TRUE(engine.RemoveQuery(1).ok());
+  Result<std::vector<std::vector<PairVerdict>>> matrix = engine.CheckAll();
+  ASSERT_FALSE(matrix.ok());
+  EXPECT_EQ(matrix.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ContainmentEngineTest, RejectsMalformedQuery) {
@@ -807,7 +919,9 @@ TEST(GovernedEngineTest, PrunedPairConsumesNoHomStepBudget) {
   EXPECT_TRUE((*verdicts)[0].pruned);
   EXPECT_EQ((*verdicts)[0].resolution, Resolution::kNotContained);
   EXPECT_EQ((*verdicts)[0].unknown_reason, TripReason::kNone);
-  EXPECT_EQ((*verdicts)[0].hom_stats.nodes_visited, 0u);
+  EXPECT_EQ(engine.stats().hom.nodes_visited +
+                engine.stats().hom_degraded.nodes_visited,
+            0u);
   EXPECT_EQ(engine.stats().pruned_pairs, 1u);
   EXPECT_EQ(engine.stats().chase_requests, 0u);
   EXPECT_EQ(engine.stats().unknown_pairs, 0u);

@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -10,10 +10,10 @@
 #include "util/function_ref.h"
 #include "util/interner.h"
 #include "util/json.h"
+#include "util/parallel_for.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/strings.h"
-#include "util/thread_pool.h"
 
 namespace floq {
 namespace {
@@ -192,66 +192,42 @@ TEST(RngTest, ChanceExtremes) {
   }
 }
 
-// ---- ThreadPool --------------------------------------------------------
+// ---- ParallelFor -------------------------------------------------------
 
-TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitCanBeReusedAcrossBatches) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  for (int batch = 0; batch < 3; ++batch) {
-    for (int i = 0; i < 10; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
-    }
-    pool.Wait();
-    EXPECT_EQ(counter.load(), (batch + 1) * 10);
-  }
-}
-
-TEST(ThreadPoolTest, DestructorDrainsQueue) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      pool.Submit([&counter] {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-        counter.fetch_add(1);
-      });
-    }
-  }  // destructor must run the backlog before joining
-  EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {
-  ThreadPool pool(4);
+TEST(ParallelForTest, CoversEveryIndexOnce) {
   std::vector<std::atomic<int>> hits(257);
-  ParallelFor(pool, hits.size(),
-              [&hits](size_t i) { hits[i].fetch_add(1); });
+  ParallelFor(4, hits.size(), [&hits](size_t i) { hits[i].fetch_add(1); });
   for (size_t i = 0; i < hits.size(); ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "index " << i;
   }
 }
 
-TEST(ThreadPoolTest, ZeroThreadsClampsToOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 1u);
-  std::atomic<int> counter{0};
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 1);
+TEST(ParallelForTest, ZeroJobsRunsOnTheCallingThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  int calls = 0;
+  ParallelFor(0, 3, [&](size_t) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    ++calls;
+  });
+  EXPECT_EQ(calls, 3);
 }
 
-TEST(ThreadPoolTest, DefaultThreadsIsPositive) {
-  EXPECT_GE(ThreadPool::DefaultThreads(), 1u);
+TEST(ParallelForTest, RethrowsAWorkerExceptionAfterEveryIndexRan) {
+  std::vector<std::atomic<int>> hits(64);
+  EXPECT_THROW(ParallelFor(4, hits.size(),
+                           [&hits](size_t i) {
+                             hits[i].fetch_add(1);
+                             if (i == 5) throw std::runtime_error("item 5");
+                           }),
+               std::runtime_error);
+  // The failing worker stops claiming; the others drain the rest.
+  for (size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+}
+
+TEST(ParallelForTest, DefaultThreadsIsPositive) {
+  EXPECT_GE(DefaultThreads(), 1u);
 }
 
 // ---- FunctionRef -------------------------------------------------------
