@@ -24,7 +24,10 @@
 //                         what checkpointing buys.
 //   * growth            — `register` round trips while one registry fills
 //                         to 5000 queries, as the p50 of the registrations
-//                         that reach each size, then a register/unregister
+//                         that reach each size, split into the means of
+//                         the WAL fsync, the parse + index insert and the
+//                         publish the daemon's own histograms recorded for
+//                         them; then a register/unregister
 //                         churn at a fixed live size; after the churn,
 //                         `status` must count only live queries in the
 //                         index.
@@ -138,6 +141,10 @@ LatencyStats Summarize(std::vector<double>& samples_us, double wall_ms) {
 struct GrowthPoint {
   int size = 0;
   double register_p50_us = 0.0;
+  // Means over the same registrations, from the daemon's histograms.
+  double wal_fsync_us = 0.0;
+  double insert_us = 0.0;
+  double publish_us = 0.0;
 };
 
 struct ChurnMix {
@@ -372,9 +379,19 @@ void StopDaemon(int fd, std::thread& daemon) {
   daemon.join();
 }
 
+// Mean of histogram `name` over what was recorded between two snapshots.
+double MeanBetween(const MetricsSnapshot& before, const MetricsSnapshot& after,
+                   const std::string& name) {
+  for (const auto& h : MetricsRegistry::SnapshotDelta(before, after).histograms) {
+    if (h.name == name && h.count > 0) return double(h.sum) / double(h.count);
+  }
+  return 0.0;
+}
+
 void RunGrowthArm(Report& report) {
   // Growth: one registry filled to the largest size; each size reads the
-  // p50 of the registrations that bring the registry up to it.
+  // p50 of the registrations that bring the registry up to it, and the
+  // in-process daemon's histograms over the same registrations split them.
   const std::vector<int> sizes = SmallMode()
                                      ? std::vector<int>{25, 50, 100, 200}
                                      : std::vector<int>{100, 500, 1000,
@@ -382,16 +399,30 @@ void RunGrowthArm(Report& report) {
   std::thread daemon;
   int fd = StartGrowthDaemon(&daemon);
   std::vector<double> register_us;
+  MetricsSnapshot window_start;
+  size_t next_size = 0;
   for (int i = 0; i < sizes.back(); ++i) {
+    const int size = sizes[next_size];
+    const int window = std::min(50, size / 2);
+    if (i == size - window) window_start = MetricsRegistry::Get().Snapshot();
     register_us.push_back(TimedMutation(fd, RegisterRequest(i)));
+    if (i + 1 == size) {
+      const MetricsSnapshot window_end = MetricsRegistry::Get().Snapshot();
+      GrowthPoint point;
+      point.size = size;
+      point.register_p50_us = Median(std::vector<double>(
+          register_us.begin() + size - window, register_us.begin() + size));
+      point.wal_fsync_us =
+          MeanBetween(window_start, window_end, "serve.wal.fsync_us");
+      point.insert_us =
+          MeanBetween(window_start, window_end, "serve.registry.insert_us");
+      point.publish_us =
+          MeanBetween(window_start, window_end, "serve.registry.publish_us");
+      report.growth.push_back(point);
+      ++next_size;
+    }
   }
   StopDaemon(fd, daemon);
-  for (int size : sizes) {
-    const int window = std::min(50, size / 2);
-    report.growth.push_back(
-        {size, Median(std::vector<double>(register_us.begin() + size - window,
-                                          register_us.begin() + size))});
-  }
 
   // Churn: unregister the oldest query and register a new one, at the
   // live size serve_write uses, through more queries than stay live.
@@ -470,6 +501,15 @@ void PrintReport() {
   for (size_t k = 0; k < report.growth.size(); ++k) {
     std::printf("%s\"%d\": %.1f", k == 0 ? "" : ", ", report.growth[k].size,
                 report.growth[k].register_p50_us);
+  }
+  std::printf("},\n    \"split_mean_us\": {");
+  for (size_t k = 0; k < report.growth.size(); ++k) {
+    const GrowthPoint& point = report.growth[k];
+    std::printf(
+        "%s\"%d\": {\"wal_fsync\": %.1f, \"insert\": %.1f, "
+        "\"publish\": %.1f}",
+        k == 0 ? "" : ", ", point.size, point.wal_fsync_us, point.insert_us,
+        point.publish_us);
   }
   std::printf(
       "},\n    \"ratio_largest_to_smallest\": %.2f, \"ratio_target\": 2.0, "

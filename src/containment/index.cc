@@ -20,23 +20,63 @@ auto LowerBound(Row& row, size_t rhs) {
 
 }  // namespace
 
+Resolution RelationView::At(size_t lhs, size_t rhs) const {
+  const IdRow* row = Find(lhs);
+  FLOQ_CHECK(row != nullptr);
+  FLOQ_CHECK(Find(rhs) != nullptr);
+  if (lhs == rhs) return Resolution::kContained;  // reflexive
+  if (row->supers == nullptr) return Resolution::kNotContained;
+  auto it = LowerBound(*row->supers, rhs);
+  return it != row->supers->end() && it->rhs == rhs
+             ? it->resolution
+             : Resolution::kNotContained;
+}
+
+const RelationView::IdRow* RelationView::Find(size_t id) const {
+  auto it = std::lower_bound(
+      rows_.begin(), rows_.end(), id,
+      [](const IdRow& row, size_t target) { return row.id < target; });
+  return it != rows_.end() && it->id == id ? &*it : nullptr;
+}
+
 ContainmentIndex::ContainmentIndex(World& world,
                                    const BatchContainmentOptions& options)
     : engine_(world, options) {}
+
+ContainmentIndex::~ContainmentIndex() {
+  for (Node& node : nodes_) retired_rows_.Retire(std::move(node.supers));
+}
 
 const ConjunctiveQuery& ContainmentIndex::query(size_t id) const {
   FLOQ_CHECK(live(id));
   return engine_.query(id);
 }
 
+std::span<const ContainmentRelation::Edge> ContainmentIndex::supers(
+    size_t id) const {
+  const std::shared_ptr<const Edges>& row = nodes_[id].supers;
+  return row == nullptr ? std::span<const Edge>() : std::span<const Edge>(*row);
+}
+
+std::span<const ContainmentRelation::Edge> ContainmentIndex::subs(
+    size_t id) const {
+  return nodes_[id].subs;
+}
+
+void ContainmentIndex::ReplaceSupers(size_t id,
+                                     std::shared_ptr<const Edges> row) {
+  if (row != nullptr && row->empty()) row = nullptr;
+  retired_rows_.Retire(std::exchange(nodes_[id].supers, std::move(row)));
+}
+
 Resolution ContainmentIndex::ResolutionOf(size_t lhs, size_t rhs) const {
   FLOQ_CHECK(live(lhs));
   FLOQ_CHECK(live(rhs));
   if (lhs == rhs) return Resolution::kContained;  // reflexive
-  const std::vector<Edge>& supers = nodes_[lhs].supers;
-  auto it = LowerBound(supers, rhs);
-  return it != supers.end() && it->rhs == rhs ? it->resolution
-                                              : Resolution::kNotContained;
+  std::span<const Edge> row = supers(lhs);
+  auto it = LowerBound(row, rhs);
+  return it != row.end() && it->rhs == rhs ? it->resolution
+                                           : Resolution::kNotContained;
 }
 
 Result<size_t> ContainmentIndex::Insert(const ConjunctiveQuery& query) {
@@ -44,7 +84,7 @@ Result<size_t> ContainmentIndex::Insert(const ConjunctiveQuery& query) {
   if (!id_or.ok()) return id_or.status();
   const size_t id = *id_or;
   FLOQ_CHECK_EQ(id, nodes_.size());
-  nodes_.push_back(Node{query.arity(), true, {}});
+  nodes_.push_back(Node{query.arity(), true, nullptr, {}});
   ++stats_.inserts;
 
   // Candidate pairs in both directions against every live same-arity
@@ -70,20 +110,42 @@ Result<size_t> ContainmentIndex::Insert(const ConjunctiveQuery& query) {
   }
   live_ids_.push_back(id);
 
+  Status checked = Status::Ok();
   if (!pairs.empty()) {
     Result<std::vector<PairVerdict>> verdicts = engine_.CheckPairs(pairs);
-    if (!verdicts.ok()) return verdicts.status();
-    stats_.checked_pairs += pairs.size();
-    for (size_t k = 0; k < pairs.size(); ++k) {
-      const Resolution resolution = (*verdicts)[k].resolution;
-      if (resolution == Resolution::kUnknown) ++stats_.unknown_pairs;
-      if (resolution == Resolution::kNotContained) continue;
-      // `id` is the largest id, and the pairs visit live ids ascending,
-      // so every append keeps its row ascending.
-      nodes_[pairs[k].first].supers.push_back({pairs[k].second, resolution});
-      ++edge_count_;
+    if (verdicts.ok()) {
+      stats_.checked_pairs += pairs.size();
+      Edges own_supers;
+      for (size_t k = 0; k < pairs.size(); ++k) {
+        const Resolution resolution = (*verdicts)[k].resolution;
+        if (resolution == Resolution::kUnknown) ++stats_.unknown_pairs;
+        if (resolution == Resolution::kNotContained) continue;
+        ++edge_count_;
+        // `id` is the largest id and the pairs visit live ids ascending,
+        // so every append keeps its row ascending.
+        const auto [lhs, rhs] = pairs[k];
+        if (lhs == id) {
+          own_supers.push_back({rhs, resolution});
+          nodes_[rhs].subs.push_back({id, resolution});
+        } else {
+          auto row = std::make_shared<Edges>();
+          row->reserve(supers(lhs).size() + 1);
+          row->assign(supers(lhs).begin(), supers(lhs).end());
+          row->push_back({id, resolution});
+          ReplaceSupers(lhs, std::move(row));
+          nodes_[id].subs.push_back({lhs, resolution});
+        }
+      }
+      ReplaceSupers(id, std::make_shared<const Edges>(std::move(own_supers)));
+    } else {
+      checked = verdicts.status();
     }
   }
+  // Placed even when the check failed: the taxonomy follows the relation
+  // as stored, and `id` is live either way.
+  taxonomy_.Insert(id);
+  retired_rows_.Seal();
+  if (!checked.ok()) return checked;
   return id;
 }
 
@@ -91,22 +153,42 @@ Status ContainmentIndex::Remove(size_t id) {
   if (!live(id)) {
     return NotFoundError("no live query with index id " + std::to_string(id));
   }
-  // Pairs (j ⊆ id) live in the rows of the other live ids.
-  for (size_t j : live_ids_) {
-    std::vector<Edge>& supers = nodes_[j].supers;
-    auto it = LowerBound(supers, id);
-    if (it != supers.end() && it->rhs == id) {
-      supers.erase(it);
-      --edge_count_;
-    }
-  }
+  // The maintainer reads id's pairs to find what it unsettles, so it runs
+  // before they go.
+  taxonomy_.Remove(id);
   Node& node = nodes_[id];
+  // Pairs (j ⊆ id) live in the rows of id's subs, pairs (id ⊆ j) in the
+  // sub lists of id's supers: only id's neighbours are visited.
+  for (const Edge& sub : node.subs) {
+    auto row = std::make_shared<Edges>();
+    row->reserve(supers(sub.rhs).size() - 1);
+    for (const Edge& edge : supers(sub.rhs)) {
+      if (edge.rhs != id) row->push_back(edge);
+    }
+    ReplaceSupers(sub.rhs, std::move(row));
+  }
+  for (const Edge& super : supers(id)) {
+    std::vector<Edge>& subs = nodes_[super.rhs].subs;
+    subs.erase(LowerBound(subs, id));
+  }
+  edge_count_ -= node.subs.size() + supers(id).size();
   node.live = false;
-  edge_count_ -= node.supers.size();
-  node.supers = {};  // releases the row's storage
+  ReplaceSupers(id, nullptr);
+  node.subs = {};  // releases the list's storage
+  retired_rows_.Seal();
   live_ids_.erase(std::lower_bound(live_ids_.begin(), live_ids_.end(), id));
   ++stats_.removed;
   return engine_.RemoveQuery(id);
+}
+
+RelationView ContainmentIndex::Relation() const {
+  RelationView view;
+  view.rows_.reserve(live_ids_.size());
+  for (size_t id : live_ids_) {
+    view.rows_.push_back({id, nodes_[id].supers.get()});
+  }
+  view.pin_ = retired_rows_.pin();
+  return view;
 }
 
 ContainmentRelation ContainmentIndex::RelationOf(
@@ -120,7 +202,7 @@ ContainmentRelation ContainmentIndex::RelationOf(
     position[ids[i]] = i;
   }
   size_t edges = 0;
-  for (size_t id : ids) edges += nodes_[id].supers.size();
+  for (size_t id : ids) edges += supers(id).size();
   ContainmentRelation relation;
   relation.Reserve(ids.size(), edges);
   // Positions follow the order of `ids`; only when that is not ascending
@@ -129,7 +211,7 @@ ContainmentRelation ContainmentIndex::RelationOf(
   std::vector<Edge> row;
   for (size_t id : ids) {
     row.clear();
-    for (const Edge& edge : nodes_[id].supers) {
+    for (const Edge& edge : supers(id)) {
       if (position[edge.rhs] != kAbsent) {
         row.push_back({position[edge.rhs], edge.resolution});
       }
@@ -144,15 +226,10 @@ ContainmentRelation ContainmentIndex::RelationOf(
   return relation;
 }
 
-QueryTaxonomy ContainmentIndex::TaxonomyOf(
-    const ContainmentRelation& relation) const {
-  return TaxonomyFromRelation(relation, int(stats_.checked_pairs),
+QueryTaxonomy ContainmentIndex::TaxonomyOf(std::span<const size_t> ids) const {
+  return TaxonomyFromRelation(RelationOf(ids), int(stats_.checked_pairs),
                               int(stats_.unknown_pairs),
                               int(stats_.pruned_pairs));
-}
-
-QueryTaxonomy ContainmentIndex::TaxonomyOf(std::span<const size_t> ids) const {
-  return TaxonomyOf(RelationOf(ids));
 }
 
 }  // namespace floq

@@ -22,11 +22,22 @@
 // sees them, so an insert costs a handful of chase/hom decisions instead
 // of 2·N. Remove takes a query out again and frees its engine entry.
 //
-// The relation is stored sparse: per id, the ascending list of pairs whose
-// verdict is not kNotContained (a contained pair, or an UNKNOWN one whose
-// budget tripped). Most pairs are discharged or decided not contained, so
-// memory, Remove and every relation or taxonomy read cost O(live + edges),
-// never O(N^2).
+// The relation is stored sparse: per id, the ascending lists of pairs
+// whose verdict is not kNotContained (a contained pair, or an UNKNOWN one
+// whose budget tripped), once as the id's supers and once as its subs.
+// Most pairs are discharged or decided not contained, so memory is
+// O(ids ever assigned + edges), never O(N^2). A mutation costs what it
+// changes:
+//   * Insert appends to the rows of the ids the new query relates to, and
+//     the TaxonomyMaintainer (classifier.h) places the new id;
+//   * Remove visits only the removed id's neighbours, and the maintainer
+//     re-forms only its mutual-containment component;
+//   * Relation() and taxonomy().View() copy one pointer per live id and
+//     per class: rows and member lists are immutable once written, and one
+//     a mutation replaces is retired, not freed, until the views that could
+//     see it are gone (util/epoch.h).
+// RelationOf and TaxonomyOf rebuild a positional relation or taxonomy over
+// any subset of ids in O(ids ever assigned + |ids| + edges).
 //
 // Soundness: a discharged pair is a definite kNotContained (the subset
 // test is a necessary condition of containment, see signature.h), so the
@@ -53,10 +64,49 @@ struct IndexStats {
   uint64_t unknown_pairs = 0;
 };
 
-class ContainmentIndex {
+/// The maintained relation at one moment, read by index id:
+/// `view[lhs][rhs]` answers like ContainmentIndex::ResolutionOf for the
+/// ids live then. The rows are the index's own, kept alive by the view's
+/// pin after a mutation replaces them or the index goes, so a view costs
+/// one pointer per live id. Immutable: concurrent readers need no lock.
+class RelationView {
+ public:
+  class Row {
+   public:
+    Row(const RelationView& view, size_t lhs) : view_(view), lhs_(lhs) {}
+    Resolution operator[](size_t rhs) const { return view_.At(lhs_, rhs); }
+
+   private:
+    const RelationView& view_;
+    size_t lhs_;
+  };
+
+  /// Live ids in this view.
+  size_t size() const { return rows_.size(); }
+  /// Both ids must be live in this view; the diagonal is kContained.
+  Resolution At(size_t lhs, size_t rhs) const;
+  Row operator[](size_t lhs) const { return Row(*this, lhs); }
+
+ private:
+  friend class ContainmentIndex;
+  using Edges = std::vector<ContainmentRelation::Edge>;
+  struct IdRow {
+    size_t id = 0;
+    const Edges* supers = nullptr;  // nullptr when empty
+  };
+
+  const IdRow* Find(size_t id) const;
+
+  std::vector<IdRow> rows_;  // ascending by id
+  Retirer::Pin pin_;
+};
+
+class ContainmentIndex : private RelationRows {
  public:
   explicit ContainmentIndex(World& world,
                             const BatchContainmentOptions& options = {});
+  // Retires every current row: views stay readable past this.
+  ~ContainmentIndex();
 
   ContainmentIndex(const ContainmentIndex&) = delete;
   ContainmentIndex& operator=(const ContainmentIndex&) = delete;
@@ -89,20 +139,24 @@ class ContainmentIndex {
     return ResolutionOf(lhs, rhs) == Resolution::kContained;
   }
 
+  /// The relation over the live ids as it stands now, by id. O(live)
+  /// pointer copies; no row is copied.
+  RelationView Relation() const;
+
+  /// The taxonomy of the live ids in ascending order, maintained by every
+  /// Insert and Remove: View() equals TaxonomyOf(live_ids()) with members
+  /// read as ids.
+  const TaxonomyMaintainer& taxonomy() const { return taxonomy_; }
+
   /// The relation restricted to `ids` (live ids, any order), renumbered
   /// by position in `ids`. O(ids ever assigned + |ids| + edges), and no
   /// containment check runs.
   ContainmentRelation RelationOf(std::span<const size_t> ids) const;
 
   /// The taxonomy of `ids`, positional like RelationOf: `class_of` and
-  /// `classes` index into `ids`. Built from the maintained relation
-  /// without any further containment checks.
+  /// `classes` index into `ids`. Rebuilt in one batch pass from the
+  /// maintained relation, without any further containment checks.
   QueryTaxonomy TaxonomyOf(std::span<const size_t> ids) const;
-  /// TaxonomyOf(live_ids()).
-  QueryTaxonomy Taxonomy() const { return TaxonomyOf(live_ids_); }
-  /// The taxonomy of a relation RelationOf returned, with this index's
-  /// counters.
-  QueryTaxonomy TaxonomyOf(const ContainmentRelation& relation) const;
 
   const IndexStats& index_stats() const { return stats_; }
   /// The underlying engine's cache/fan-out stats (chases run, cache hits,
@@ -113,18 +167,31 @@ class ContainmentIndex {
 
  private:
   using Edge = ContainmentRelation::Edge;
+  using Edges = RelationView::Edges;
   struct Node {
     int arity = 0;
     bool live = true;
     // Pairs (this ⊆ rhs) whose verdict is not kNotContained, ascending.
-    std::vector<Edge> supers;
+    // Never changed in place: a change installs a new row and retires the
+    // old one, which views may still read. nullptr when empty.
+    std::shared_ptr<const Edges> supers;
+    // The same pairs seen from the other side: (rhs ⊆ this), ascending.
+    std::vector<Edge> subs;
   };
+
+  // RelationRows, read by the taxonomy maintainer.
+  std::span<const Edge> supers(size_t id) const override;
+  std::span<const Edge> subs(size_t id) const override;
+  // Installs `row` as id's supers row, retiring the one it replaces.
+  void ReplaceSupers(size_t id, std::shared_ptr<const Edges> row);
 
   ContainmentEngine engine_;
   std::vector<Node> nodes_;       // by id, removed ones included
   std::vector<size_t> live_ids_;  // ascending
   size_t edge_count_ = 0;
   IndexStats stats_;
+  Retirer retired_rows_;
+  TaxonomyMaintainer taxonomy_{*this};
 };
 
 }  // namespace floq

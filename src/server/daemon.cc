@@ -756,7 +756,7 @@ class Daemon {
     const Json* rhs_name = request.Find("rhs");
 
     // Both sides registered: answered from the epoch snapshot's
-    // maintained matrix — no chase, no hom search, no lock.
+    // maintained relation, by index id — no chase, no hom search, no lock.
     if (lhs_name != nullptr && rhs_name != nullptr) {
       if (!lhs_name->is_string() || !rhs_name->is_string()) {
         return ErrorReply("INVALID", "lhs/rhs must be query names");
@@ -770,9 +770,7 @@ class Daemon {
                                               : rhs_name->AsString()) +
                               "'");
       }
-      size_t li = snap->by_name.find(lhs->name)->second;
-      size_t ri = snap->by_name.find(rhs->name)->second;
-      Resolution resolution = snap->resolution[li][ri];
+      Resolution resolution = snap->resolution[lhs->id][rhs->id];
       Json reply = Json::Object();
       reply.Set("ok", Json::Bool(true));
       reply.Set("resolution", Json::String(ResolutionName(resolution)));

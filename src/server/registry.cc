@@ -66,7 +66,12 @@ QueryRegistry::QueryRegistry(RegistryOptions options)
       wal_path_(options_.dir + "/registry.wal"),
       index_(world_, options_.containment) {}
 
+QueryRegistry::~QueryRegistry() {
+  for (auto& record : records_) retired_entries_.Retire(std::move(record));
+}
+
 Status QueryRegistry::Open() {
+  std::shared_ptr<const RegistrySnapshotView> retired;  // freed after mu_
   std::lock_guard<std::mutex> lock(mu_);
   if (fault::Armed("registry.load.io_error")) {
     return InternalError("injected: registry.load.io_error");
@@ -97,7 +102,7 @@ Status QueryRegistry::Open() {
   // Recovery state is in memory only; the files already encode it, so no
   // checkpoint is forced here — mutation counting starts fresh.
   dirty_ = uint64_t(replay.records.size());
-  PublishLocked();
+  retired = PublishLocked();
   return Status::Ok();
 }
 
@@ -200,15 +205,23 @@ Status QueryRegistry::ApplyRegister(const std::string& name,
   }
   Result<ConjunctiveQuery> query = flogic::ParseQuery(world_, text);
   if (!query.ok()) return query.status();
-  Result<size_t> id = index_.Insert(*query);
-  if (!id.ok()) return id.status();
-  RegistryEntryView entry;
-  entry.name = name;
-  entry.text = text;
-  entry.id = *id;
-  by_name_.Insert(name, entries_.size());
-  entries_.push_back(std::move(entry));
+  FLOQ_RETURN_IF_ERROR(InsertLocked(name, text, *query));
   *applied = true;
+  return Status::Ok();
+}
+
+Status QueryRegistry::InsertLocked(const std::string& name,
+                                   const std::string& text,
+                                   const ConjunctiveQuery& query) {
+  Result<size_t> id = index_.Insert(query);
+  if (!id.ok()) return id.status();
+  auto entry = std::make_shared<const RegistryEntryView>(
+      RegistryEntryView{name, text, *id});
+  by_name_.Insert(entry->name, *id);
+  // Ids ascend with registration, so appending keeps entries_ sorted.
+  entries_.ids_.push_back(*id);
+  entries_.items_.items().push_back(entry.get());
+  records_.push_back(std::move(entry));
   return Status::Ok();
 }
 
@@ -217,10 +230,16 @@ Status QueryRegistry::ApplyUnregister(const std::string& name,
   *applied = false;
   const NameIndex::Item* it = by_name_.find(name);
   if (it == by_name_.end()) return Status::Ok();  // idempotent replay
-  const size_t position = it->second;
-  FLOQ_RETURN_IF_ERROR(index_.Remove(entries_[position].id));
-  entries_.erase(entries_.begin() + std::ptrdiff_t(position));
-  by_name_.EraseAndShift(name);
+  const size_t id = it->second;
+  FLOQ_RETURN_IF_ERROR(index_.Remove(id));
+  // The name item views the record's string: it goes first.
+  by_name_.Erase(name);
+  const auto position = std::ptrdiff_t(entries_.PositionOf(id));
+  entries_.ids_.erase(entries_.ids_.begin() + position);
+  entries_.items_.items().erase(entries_.items_.items().begin() + position);
+  retired_entries_.Retire(std::move(records_[size_t(position)]));
+  records_.erase(records_.begin() + position);
+  retired_entries_.Seal();
   *applied = true;
   return Status::Ok();
 }
@@ -252,6 +271,7 @@ Status QueryRegistry::ApplyWalRecord(const std::string& payload,
 
 Result<QueryRegistry::RegisterOutcome> QueryRegistry::Register(
     const std::string& name, const std::string& text) {
+  std::shared_ptr<const RegistrySnapshotView> retired;  // freed after mu_
   std::lock_guard<std::mutex> lock(mu_);
   FLOQ_RETURN_IF_ERROR(ValidateName(name));
   if (const RegistryEntryView* live = FindLocked(name); live != nullptr) {
@@ -265,13 +285,13 @@ Result<QueryRegistry::RegisterOutcome> QueryRegistry::Register(
     outcome.already_registered = true;
     return outcome;
   }
-  // Validate before logging: the WAL must only ever hold records that
-  // re-apply cleanly on recovery.
-  {
-    World probe;
-    Result<ConjunctiveQuery> query = flogic::ParseQuery(probe, text);
-    if (!query.ok()) return query.status();
-  }
+  // Parse before logging: the WAL must only ever hold records that
+  // re-apply cleanly on recovery. The one parse is the one inserted below;
+  // a text that fails leaves at most some interned names in world_.
+  auto start = std::chrono::steady_clock::now();
+  Result<ConjunctiveQuery> query = flogic::ParseQuery(world_, text);
+  if (!query.ok()) return query.status();
+  auto insert_time = std::chrono::steady_clock::now() - start;
 
   Json record = Json::Object();
   record.Set("op", Json::String("register"));
@@ -281,18 +301,29 @@ Result<QueryRegistry::RegisterOutcome> QueryRegistry::Register(
 
   // Durable from here: even if this process dies before the in-memory
   // apply below, recovery replays the record.
-  bool applied = false;
-  FLOQ_RETURN_IF_ERROR(ApplyRegister(name, text, &applied));
+  start = std::chrono::steady_clock::now();
+  FLOQ_RETURN_IF_ERROR(InsertLocked(name, text, *query));
+  insert_time += std::chrono::steady_clock::now() - start;
+  if (MetricsRegistry::enabled()) {
+    // Parse plus index insert: a registration's share that is neither the
+    // WAL append (serve.wal.*) nor the publish.
+    static Histogram& insert_us =
+        MetricsRegistry::Get().histogram("serve.registry.insert_us");
+    insert_us.Record(uint64_t(
+        std::chrono::duration_cast<std::chrono::microseconds>(insert_time)
+            .count()));
+  }
   ++epoch_;
   ++dirty_;
   MaybeCheckpointLocked();
-  PublishLocked();
+  retired = PublishLocked();
   RegisterOutcome outcome;
   outcome.epoch = epoch_;
   return outcome;
 }
 
 Result<uint64_t> QueryRegistry::Unregister(const std::string& name) {
+  std::shared_ptr<const RegistrySnapshotView> retired;  // freed after mu_
   std::lock_guard<std::mutex> lock(mu_);
   if (FindLocked(name) == nullptr) {
     return NotFoundError("no registered query named '" + name + "'");
@@ -306,14 +337,15 @@ Result<uint64_t> QueryRegistry::Unregister(const std::string& name) {
   ++epoch_;
   ++dirty_;
   MaybeCheckpointLocked();
-  PublishLocked();
+  retired = PublishLocked();
   return epoch_;
 }
 
 Status QueryRegistry::Checkpoint() {
+  std::shared_ptr<const RegistrySnapshotView> retired;  // freed after mu_
   std::lock_guard<std::mutex> lock(mu_);
   FLOQ_RETURN_IF_ERROR(CheckpointLocked());
-  PublishLocked();  // the snapshot's wal_mutations now reads 0
+  retired = PublishLocked();  // the snapshot's wal_mutations now reads 0
   return Status::Ok();
 }
 
@@ -424,16 +456,15 @@ Status QueryRegistry::CheckpointLocked() {
   return Status::Ok();
 }
 
-void QueryRegistry::PublishLocked() {
+std::shared_ptr<const RegistrySnapshotView> QueryRegistry::PublishLocked() {
+  const auto start = std::chrono::steady_clock::now();
   auto view = std::make_shared<RegistrySnapshotView>();
   view->epoch = epoch_;
   view->entries = entries_;
+  view->entries.pin_ = retired_entries_.pin();
   view->by_name = by_name_;
-  std::vector<size_t> ids;
-  ids.reserve(entries_.size());
-  for (const RegistryEntryView& entry : entries_) ids.push_back(entry.id);
-  view->resolution = index_.RelationOf(ids);
-  view->taxonomy = index_.TaxonomyOf(view->resolution);
+  view->resolution = index_.Relation();
+  view->taxonomy = index_.taxonomy().View();
   view->index = index_.index_stats();
   view->wal_mutations = dirty_;
   view->engine_queries = index_.engine().live_query_count();
@@ -442,18 +473,19 @@ void QueryRegistry::PublishLocked() {
     static Gauge& epoch = MetricsRegistry::Get().gauge("serve.registry.epoch");
     static Gauge& hasse = MetricsRegistry::Get().gauge("serve.registry.hasse_edges");
     static Gauge& wal_dirty = MetricsRegistry::Get().gauge("serve.wal.dirty");
+    static Histogram& publish_us =
+        MetricsRegistry::Get().histogram("serve.registry.publish_us");
     queries.Set(int64_t(view->entries.size()));
     epoch.Set(int64_t(view->epoch));
     hasse.Set(int64_t(view->taxonomy.hasse_edges.size()));
     wal_dirty.Set(int64_t(dirty_));
+    publish_us.Record(uint64_t(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count()));
   }
-  // The previous epoch is released outside the lock: when no reader holds
-  // it, freeing it must not delay readers acquiring the new one.
-  std::shared_ptr<const RegistrySnapshotView> previous;
-  {
-    std::lock_guard<std::mutex> lock(snapshot_mu_);
-    previous = std::exchange(snapshot_, std::move(view));
-  }
+  std::lock_guard<std::mutex> lock(snapshot_mu_);
+  return std::exchange(snapshot_, std::move(view));
 }
 
 const RegistryEntryView* QueryRegistry::FindLocked(

@@ -13,6 +13,8 @@
 #include "containment/index.h"
 #include "server/wal.h"
 #include "term/world.h"
+#include "util/check.h"
+#include "util/epoch.h"
 #include "util/status.h"
 
 // The durable query registry behind `floq serve`.
@@ -38,8 +40,15 @@
 //
 // Reads are epoch-based: every mutation publishes a new immutable
 // RegistrySnapshotView; `contain`/`classify`/`status` grab the current
-// shared_ptr and never block behind a registration in progress. A
-// publish costs O(live + edges of the sparse relation), never O(live^2).
+// shared_ptr and never block behind a registration in progress. An epoch
+// shares everything a mutation left alone with the previous one: entry
+// records, relation rows and class member lists are immutable once
+// written, and reads go by index id, so nothing is renumbered. A publish
+// copies one pointer per live entry and per class, the name index and the
+// Hasse edges, and the mutation before it rebuilt only what it changed
+// (index.h). What a mutation replaces is retired, not freed, until the
+// epochs that could see it are released (util/epoch.h); the previous
+// epoch is released after `mu_` is.
 
 namespace floq::server {
 
@@ -58,12 +67,45 @@ struct RegistryEntryView {
   size_t id = 0;     // dense id in the underlying ContainmentIndex
 };
 
-// Names in sorted order, each with its position in a list of entries. A
-// flat sorted vector, not a map, so a snapshot copies it in one contiguous
-// allocation.
+// One epoch's live entries in registration order, which is index-id
+// order, read by index id. The records are the registry's own, kept alive
+// by the pin after an unregister retires them or the registry goes.
+class EntryList {
+ public:
+  size_t size() const { return items_.size(); }
+  PointerArray<RegistryEntryView>::const_iterator begin() const {
+    return items_.begin();
+  }
+  PointerArray<RegistryEntryView>::const_iterator end() const {
+    return items_.end();
+  }
+  // The live entry with index id `id`.
+  const RegistryEntryView& operator[](size_t id) const {
+    return items_[PositionOf(id)];
+  }
+
+ private:
+  friend class QueryRegistry;
+
+  size_t PositionOf(size_t id) const {
+    auto it = std::lower_bound(ids_.begin(), ids_.end(), id);
+    FLOQ_CHECK(it != ids_.end() && *it == id);
+    return size_t(it - ids_.begin());
+  }
+
+  // The entries' ids, so a lookup searches one contiguous array and a
+  // publish copies it without touching a record.
+  std::vector<size_t> ids_;
+  PointerArray<RegistryEntryView> items_;
+  Retirer::Pin pin_;
+};
+
+// Names in sorted order, each with its entry's index id. A flat sorted
+// vector whose names view the entry records' own strings, so a snapshot
+// copies it in one contiguous allocation and copies no name.
 class NameIndex {
  public:
-  using Item = std::pair<std::string, size_t>;
+  using Item = std::pair<std::string_view, size_t>;
 
   const Item* find(std::string_view name) const {
     auto it = LowerBound(name);
@@ -71,28 +113,18 @@ class NameIndex {
   }
   const Item* end() const { return items_.data() + items_.size(); }
 
-  // `name` must be absent.
-  void Insert(std::string name, size_t position) {
-    auto it = LowerBound(name);
-    items_.emplace(it, std::move(name), position);
+  // `name` must be absent and outlive its item.
+  void Insert(std::string_view name, size_t id) {
+    items_.emplace(LowerBound(name), name, id);
   }
-  // Removes `name` (present) and moves every position above its own down
-  // by one, as erasing that position from the entry list does.
-  void EraseAndShift(std::string_view name) {
-    auto it = LowerBound(name);
-    const size_t position = it->second;
-    items_.erase(it);
-    for (Item& item : items_) {
-      if (item.second > position) --item.second;
-    }
-  }
+  // `name` must be present.
+  void Erase(std::string_view name) { items_.erase(LowerBound(name)); }
 
  private:
   std::vector<Item>::const_iterator LowerBound(std::string_view name) const {
-    return std::lower_bound(items_.begin(), items_.end(), name,
-                            [](const Item& item, std::string_view key) {
-                              return std::string_view(item.first) < key;
-                            });
+    return std::lower_bound(
+        items_.begin(), items_.end(), name,
+        [](const Item& item, std::string_view key) { return item.first < key; });
   }
 
   std::vector<Item> items_;
@@ -100,14 +132,18 @@ class NameIndex {
 
 struct RegistrySnapshotView {
   uint64_t epoch = 0;
-  // Live entries in registration order; `resolution` and `taxonomy` are
-  // positional over this vector.
-  std::vector<RegistryEntryView> entries;
-  NameIndex by_name;
-  // This epoch's sparse relation over the live entries:
-  // resolution[li][ri] answers entries[li] ⊆ entries[ri].
-  ContainmentRelation resolution;
-  QueryTaxonomy taxonomy;
+  // Everything below is read by index id: entries[id],
+  // by_name.find(name)->second, resolution[lhs][rhs] and the members of
+  // taxonomy.classes are all index ids.
+  EntryList entries;
+  NameIndex by_name;  // its names view the records in `entries`
+  // This epoch's relation over the live entries: resolution[l][r] answers
+  // entries[l] ⊆ entries[r].
+  RelationView resolution;
+  // Classes (numbered in registration order of their first members, each
+  // listing member ids in registration order) and Hasse edges over class
+  // numbers: the taxonomy a one-shot batch computes over `entries`.
+  TaxonomyView taxonomy;
   // The index's accounting and the WAL records since the last checkpoint,
   // as of this epoch.
   IndexStats index;
@@ -125,6 +161,8 @@ struct RegistrySnapshotView {
 class QueryRegistry {
  public:
   explicit QueryRegistry(RegistryOptions options);
+  // Retires every current record: snapshots stay readable past this.
+  ~QueryRegistry();
 
   // Recovers from the registry directory: load checkpoint (if any),
   // replay the WAL, rebuild the containment lattice by re-inserting
@@ -152,17 +190,25 @@ class QueryRegistry {
   std::shared_ptr<const RegistrySnapshotView> Snapshot() const;
 
  private:
+  // Replay path: parses `text` into world_ and inserts it.
   Status ApplyRegister(const std::string& name, const std::string& text,
                        bool* applied);
   Status ApplyUnregister(const std::string& name, bool* applied);
   Status ApplyWalRecord(const std::string& payload, bool* applied);
+  // Inserts an already-parsed query under `name` (absent).
+  Status InsertLocked(const std::string& name, const std::string& text,
+                      const ConjunctiveQuery& query);
   Status LoadCheckpoint(std::vector<RegistryEntryView>* entries,
                         uint64_t* epoch, bool* found);
   Status CheckpointLocked();
   // Cadence checkpoint after a mutation: a failure here is reported, not
   // returned — the mutation is already durable in the WAL.
   void MaybeCheckpointLocked();
-  void PublishLocked();
+  // Publishes the current state as a new epoch and returns the previous
+  // one. Callers hold it in a variable declared before their `mu_` lock,
+  // so that whatever it alone keeps alive is freed after `mu_` is
+  // released.
+  [[nodiscard]] std::shared_ptr<const RegistrySnapshotView> PublishLocked();
 
   const RegistryOptions options_;
   const std::string checkpoint_path_;
@@ -174,9 +220,12 @@ class QueryRegistry {
   mutable std::mutex mu_;       // serializes mutations + file I/O
   World world_;
   ContainmentIndex index_;
-  // Live entries in registration order (ids ascending) and their names;
-  // every publish copies both into the snapshot.
-  std::vector<RegistryEntryView> entries_;
+  // Live entries in registration order, as each publish copies them, the
+  // records they point to (same positions), and their names. An
+  // unregistered record is retired.
+  EntryList entries_;
+  std::vector<std::shared_ptr<const RegistryEntryView>> records_;
+  Retirer retired_entries_;
   NameIndex by_name_;
   Wal wal_;
   uint64_t epoch_ = 0;

@@ -28,28 +28,46 @@ struct TraceSession::ThreadBuffer {
 
 struct TraceSession::Impl {
   uint64_t generation = 0;  // process-unique id of this session
-  std::mutex mu;            // guards registration only
+  std::mutex mu;            // guards registration and hand-back only
   std::vector<std::unique_ptr<ThreadBuffer>> buffers;
+  // Rings whose threads exited, for the next thread that starts tracing.
+  std::vector<ThreadBuffer*> handed_back;
 };
 
 namespace {
+
+std::atomic<uint64_t> g_session_generation{0};
+
+// Held while a ring is handed back at thread exit and while a session
+// uninstalls itself, so a hand-back never reaches a session being freed.
+std::mutex g_hand_back_mu;
+
+thread_local int g_suppress_depth = 0;
+
+}  // namespace
 
 // Cache of this thread's buffer within the current session. Keyed on the
 // session's process-unique generation, NOT its address: a later session
 // can be heap-allocated at a dead session's address, and a pointer tag
 // would then hand back a dangling buffer.
-struct ThreadCache {
+struct TraceSession::ThreadCache {
   uint64_t generation = 0;  // 0 never matches a live session
-  void* buffer = nullptr;   // TraceSession::ThreadBuffer* (private type)
+  ThreadBuffer* buffer = nullptr;
+
+  // Thread exit: if the ring's session is still installed, the ring goes
+  // back to it. The mutexes order this thread's last appends before the
+  // next owner's first.
+  ~ThreadCache() {
+    if (buffer == nullptr) return;
+    std::lock_guard<std::mutex> lock(g_hand_back_mu);
+    TraceSession* session = current_.load(std::memory_order_acquire);
+    if (session == nullptr || session->impl_->generation != generation) return;
+    std::lock_guard<std::mutex> registration(session->impl_->mu);
+    session->impl_->handed_back.push_back(buffer);
+  }
 };
 
-thread_local ThreadCache g_thread_cache;
-
-std::atomic<uint64_t> g_session_generation{0};
-
-thread_local int g_suppress_depth = 0;
-
-}  // namespace
+thread_local TraceSession::ThreadCache TraceSession::thread_cache_;
 
 TraceSuppress::TraceSuppress() { ++g_suppress_depth; }
 TraceSuppress::~TraceSuppress() { --g_suppress_depth; }
@@ -67,19 +85,26 @@ TraceSession::TraceSession(size_t events_per_thread)
 }
 
 TraceSession::~TraceSession() {
-  current_.store(nullptr, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(g_hand_back_mu);
+    current_.store(nullptr, std::memory_order_release);
+  }
   delete impl_;
 }
 
 TraceSession::ThreadBuffer& TraceSession::BufferForThisThread() {
-  ThreadCache& cache = g_thread_cache;
-  if (cache.generation == impl_->generation) {
-    return *static_cast<ThreadBuffer*>(cache.buffer);
-  }
+  ThreadCache& cache = thread_cache_;
+  if (cache.generation == impl_->generation) return *cache.buffer;
   std::lock_guard<std::mutex> lock(impl_->mu);
-  impl_->buffers.push_back(std::make_unique<ThreadBuffer>(
-      uint32_t(impl_->buffers.size()), events_per_thread_));
-  ThreadBuffer* buffer = impl_->buffers.back().get();
+  ThreadBuffer* buffer = nullptr;
+  if (!impl_->handed_back.empty()) {
+    buffer = impl_->handed_back.back();
+    impl_->handed_back.pop_back();
+  } else {
+    impl_->buffers.push_back(std::make_unique<ThreadBuffer>(
+        uint32_t(impl_->buffers.size()), events_per_thread_));
+    buffer = impl_->buffers.back().get();
+  }
   cache.generation = impl_->generation;
   cache.buffer = buffer;
   return *buffer;

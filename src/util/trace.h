@@ -25,7 +25,11 @@
 //
 // The per-thread buffers are rings: when a thread exceeds its capacity the
 // oldest events are overwritten and the drop is counted, so tracing a long
-// batch degrades to "most recent window" instead of unbounded memory.
+// batch degrades to "most recent window" instead of unbounded memory. A
+// thread that exits hands its ring back to the session, and the next
+// thread that starts tracing continues it under the same tid: fan-out that
+// starts fresh threads per batch (ParallelFor) holds as many rings as it
+// ever ran threads at once, not one per thread it ever started.
 
 namespace floq {
 
@@ -79,12 +83,16 @@ class TraceSession {
 
   struct ThreadBuffer;
   struct Impl;
+  // This thread's ring within one session; hands it back at thread exit.
+  struct ThreadCache;
 
-  /// The calling thread's ring buffer (registered on first use).
+  /// The calling thread's ring buffer (a handed-back ring, else a new one,
+  /// on first use).
   ThreadBuffer& BufferForThisThread();
   void Append(const TraceEvent& event);
 
   static std::atomic<TraceSession*> current_;
+  static thread_local ThreadCache thread_cache_;
 
   std::chrono::steady_clock::time_point start_;
   size_t events_per_thread_;

@@ -267,6 +267,27 @@ TEST(ContainmentIndexTest, DifferentialSoundnessLevelZeroAndClassical) {
 
 // ---- the incremental index -----------------------------------------------
 
+// The maintained taxonomy with every member id replaced by its position in
+// `ids` (ascending), as TaxonomyFromRelation numbers them over `ids`.
+QueryTaxonomy Positional(const TaxonomyView& view,
+                         std::span<const size_t> ids) {
+  QueryTaxonomy taxonomy;
+  taxonomy.class_of.assign(ids.size(), -1);
+  for (const std::vector<size_t>& members : view.classes) {
+    std::vector<size_t> positions;
+    for (size_t id : members) {
+      auto it = std::lower_bound(ids.begin(), ids.end(), id);
+      EXPECT_TRUE(it != ids.end() && *it == id) << id;
+      const size_t position = size_t(it - ids.begin());
+      taxonomy.class_of[position] = int(taxonomy.classes.size());
+      positions.push_back(position);
+    }
+    taxonomy.classes.push_back(std::move(positions));
+  }
+  taxonomy.hasse_edges = view.hasse_edges;
+  return taxonomy;
+}
+
 TEST(ContainmentIndexTest, IncrementalInsertMatchesBatchClassifier) {
   World world;
   std::vector<ConjunctiveQuery> queries = UnaryWorkload(world);
@@ -278,7 +299,8 @@ TEST(ContainmentIndexTest, IncrementalInsertMatchesBatchClassifier) {
     Result<size_t> id = index.Insert(q);
     ASSERT_TRUE(id.ok()) << id.status().ToString();
   }
-  QueryTaxonomy incremental = index.Taxonomy();
+  QueryTaxonomy incremental =
+      Positional(index.taxonomy().View(), index.live_ids());
 
   Result<QueryTaxonomy> batch = ClassifyQueries(world, queries, options);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
@@ -411,6 +433,20 @@ TEST(ContainmentIndexTest, RemoveLeavesTheBatchRelationOfTheLiveQueries) {
   // Remove dropped the removed ids' pairs in both directions: every pair
   // still stored is between live ids.
   EXPECT_EQ(index.edge_count(), index.RelationOf(ids).edge_count());
+  // The maintained taxonomy and the id-keyed view agree with the batch
+  // pass over every live id.
+  const QueryTaxonomy all = index.TaxonomyOf(ids);
+  const QueryTaxonomy maintained = Positional(index.taxonomy().View(), ids);
+  EXPECT_EQ(maintained.class_of, all.class_of);
+  EXPECT_EQ(maintained.classes, all.classes);
+  EXPECT_EQ(maintained.hasse_edges, all.hasse_edges);
+  const RelationView view = index.Relation();
+  EXPECT_EQ(view.size(), ids.size());
+  for (size_t lhs : ids) {
+    for (size_t rhs : ids) {
+      EXPECT_EQ(view[lhs][rhs], index.ResolutionOf(lhs, rhs));
+    }
+  }
 
   // A removed or unknown id is a typed error, in the index and the engine.
   EXPECT_EQ(index.Remove(removed[0]).code(), StatusCode::kNotFound);
@@ -420,6 +456,43 @@ TEST(ContainmentIndexTest, RemoveLeavesTheBatchRelationOfTheLiveQueries) {
   const std::pair<size_t, size_t> dead_pair[1] = {{ids[0], removed[0]}};
   Result<std::vector<PairVerdict>> dead = index.engine().CheckPairs(dead_pair);
   EXPECT_EQ(dead.status().code(), StatusCode::kInvalidArgument);
+}
+
+// A relation or taxonomy view taken before later mutations keeps
+// answering its own moment: the rows and member lists those mutations
+// replace are retired, not freed, while the view holds them (the
+// AddressSanitizer job sees any use of a freed one).
+TEST(ContainmentIndexTest, ViewsKeepTheirMomentAcrossMutations) {
+  World world;
+  std::vector<ConjunctiveQuery> queries = UnaryWorkload(world);
+  BatchContainmentOptions options;
+  options.jobs = 1;
+  ContainmentIndex index(world, options);
+  for (const ConjunctiveQuery& q : queries) {
+    ASSERT_TRUE(index.Insert(q).ok());
+  }
+  const std::vector<size_t> ids(index.live_ids().begin(),
+                                index.live_ids().end());
+  const RelationView relation = index.Relation();
+  const TaxonomyView taxonomy = index.taxonomy().View();
+  std::vector<Resolution> verdicts;
+  for (size_t lhs : ids) {
+    for (size_t rhs : ids) verdicts.push_back(index.ResolutionOf(lhs, rhs));
+  }
+  const QueryTaxonomy classes = Positional(taxonomy, ids);
+
+  for (size_t id = 0; id < ids.size(); id += 2) ASSERT_TRUE(index.Remove(id).ok());
+  for (size_t k = 0; k < queries.size(); k += 3) {
+    ASSERT_TRUE(index.Insert(queries[k]).ok());
+  }
+
+  size_t k = 0;
+  for (size_t lhs : ids) {
+    for (size_t rhs : ids) EXPECT_EQ(relation[lhs][rhs], verdicts[k++]);
+  }
+  const QueryTaxonomy kept = Positional(taxonomy, ids);
+  EXPECT_EQ(kept.classes, classes.classes);
+  EXPECT_EQ(kept.hasse_edges, classes.hasse_edges);
 }
 
 // Positions follow the order of the ids asked for, ascending or not.

@@ -8,6 +8,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <variant>
@@ -18,6 +19,7 @@
 #include "query/parser.h"
 #include "term/world.h"
 #include "util/metrics.h"
+#include "util/parallel_for.h"
 #include "util/trace.h"
 
 namespace floq {
@@ -740,6 +742,30 @@ TEST(TraceTest, RingBufferDropsOldestAndCounts) {
   ASSERT_NE(root, nullptr);
   const JsonObject& top = std::get<JsonObject>(root->value);
   EXPECT_EQ(std::get<JsonArray>(top.at("traceEvents")->value).size(), 4u);
+}
+
+// ParallelFor starts fresh threads on every call. Each exiting thread
+// hands its ring back, so repeated fan-out records under as many tids as
+// ran at once instead of allocating a ring per thread it ever started.
+TEST(TraceTest, FanOutThreadsReuseHandedBackRings) {
+  TraceSession session;
+  for (int call = 0; call < 50; ++call) {
+    ParallelFor(4, 64, [](size_t i) {
+      TraceSpan span("fanout.item");
+      span.Arg("i", int64_t(i));
+    });
+  }
+  EXPECT_EQ(session.size(), 50u * 64u);
+  EXPECT_EQ(session.dropped(), 0u);
+  std::shared_ptr<JsonValue> root = JsonParser(session.ToJson()).Parse();
+  ASSERT_NE(root, nullptr);
+  const JsonObject& top = std::get<JsonObject>(root->value);
+  std::set<double> tids;
+  for (const auto& event : std::get<JsonArray>(top.at("traceEvents")->value)) {
+    tids.insert(std::get<double>(
+        std::get<JsonObject>(event->value).at("tid")->value));
+  }
+  EXPECT_LE(tids.size(), 4u);
 }
 
 TEST(TraceTest, ChaseEmitsSpansWhenSessionInstalled) {

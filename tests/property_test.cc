@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <set>
+#include <span>
 
 #include "chase/chase.h"
 #include "chase/sigma_fl.h"
@@ -533,6 +535,117 @@ TEST_P(TaxonomyDifferentialProperty, SparseCoreMatchesDenseReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TaxonomyDifferentialProperty,
+                         ::testing::Range(uint64_t(0), uint64_t(60)));
+
+// ---- the maintained taxonomy matches the batch pass at every step ----------
+
+// A verdict matrix read by id over a changing live set, kept the way
+// ContainmentIndex keeps its rows: ascending, without kNotContained pairs.
+class VerdictRows : public RelationRows {
+ public:
+  explicit VerdictRows(const std::vector<std::vector<Resolution>>& verdicts)
+      : verdicts_(verdicts),
+        supers_(verdicts.size()),
+        subs_(verdicts.size()) {}
+
+  // `id` exceeds every id in `live` (ascending).
+  void Insert(size_t id, const std::vector<size_t>& live) {
+    for (size_t j : live) {
+      if (verdicts_[id][j] != Resolution::kNotContained) {
+        supers_[id].push_back({j, verdicts_[id][j]});
+        subs_[j].push_back({id, verdicts_[id][j]});
+      }
+      if (verdicts_[j][id] != Resolution::kNotContained) {
+        supers_[j].push_back({id, verdicts_[j][id]});
+        subs_[id].push_back({j, verdicts_[j][id]});
+      }
+    }
+  }
+
+  void Remove(size_t id) {
+    auto drop = [id](std::vector<ContainmentRelation::Edge>& row) {
+      std::erase_if(row, [id](const auto& edge) { return edge.rhs == id; });
+    };
+    for (const auto& edge : supers_[id]) drop(subs_[edge.rhs]);
+    for (const auto& edge : subs_[id]) drop(supers_[edge.rhs]);
+    supers_[id].clear();
+    subs_[id].clear();
+  }
+
+  std::span<const ContainmentRelation::Edge> supers(size_t id) const override {
+    return supers_[id];
+  }
+  std::span<const ContainmentRelation::Edge> subs(size_t id) const override {
+    return subs_[id];
+  }
+
+ private:
+  const std::vector<std::vector<Resolution>>& verdicts_;
+  std::vector<std::vector<ContainmentRelation::Edge>> supers_;
+  std::vector<std::vector<ContainmentRelation::Edge>> subs_;
+};
+
+class TaxonomyMaintainerProperty : public ::testing::TestWithParam<uint64_t> {
+};
+
+// Seeded insert/remove sequences over RandomVerdicts: inserts take the
+// next id, removals a random live one. After every step the maintained
+// classes, members and Hasse edges equal the batch pass over the live ids
+// in ascending order.
+TEST_P(TaxonomyMaintainerProperty, MatchesBatchAfterEveryStep) {
+  const std::vector<std::vector<Resolution>> verdicts =
+      RandomVerdicts(GetParam());
+  const size_t n = verdicts.size();
+  Rng rng(GetParam() * 104729 + 11);
+  VerdictRows rows(verdicts);
+  TaxonomyMaintainer maintainer(rows);
+  std::vector<size_t> live;
+  size_t next = 0;
+  for (size_t step = 0; next < n || !live.empty(); ++step) {
+    const bool insert =
+        next < n && (live.empty() || rng.Chance(next < n / 2 ? 0.8 : 0.5));
+    if (insert) {
+      rows.Insert(next, live);
+      maintainer.Insert(next);
+      live.push_back(next++);
+    } else {
+      const size_t victim = size_t(rng.Below(live.size()));
+      maintainer.Remove(live[victim]);
+      rows.Remove(live[victim]);
+      live.erase(live.begin() + std::ptrdiff_t(victim));
+    }
+
+    ContainmentRelation relation;
+    std::vector<ContainmentRelation::Edge> row;
+    for (size_t i = 0; i < live.size(); ++i) {
+      row.clear();
+      for (size_t j = 0; j < live.size(); ++j) {
+        const Resolution verdict = verdicts[live[i]][live[j]];
+        if (i != j && verdict != Resolution::kNotContained) {
+          row.push_back({j, verdict});
+        }
+      }
+      relation.AddRow(row);
+    }
+    const QueryTaxonomy batch = TaxonomyFromRelation(relation, 0, 0, 0);
+    const TaxonomyView view = maintainer.View();
+    std::vector<std::vector<size_t>> classes;
+    for (const std::vector<size_t>& members : view.classes) {
+      std::vector<size_t> positions;
+      for (size_t id : members) {
+        auto it = std::lower_bound(live.begin(), live.end(), id);
+        ASSERT_TRUE(it != live.end() && *it == id) << "dead member " << id;
+        positions.push_back(size_t(it - live.begin()));
+      }
+      classes.push_back(std::move(positions));
+    }
+    ASSERT_EQ(classes, batch.classes) << "n=" << n << " step " << step;
+    ASSERT_EQ(view.hasse_edges, batch.hasse_edges)
+        << "n=" << n << " step " << step;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TaxonomyMaintainerProperty,
                          ::testing::Range(uint64_t(0), uint64_t(60)));
 
 // ---- UCQ containment degenerates correctly -------------------------------------

@@ -20,6 +20,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -427,6 +428,20 @@ TEST(RegistryTest, RegisterUnregisterAndSnapshotIsolation) {
   EXPECT_EQ(registry.Snapshot()->Find("b")->name, "b");
 }
 
+// Every pair of a snapshot's relation, read by index id over its entries
+// in registration order, keyed by names: ids are not stable across a
+// reopen, names are.
+std::string RelationFingerprint(const RegistrySnapshotView& snap) {
+  std::string out;
+  for (const RegistryEntryView& lhs : snap.entries) {
+    for (const RegistryEntryView& rhs : snap.entries) {
+      out += lhs.name + "<" + rhs.name + ":" +
+             ResolutionName(snap.resolution[lhs.id][rhs.id]) + ",";
+    }
+  }
+  return out;
+}
+
 TEST(RegistryTest, ReopenRecoversEntriesAndLattice) {
   std::string dir = MakeTempDir();
   std::string fingerprint_before;
@@ -444,11 +459,7 @@ TEST(RegistryTest, ReopenRecoversEntriesAndLattice) {
     ASSERT_TRUE(unregistered.ok());
     EXPECT_GT(*unregistered, last_acked_epoch);
     last_acked_epoch = *unregistered;
-    std::shared_ptr<const RegistrySnapshotView> snap = registry.Snapshot();
-    for (size_t j = 0; j < snap->entries.size(); ++j) {
-      fingerprint_before += ResolutionName(snap->resolution[0][j]);
-      fingerprint_before += ',';
-    }
+    fingerprint_before = RelationFingerprint(*registry.Snapshot());
     // No clean shutdown: drop the registry with WAL + checkpoint as-is.
   }
   QueryRegistry recovered(TestRegistryOptions(dir));
@@ -458,12 +469,7 @@ TEST(RegistryTest, ReopenRecoversEntriesAndLattice) {
   ASSERT_EQ(snap->entries.size(), Workload().size() - 1);
   EXPECT_EQ(snap->Find("people"), nullptr);
   EXPECT_NE(snap->Find("students"), nullptr);
-  std::string fingerprint_after;
-  for (size_t j = 0; j < snap->entries.size(); ++j) {
-    fingerprint_after += ResolutionName(snap->resolution[0][j]);
-    fingerprint_after += ',';
-  }
-  EXPECT_EQ(fingerprint_after, fingerprint_before);
+  EXPECT_EQ(RelationFingerprint(*snap), fingerprint_before);
 }
 
 // ---- registry churn ------------------------------------------------------
@@ -541,18 +547,15 @@ Batch BatchOver(const NamedTexts& live) {
   return batch;
 }
 
-// Every answer a snapshot gives, as one string.
+// Every answer a snapshot gives, as one string: entries in registration
+// order, every pair by index id, classes by member name.
 std::string SnapshotFingerprint(const RegistrySnapshotView& snap) {
   std::string out = std::to_string(snap.epoch) + ";";
   for (const RegistryEntryView& entry : snap.entries) {
-    out += entry.name + "=" + entry.text + ";";
+    out += entry.name + "=" + entry.text + "#" + std::to_string(entry.id) +
+           ";";
   }
-  for (size_t i = 0; i < snap.entries.size(); ++i) {
-    for (size_t j = 0; j < snap.entries.size(); ++j) {
-      out += ResolutionName(snap.resolution[i][j]);
-      out += ',';
-    }
-  }
+  out += RelationFingerprint(snap);
   for (const std::vector<size_t>& cls : snap.taxonomy.classes) {
     out += "[";
     for (size_t m : cls) out += snap.entries[m].name + " ";
@@ -564,25 +567,47 @@ std::string SnapshotFingerprint(const RegistrySnapshotView& snap) {
   return out;
 }
 
+// The snapshot read through each live entry's index id, in registration
+// order, against a one-shot batch over the same queries in that order:
+// every pair, class, member and Hasse edge.
 void ExpectSnapshotMatchesBatch(const RegistrySnapshotView& snap,
                                 const NamedTexts& live) {
   ASSERT_EQ(snap.entries.size(), live.size());
-  for (size_t i = 0; i < live.size(); ++i) {
-    ASSERT_EQ(snap.entries[i].name, live[i].first);
-    ASSERT_EQ(snap.by_name.find(live[i].first)->second, i);
+  std::vector<size_t> ids;  // position in registration order -> index id
+  for (const RegistryEntryView& entry : snap.entries) {
+    const size_t i = ids.size();
+    ASSERT_EQ(entry.name, live[i].first);
+    ASSERT_EQ(entry.text, live[i].second);
+    ASSERT_TRUE(ids.empty() || entry.id > ids.back()) << "ids not ascending";
+    ASSERT_EQ(snap.by_name.find(entry.name)->second, entry.id);
+    ASSERT_EQ(&snap.entries[entry.id], &entry);
+    ASSERT_EQ(snap.Find(entry.name), &entry);
+    ids.push_back(entry.id);
   }
   const Batch batch = BatchOver(live);
   for (size_t i = 0; i < live.size(); ++i) {
     for (size_t j = 0; j < live.size(); ++j) {
-      EXPECT_EQ(snap.resolution[i][j], batch.matrix[i][j])
+      EXPECT_EQ(snap.resolution[ids[i]][ids[j]], batch.matrix[i][j])
           << "epoch " << snap.epoch << ": " << live[i].first << " in "
           << live[j].first;
     }
   }
-  EXPECT_EQ(snap.taxonomy.class_of, batch.taxonomy.class_of)
-      << "epoch " << snap.epoch;
-  EXPECT_EQ(snap.taxonomy.classes, batch.taxonomy.classes)
-      << "epoch " << snap.epoch;
+  std::vector<int> class_of(live.size(), -1);
+  std::vector<std::vector<size_t>> classes;
+  for (const std::vector<size_t>& members : snap.taxonomy.classes) {
+    std::vector<size_t> positions;
+    for (size_t id : members) {
+      auto it = std::lower_bound(ids.begin(), ids.end(), id);
+      ASSERT_TRUE(it != ids.end() && *it == id)
+          << "epoch " << snap.epoch << ": member " << id << " is not live";
+      const size_t i = size_t(it - ids.begin());
+      class_of[i] = int(classes.size());
+      positions.push_back(i);
+    }
+    classes.push_back(std::move(positions));
+  }
+  EXPECT_EQ(class_of, batch.taxonomy.class_of) << "epoch " << snap.epoch;
+  EXPECT_EQ(classes, batch.taxonomy.classes) << "epoch " << snap.epoch;
   EXPECT_EQ(snap.taxonomy.hasse_edges, batch.taxonomy.hasse_edges)
       << "epoch " << snap.epoch;
   // The index holds the live queries and nothing else.
@@ -593,9 +618,10 @@ void ExpectSnapshotMatchesBatch(const RegistrySnapshotView& snap,
 // Seeded register/unregister churn around 30 live queries with frequent
 // checkpoints. At every epoch the published relation and taxonomy equal
 // a one-shot batch over the live queries in registration order; a
-// snapshot held across later unregisters still answers its own epoch
-// (the AddressSanitizer job sees any use of a freed entry); and the
-// index holds exactly the live queries, before and after a reopen.
+// snapshot held across later unregisters, and past its registry, still
+// answers its own epoch (the AddressSanitizer job sees any use of a freed
+// entry, row or member list); and the index holds exactly the live
+// queries, before and after a reopen.
 TEST(RegistryTest, ChurnMatchesBatchAtEveryEpochAndFreesEntries) {
   std::string dir = MakeTempDir();
   const std::vector<std::string> pool = ChurnPool();
@@ -643,6 +669,10 @@ TEST(RegistryTest, ChurnMatchesBatchAtEveryEpochAndFreesEntries) {
     for (const auto& [snap, fingerprint] : held) {
       EXPECT_EQ(SnapshotFingerprint(*snap), fingerprint);
     }
+  }
+  // The registry is gone; the epochs it published still read as they did.
+  for (const auto& [snap, fingerprint] : held) {
+    EXPECT_EQ(SnapshotFingerprint(*snap), fingerprint);
   }
   QueryRegistry reopened(TestRegistryOptions(dir));
   ASSERT_TRUE(reopened.Open().ok());
@@ -792,10 +822,11 @@ TEST(DaemonTest, RegistrationsSurviveGracefulRestart) {
   EXPECT_EQ(ShutdownDaemon(restarted), 0);
 }
 
-// `status` answers from the published snapshot alone: on one connection it
-// runs beside registrations on another without racing them (the
-// ThreadSanitizer job runs this) and without waiting for their WAL fsync,
-// and each reply is one epoch's consistent view.
+// `status`, `classify` and cached `contain` answer from the published
+// snapshot alone: on one connection they run beside registrations on
+// another without racing them (the ThreadSanitizer job runs this) and
+// without waiting for their WAL fsync, and each reply is one epoch's
+// consistent view.
 TEST(DaemonTest, StatusReadsOneSnapshotBesideRegistrations) {
   std::string dir = MakeTempDir();
   DaemonProc daemon = SpawnDaemon(dir, "", {"checkpoint_every=4"});
@@ -803,6 +834,29 @@ TEST(DaemonTest, StatusReadsOneSnapshotBesideRegistrations) {
   ASSERT_TRUE(WaitForDaemon(daemon));
   const int status_fd = ConnectUnix(daemon.socket_path);
   ASSERT_GE(status_fd, 0);
+
+  // A pair that stays registered throughout (advised ⊆ students), then
+  // the names live at each epoch of the writer's sequence below.
+  const std::pair<std::string, std::string> stay[2] = {
+      {"stay-sub", "q(X) :- X : student, X[advisor -> Y]."},
+      {"stay-super", "q(X) :- X : student."}};
+  for (const auto& [name, text] : stay) {
+    Result<Json> reply = Call(status_fd, RegisterRequest(name, text));
+    ASSERT_TRUE(reply.ok() && *reply->GetBool("ok")) << name;
+  }
+  std::vector<std::set<std::string>> live_at(3);
+  live_at[2] = {stay[0].first, stay[1].first};
+  for (int i = 0; i < 60; ++i) {
+    const std::string unique =
+        Workload()[size_t(i) % Workload().size()].first + "-" +
+        std::to_string(i);
+    live_at.push_back(live_at.back());
+    live_at.back().insert(unique);
+    if (i % 2 == 1) {
+      live_at.push_back(live_at.back());
+      live_at.back().erase(unique);
+    }
+  }
 
   std::atomic<bool> writing{true};
   std::atomic<int> write_failures{0};
@@ -840,16 +894,57 @@ TEST(DaemonTest, StatusReadsOneSnapshotBesideRegistrations) {
                  *index->GetInt("engine_queries") == queries;
     return *std::move(status);
   };
+  // Each classify lists every name of its epoch exactly once.
+  int classifies = 0;
+  auto check_classify = [&]() -> bool {
+    Result<Json> reply = Call(status_fd, MakeRequest("classify"));
+    if (!reply.ok() || !*reply->GetBool("ok")) return false;
+    ++classifies;
+    const size_t epoch = size_t(*reply->GetInt("epoch"));
+    std::multiset<std::string> names;
+    for (const Json& members : reply->Find("classes")->items()) {
+      for (const Json& member : members.items()) {
+        names.insert(member.AsString());
+      }
+    }
+    const bool listed =
+        epoch < live_at.size() &&
+        names == std::multiset<std::string>(live_at[epoch].begin(),
+                                            live_at[epoch].end());
+    EXPECT_TRUE(listed) << "classify at epoch " << epoch;
+    return listed;
+  };
+  // The cached verdict of the pair that stays is the constructed one.
+  int contains = 0;
+  auto check_contain = [&]() -> bool {
+    Json request = MakeRequest("contain");
+    request.Set("lhs", Json::String(stay[0].first));
+    request.Set("rhs", Json::String(stay[1].first));
+    Result<Json> reply = Call(status_fd, request);
+    if (!reply.ok() || !*reply->GetBool("ok")) return false;
+    ++contains;
+    const bool contained = *reply->GetString("resolution") == "CONTAINED" &&
+                           *reply->GetBool("cached");
+    EXPECT_TRUE(contained) << reply->Serialize();
+    return contained;
+  };
   while (writing.load()) {
-    if (!check_status().has_value()) break;
+    if (!check_status().has_value() || !check_classify() ||
+        !check_contain()) {
+      break;
+    }
   }
   writer.join();
   EXPECT_EQ(write_failures.load(), 0);
   std::optional<Json> last = check_status();
   ASSERT_TRUE(last.has_value());
+  EXPECT_TRUE(check_classify());
+  EXPECT_TRUE(check_contain());
   EXPECT_TRUE(consistent);
   EXPECT_GT(replies, 1);
-  EXPECT_EQ(*last->GetInt("queries"), 30);
+  EXPECT_GT(classifies, 1);
+  EXPECT_GT(contains, 1);
+  EXPECT_EQ(*last->GetInt("queries"), 32);
   EXPECT_EQ(*last->Find("index")->GetInt("removed"), 30);
   ::close(status_fd);
   // Under ThreadSanitizer a reported race turns the daemon's exit code

@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "util/epoch.h"
 #include "util/function_ref.h"
 #include "util/interner.h"
 #include "util/json.h"
@@ -193,6 +195,55 @@ TEST(RngTest, ChanceExtremes) {
 }
 
 // ---- ParallelFor -------------------------------------------------------
+
+// ---- epochs over immutable objects --------------------------------------
+
+// An object that counts its destruction.
+std::shared_ptr<const int> Counted(int value, int* freed) {
+  return std::shared_ptr<const int>(new int(value), [freed](const int* p) {
+    ++*freed;
+    delete p;
+  });
+}
+
+TEST(RetirerTest, RetiredObjectsLiveExactlyAsLongAsEarlierPins) {
+  Retirer retirer;
+  int freed = 0;
+  // No pin outstanding: a retired object goes at the seal.
+  retirer.Retire(Counted(1, &freed));
+  retirer.Seal();
+  EXPECT_EQ(freed, 1);
+
+  std::shared_ptr<const int> first = Counted(2, &freed);
+  Retirer::Pin early = retirer.pin();  // sees `first`
+  retirer.Retire(std::move(first));
+  retirer.Seal();
+  Retirer::Pin late = retirer.pin();  // taken after `first` was replaced
+  std::shared_ptr<const int> second = Counted(3, &freed);
+  retirer.Retire(std::move(second));
+  retirer.Seal();
+  EXPECT_EQ(freed, 1);  // both held by the early pin, `second` by the late
+  late.reset();
+  EXPECT_EQ(freed, 1);  // the early pin still holds everything after it
+  early.reset();
+  EXPECT_EQ(freed, 3);
+}
+
+// A pin held across many mutations holds a long chain; releasing it
+// unlinks the chain without recursing once per mutation.
+TEST(RetirerTest, LongPinnedChainIsReleasedIteratively) {
+  Retirer retirer;
+  int freed = 0;
+  Retirer::Pin pin = retirer.pin();
+  constexpr int kMutations = 200'000;
+  for (int i = 0; i < kMutations; ++i) {
+    retirer.Retire(Counted(i, &freed));
+    retirer.Seal();
+  }
+  EXPECT_EQ(freed, 0);
+  pin.reset();
+  EXPECT_EQ(freed, kMutations);
+}
 
 TEST(ParallelForTest, CoversEveryIndexOnce) {
   std::vector<std::atomic<int>> hits(257);
