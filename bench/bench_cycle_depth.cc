@@ -24,7 +24,7 @@ void PrintCrossoverTable() {
     World world;
     ConjunctiveQuery cycle = gen::MakeMandatoryCycleQuery(world, 1);
     ConjunctiveQuery probe = gen::MakeDataChainProbe(world, m);
-    int paper_bound = probe.size() * 2 * cycle.size();
+    int paper_bound = PaperLevelBound(cycle, probe);
 
     Result<ContainmentResult> at_bound = CheckContainment(world, cycle, probe);
     bool verdict = at_bound.ok() && at_bound->contained;

@@ -140,7 +140,7 @@ void PrintRecallTable() {
       ++classical_hits[pair.bucket];
     }
     ContainmentOptions level0;
-    level0.depth = ChaseDepth::kLevelZero;
+    level0.level_override = 0;
     Result<ContainmentResult> shallow =
         CheckContainment(world, pair.q1, pair.q2, level0);
     if (shallow.ok() && shallow->contained) ++level0_hits[pair.bucket];

@@ -215,19 +215,19 @@ void FoldChaseMetrics(const ChaseStats& before, const ChaseStats& after,
 
 class ChaseEngine {
  public:
-  ChaseEngine(World& world, DependencySet dependencies,
+  // The compiled rules point into the rule vectors of `dependencies`, so
+  // those vectors must outlive the engine (moving the set keeps them).
+  ChaseEngine(World& world, const DependencySet& dependencies,
               const ChaseOptions& options)
-      : world_(world),
-        options_(options),
-        dependencies_(std::move(dependencies)) {
-    for (size_t i = 0; i < dependencies_.tgds.size(); ++i) {
-      const Tgd& tgd = dependencies_.tgds[i];
+      : world_(world), options_(options) {
+    for (size_t i = 0; i < dependencies.tgds.size(); ++i) {
+      const Tgd& tgd = dependencies.tgds[i];
       ChaseTgd compiled{&tgd, TgdRuleId(tgd, i), tgd.ExistentialVariables()};
       (compiled.existential.empty() ? full_tgds_ : existential_tgds_)
           .push_back(std::move(compiled));
     }
-    egds_.reserve(dependencies_.egds.size());
-    for (const Egd& egd : dependencies_.egds) {
+    egds_.reserve(dependencies.egds.size());
+    for (const Egd& egd : dependencies.egds) {
       egds_.push_back(CompileEgd(egd));
     }
   }
@@ -424,16 +424,12 @@ class ChaseEngine {
 
   bool ApplyExistential(PendingTgd& p) {
     const ChaseTgd& tgd = *p.tgd;
-    if (options_.restricted_rho5) {
-      // Re-check the restriction against the current instance: an earlier
-      // application in this batch may have satisfied the head.
-      if (uint32_t blocker = FindMatch(p.head, tgd.existential);
-          blocker != kInvalidFactId) {
-        RecordCrossArcs(p.parents, blocker, tgd.id);
-        return true;
-      }
-    } else {
-      fired_.insert(p.head);
+    // Re-check the restriction against the current instance: an earlier
+    // application in this batch may have satisfied the head.
+    if (uint32_t blocker = FindMatch(p.head, tgd.existential);
+        blocker != kInvalidFactId) {
+      RecordCrossArcs(p.parents, blocker, tgd.id);
+      return true;
     }
     Atom head = p.head;
     for (Term var : tgd.existential) {
@@ -501,8 +497,7 @@ class ChaseEngine {
 
   // Appends every applicable instance of `rules` to `pending`: the body
   // matches and the head is not yet satisfied (a full TGD's head is
-  // absent; under the restricted chase no conjunct matches an existential
-  // TGD's head, under the oblivious one it has not fired for this head).
+  // absent; no conjunct matches an existential TGD's head).
   // With a delta window, only instances using at least one conjunct added
   // since the previous collection are searched — applicability is
   // monotone, so older instances were found earlier.
@@ -531,14 +526,10 @@ class ChaseEngine {
         if (!pending_heads.insert(head).second) return;
       } else {
         if (!pending_heads.insert(head).second) return;
-        if (options_.restricted_rho5) {
-          if (uint32_t blocker = FindMatch(head, tgd.existential);
-              blocker != kInvalidFactId) {
-            RecordCrossArcs(parents, blocker, tgd.id);
-            return;
-          }
-        } else if (fired_.count(head) > 0) {
-          return;  // oblivious: fire once per head instantiation
+        if (uint32_t blocker = FindMatch(head, tgd.existential);
+            blocker != kInvalidFactId) {
+          RecordCrossArcs(parents, blocker, tgd.id);
+          return;
         }
       }
       pending.push_back(PendingTgd{&tgd, std::move(head), std::move(parents),
@@ -673,9 +664,6 @@ class ChaseEngine {
       arc.to = remap[arc.to];
     }
     for (Term& t : result_.head_) t = uf_.Find(t);
-    std::unordered_set<Atom, AtomHash> fired;
-    for (const Atom& head : fired_) fired.insert(Canonicalize(head));
-    fired_ = std::move(fired);
 
     result_.max_level_ = 0;
     for (const ChaseNodeMeta& meta : result_.meta_) {
@@ -710,7 +698,6 @@ class ChaseEngine {
 
   World& world_;
   ChaseOptions options_;
-  DependencySet dependencies_;
   std::vector<ChaseTgd> full_tgds_;
   std::vector<ChaseTgd> existential_tgds_;
   std::vector<ChaseEgd> egds_;
@@ -725,9 +712,6 @@ class ChaseEngine {
   bool preliminary_done_ = false;
   bool full_recheck_ = true;
   std::set<std::pair<uint64_t, RuleId>> cross_seen_;
-  // Heads of existential TGDs that have fired, existential positions
-  // still variables (oblivious mode only).
-  std::unordered_set<Atom, AtomHash> fired_;
 };
 
 uint32_t ChaseResult::CountUpToLevel(int level) const {
@@ -768,9 +752,7 @@ std::string ChaseResult::DebugString(const World& world) const {
 
 ChaseResult ChaseQuery(World& world, const ConjunctiveQuery& query,
                        const ChaseOptions& options) {
-  ChaseEngine engine(world, MakeSigmaFLDependencies(world), options);
-  engine.Run(query.body(), query.head());
-  return engine.TakeResult();
+  return ChaseQuery(world, query, MakeSigmaFLDependencies(world), options);
 }
 
 ChaseResult ChaseQuery(World& world, const ConjunctiveQuery& query,
@@ -812,8 +794,8 @@ const ChaseResult& ResumableChase::EnsureLevel(int level,
     FLOQ_CHECK(!frozen_);
     ChaseOptions run_options = options_;
     run_options.max_level = level;
-    engine_ = std::make_unique<ChaseEngine>(
-        *world_, MakeSigmaFLDependencies(*world_), run_options);
+    sigma_ = MakeSigmaFLDependencies(*world_);
+    engine_ = std::make_unique<ChaseEngine>(*world_, sigma_, run_options);
     engine_->Run(query_.body(), query_.head(), governor);
     started_ = true;
     return engine_->result();

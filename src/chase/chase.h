@@ -68,17 +68,6 @@ struct ChaseOptions {
   uint64_t max_atoms = 1'000'000;
   /// Record cross-arcs (Definition 3(4)); costs extra bookkeeping.
   bool record_cross_arcs = false;
-  /// The paper's chase is *restricted*: rho_5 fires only when no
-  /// data(O, A, ·) conjunct exists (Definition 2(2)(ii)), and so does
-  /// every existential TGD of a user set (only when no conjunct satisfies
-  /// its head). Setting this to false gives the *oblivious* chase of the
-  /// later Datalog± literature: an existential TGD fires exactly once per
-  /// instantiation of its non-existential head positions (for rho_5, once
-  /// per mandatory(A, O) fact) regardless of existing values. The
-  /// oblivious chase is a superset of the restricted one and remains
-  /// sound for containment; it is exposed for study and comparison, not
-  /// used by CheckContainment.
-  bool restricted_rho5 = true;
   /// Optional resource governor (not owned; must outlive the run). Checked
   /// at round boundaries and ticked per inserted conjunct; a trip stops
   /// the run with ChaseOutcome::kInterrupted. One-shot entry points
@@ -248,6 +237,9 @@ class ResumableChase {
   World* world_;
   ConjunctiveQuery query_;
   ChaseOptions options_;
+  // Sigma_FL, built on the first EnsureLevel; engine_ points into its rule
+  // vectors, which a move of this handle carries along.
+  DependencySet sigma_;
   std::unique_ptr<ChaseEngine> engine_;
   bool started_ = false;
   bool frozen_ = false;

@@ -2,6 +2,7 @@
 
 #include <chrono>
 
+#include "chase/sigma_fl.h"
 #include "util/request_context.h"
 #include "util/strings.h"
 #include "util/trace.h"
@@ -29,35 +30,116 @@ Status ValidatePair(const World& world, const ConjunctiveQuery& q1,
   return Status::Ok();
 }
 
-void MarkContained(ContainmentResult& result) {
-  result.contained = true;
-  result.resolution = Resolution::kContained;
-  result.unknown_reason = TripReason::kNone;
+// How deep the one body below chases q1.
+enum class LevelPolicy {
+  // Sigma_FL: level_override when set, else Theorem 12's |q2| * 2|q1|.
+  kPaperBound,
+  // A weakly acyclic set (Sigma = ∅ among them): the chase terminates.
+  kCompletion,
+  // Any other set: level_override is required, and a negative against a
+  // chase the cap stopped is inconclusive.
+  kOverride,
+};
+
+// The one body behind CheckContainment, CheckContainmentUnderDependencies
+// and CheckClassicalContainment: chase q1 under `dependencies`, rename q2
+// apart, settle. Both stages share one anchored deadline: the budget's
+// timeout is for the whole check, not per stage. (The batch engine
+// re-anchors per pair and per stage instead; see engine.cc.)
+Result<ContainmentResult> Decide(World& world, const ConjunctiveQuery& q1,
+                                 const ConjunctiveQuery& q2,
+                                 const DependencySet& dependencies,
+                                 LevelPolicy policy, const char* span_name,
+                                 const ContainmentOptions& options) {
+  FLOQ_RETURN_IF_ERROR(ValidatePair(world, q1, q2));
+  ContainmentResult result;
+  ChaseOptions chase_options;
+  if (policy == LevelPolicy::kPaperBound) {
+    result.level_bound = options.level_override >= 0
+                             ? options.level_override
+                             : PaperLevelBound(q1, q2);
+  } else if (policy == LevelPolicy::kOverride) {
+    if (options.level_override < 0) {
+      return FailedPreconditionError(
+          "dependency set is not weakly acyclic: the chase may not "
+          "terminate; set ContainmentOptions::level_override for a sound "
+          "(but possibly inconclusive) bounded check");
+    }
+    result.level_bound = options.level_override;
+  }
+  if (result.level_bound >= 0) chase_options.max_level = result.level_bound;
+  chase_options.max_atoms = options.max_chase_atoms;
+  chase_options.record_cross_arcs = options.record_cross_arcs;
+
+  const bool governed = !options.budget.unlimited();
+  Deadline anchored = AnchorDeadline(options.budget);
+  ExecGovernor chase_governor(anchored, options.budget.cancel);
+  if (governed) chase_options.governor = &chase_governor;
+  TraceSpan span(span_name);
+  AnnotateWithRequest(span);
+  const SteadyClock::time_point chase_start = SteadyClock::now();
+  result.chase = ChaseQuery(world, q1, dependencies, chase_options);
+  result.chase_ms = MsSince(chase_start);
+  FoldGovernorMetrics(chase_governor);
+  result.q1_unsatisfiable = result.chase.failed();
+
+  // The chase is done mutating: compact its posting lists into the
+  // block-compressed frozen tier so the search streams compressed blocks
+  // instead of plain vectors. A chase the deadline or a cancellation
+  // stopped skips the search below: the hom governor shares both.
+  result.chase.FreezeConjuncts();
+  ExecGovernor hom_governor(anchored, options.budget.cancel,
+                            options.budget.hom_step_budget);
+  MatchOptions match = options.match;
+  if (governed && match.governor == nullptr) match.governor = &hom_governor;
+
+  // The witness is expressed in q2's original variables.
+  Substitution renaming;
+  ConjunctiveQuery q2_fresh = q2.RenameApart(world, &renaming);
+  const SteadyClock::time_point hom_start = SteadyClock::now();
+  Settlement settled =
+      SettlePair(q2_fresh, result.chase,
+                 ChaseTripReason(result.chase.outcome(), chase_governor),
+                 match, &result.hom_stats);
+  result.hom_ms = MsSince(hom_start);
+  // Only the stage-local governor is folded: a caller-supplied shared
+  // governor accumulates steps across calls and would double-count.
+  if (match.governor == &hom_governor) FoldGovernorMetrics(hom_governor);
+
+  result.resolution = settled.resolution;
+  result.contained = settled.resolution == Resolution::kContained;
+  result.unknown_reason = settled.unknown_reason;
+  if (settled.hom.has_value()) {
+    result.witness = renaming.ComposeWith(*settled.hom);
+  }
+  // Without a termination certificate, "no homomorphism" below the cap
+  // does not refute containment even when no budget tripped.
+  result.conclusive =
+      settled.resolution == Resolution::kContained ||
+      (settled.resolution == Resolution::kNotContained &&
+       (policy != LevelPolicy::kOverride ||
+        result.chase.outcome() == ChaseOutcome::kCompleted));
+  if (span.active()) {
+    span.Arg("resolution", ResolutionName(result.resolution))
+        .Arg("level_bound", int64_t(result.level_bound))
+        .Arg("chase_conjuncts", int64_t(result.chase.size()));
+  }
+  return result;
 }
 
-void MarkUnknown(ContainmentResult& result, TripReason reason) {
-  result.contained = false;
-  result.resolution = Resolution::kUnknown;
-  result.unknown_reason = reason;
-  result.conclusive = false;
-}
-
-/// Settles a negative hom-search outcome into NOT_CONTAINED or UNKNOWN.
-/// chase_trip is the reason the chase was truncated (kNone when the
-/// materialization is complete up to the Theorem-12 bound); hom_governor
-/// is the governor the search ran under, or nullptr when ungoverned.
-void ResolveNegative(ContainmentResult& result, TripReason chase_trip,
-                     const ExecGovernor* hom_governor) {
-  if (chase_trip != TripReason::kNone) {
-    MarkUnknown(result, chase_trip);
-    return;
+Status TripError(TripReason reason) {
+  switch (reason) {
+    case TripReason::kCancelled:
+      return CancelledError("UCQ containment cancelled");
+    case TripReason::kDeadlineExceeded:
+      return DeadlineExceededError("UCQ containment deadline exceeded");
+    case TripReason::kChaseAtomBudget:
+      return ResourceExhaustedError(
+          "UCQ containment: the chase exceeded max_chase_atoms");
+    default:
+      return ResourceExhaustedError(
+          "UCQ containment exhausted the hom step budget");
   }
-  if (hom_governor != nullptr && hom_governor->tripped()) {
-    MarkUnknown(result, hom_governor->trip());
-    return;
-  }
-  result.contained = false;
-  result.resolution = Resolution::kNotContained;
 }
 
 }  // namespace
@@ -66,141 +148,56 @@ int PaperLevelBound(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2) {
   return q2.size() * 2 * q1.size();
 }
 
+Settlement SettlePair(const ConjunctiveQuery& q2_renamed,
+                      const ChaseResult& chase, TripReason chase_trip,
+                      const MatchOptions& match, MatchStats* stats) {
+  Settlement settled;
+  if (chase.failed()) {
+    settled.resolution = Resolution::kContained;
+    return settled;
+  }
+  ExecGovernor* governor = match.governor;
+  if (governor == nullptr || governor->CheckNow()) {
+    settled.hom = FindQueryHomomorphism(q2_renamed, chase.conjuncts(),
+                                        chase.head(), stats, match);
+    if (settled.hom.has_value()) {
+      settled.resolution = Resolution::kContained;
+      return settled;
+    }
+  }
+  const TripReason search_trip =
+      governor != nullptr ? governor->trip() : TripReason::kNone;
+  settled.unknown_reason = search_trip == TripReason::kCancelled ? search_trip
+                           : chase_trip != TripReason::kNone     ? chase_trip
+                                                                 : search_trip;
+  if (settled.unknown_reason != TripReason::kNone) {
+    settled.resolution = Resolution::kUnknown;
+  }
+  return settled;
+}
+
 Result<ContainmentResult> CheckContainment(World& world,
                                            const ConjunctiveQuery& q1,
                                            const ConjunctiveQuery& q2,
                                            const ContainmentOptions& options) {
-  if (options.depth == ChaseDepth::kNone) {
-    return CheckClassicalContainment(world, q1, q2, options);
-  }
-  FLOQ_RETURN_IF_ERROR(ValidatePair(world, q1, q2));
-
-  int level_bound = 0;
-  if (options.depth == ChaseDepth::kPaperBound) {
-    level_bound = options.level_override >= 0 ? options.level_override
-                                              : PaperLevelBound(q1, q2);
-  }
-
-  // Both stages share one anchored deadline: the budget's timeout is for
-  // the whole check, not per stage. (The batch engine re-anchors per pair
-  // and per stage instead; see engine.cc.)
-  const bool governed = !options.budget.unlimited();
-  Deadline anchored = AnchorDeadline(options.budget);
-  ExecGovernor chase_governor(anchored, options.budget.cancel);
-
-  ChaseOptions chase_options;
-  chase_options.max_level = level_bound;
-  chase_options.max_atoms = options.max_chase_atoms;
-  chase_options.record_cross_arcs = options.record_cross_arcs;
-  if (governed) chase_options.governor = &chase_governor;
-  ContainmentResult result;
-  result.level_bound = level_bound;
-  TraceSpan span("check.containment");
-  AnnotateWithRequest(span);
-  const SteadyClock::time_point chase_start = SteadyClock::now();
-  result.chase = ChaseQuery(world, q1, chase_options);
-  result.chase_ms = MsSince(chase_start);
-  FoldGovernorMetrics(chase_governor);
-
-  auto annotate = [&]() {
-    if (span.active()) {
-      span.Arg("resolution", ResolutionName(result.resolution))
-          .Arg("level_bound", int64_t(result.level_bound))
-          .Arg("chase_conjuncts", int64_t(result.chase.size()));
-    }
-  };
-
-  if (result.chase.failed()) {
-    // q1 has no answers on any database satisfying Sigma_FL, so it is
-    // contained in every query of the same arity.
-    MarkContained(result);
-    result.q1_unsatisfiable = true;
-    annotate();
-    return result;
-  }
-
-  TripReason chase_trip = ChaseTripReason(result.chase.outcome(),
-                                          chase_governor);
-  if (chase_trip == TripReason::kDeadlineExceeded ||
-      chase_trip == TripReason::kCancelled) {
-    // Out of time (or told to stop): do not start the hom search against
-    // the prefix — a positive would be sound, but the caller's clock has
-    // already run out.
-    MarkUnknown(result, chase_trip);
-    annotate();
-    return result;
-  }
-
-  // chase_trip is kNone or kChaseAtomBudget here. Search even a truncated
-  // prefix: a homomorphism into any prefix composes into the universal
-  // model, so kContained remains sound (governor.h).
-  //
-  // The chase is done mutating: compact its posting lists into the
-  // block-compressed frozen tier so the search streams compressed
-  // blocks instead of plain vectors.
-  result.chase.FreezeConjuncts();
-  ExecGovernor hom_governor(anchored, options.budget.cancel,
-                            options.budget.hom_step_budget);
-  MatchOptions match = options.match;
-  if (governed && match.governor == nullptr) match.governor = &hom_governor;
-
-  // q2's variables must be disjoint from the values of chase(q1) (which
-  // include q1's variables): rename apart, search, then express the
-  // witness in terms of q2's original variables.
-  Substitution renaming;
-  ConjunctiveQuery q2_fresh = q2.RenameApart(world, &renaming);
-  const SteadyClock::time_point hom_start = SteadyClock::now();
-  std::optional<Substitution> hom =
-      FindQueryHomomorphism(q2_fresh, result.chase.conjuncts(),
-                            result.chase.head(), &result.hom_stats, match);
-  result.hom_ms = MsSince(hom_start);
-  // Only the stage-local governor is folded: a caller-supplied shared
-  // governor accumulates steps across calls and would double-count.
-  if (match.governor == &hom_governor) FoldGovernorMetrics(hom_governor);
-  if (hom.has_value()) {
-    result.witness = renaming.ComposeWith(*hom);
-    MarkContained(result);
-    annotate();
-    return result;
-  }
-  ResolveNegative(result, chase_trip, match.governor);
-  annotate();
-  return result;
+  return Decide(world, q1, q2, MakeSigmaFLDependencies(world),
+                LevelPolicy::kPaperBound, "check.containment", options);
 }
 
 Result<ContainmentResult> CheckClassicalContainment(
     World& world, const ConjunctiveQuery& q1, const ConjunctiveQuery& q2,
     const ContainmentOptions& options) {
-  FLOQ_RETURN_IF_ERROR(ValidatePair(world, q1, q2));
+  return Decide(world, q1, q2, DependencySet{}, LevelPolicy::kCompletion,
+                "check.classical", options);
+}
 
-  // The target is body(q1) itself, with q1's variables as values.
-  FactIndex target;
-  for (const Atom& atom : q1.body()) target.Insert(atom);
-
-  const bool governed = !options.budget.unlimited();
-  ExecGovernor hom_governor = MakeHomGovernor(options.budget);
-  MatchOptions match = options.match;
-  if (governed && match.governor == nullptr) match.governor = &hom_governor;
-
-  ContainmentResult result;
-  result.level_bound = -1;
-  TraceSpan span("check.classical");
-  AnnotateWithRequest(span);
-  Substitution renaming;
-  ConjunctiveQuery q2_fresh = q2.RenameApart(world, &renaming);
-  const SteadyClock::time_point hom_start = SteadyClock::now();
-  std::optional<Substitution> hom =
-      FindQueryHomomorphism(q2_fresh, target, q1.head(), &result.hom_stats,
-                            match);
-  result.hom_ms = MsSince(hom_start);
-  if (match.governor == &hom_governor) FoldGovernorMetrics(hom_governor);
-  if (hom.has_value()) {
-    result.witness = renaming.ComposeWith(*hom);
-    MarkContained(result);
-    return result;
-  }
-  ResolveNegative(result, TripReason::kNone, match.governor);
-  return result;
+Result<ContainmentResult> CheckContainmentUnderDependencies(
+    World& world, const ConjunctiveQuery& q1, const ConjunctiveQuery& q2,
+    const DependencySet& dependencies, const ContainmentOptions& options) {
+  return Decide(world, q1, q2, dependencies,
+                IsWeaklyAcyclic(dependencies, world) ? LevelPolicy::kCompletion
+                                                     : LevelPolicy::kOverride,
+                "check.under_dependencies", options);
 }
 
 Result<bool> CheckEquivalence(World& world, const ConjunctiveQuery& q1,
@@ -228,146 +225,40 @@ Result<std::optional<size_t>> CheckUcqContainment(
     if (disjunct.arity() != q.arity()) {
       return InvalidArgumentError("UCQ disjunct arity mismatch");
     }
-    level_bound = std::max(level_bound, disjunct.size() * 2 * q.size());
+    level_bound = std::max(level_bound, PaperLevelBound(q, disjunct));
   }
   if (options.level_override >= 0) level_bound = options.level_override;
-  if (options.depth == ChaseDepth::kLevelZero) level_bound = 0;
 
-  // The UCQ API has no kUnknown channel (it returns a disjunct index), so
-  // trips surface as typed errors here.
   const bool governed = !options.budget.unlimited();
   Deadline anchored = AnchorDeadline(options.budget);
   ExecGovernor chase_governor(anchored, options.budget.cancel);
-
   ChaseOptions chase_options;
   chase_options.max_level = level_bound;
   chase_options.max_atoms = options.max_chase_atoms;
   if (governed) chase_options.governor = &chase_governor;
   ChaseResult chase = ChaseQuery(world, q, chase_options);
-
-  if (chase.failed()) {
-    // Unsatisfiable q is contained in any nonempty union.
-    if (disjuncts.empty()) return std::optional<size_t>();
-    return std::optional<size_t>(0);
-  }
-  if (chase.outcome() == ChaseOutcome::kBudgetExceeded) {
-    return ResourceExhaustedError("chase exceeded max_chase_atoms");
-  }
-  if (chase.outcome() == ChaseOutcome::kInterrupted) {
-    return chase_governor.trip() == TripReason::kCancelled
-               ? CancelledError("UCQ containment cancelled during chase")
-               : DeadlineExceededError(
-                     "UCQ containment deadline exceeded during chase");
-  }
+  const TripReason chase_trip =
+      ChaseTripReason(chase.outcome(), chase_governor);
 
   // All disjunct searches draw on one governor: the hom budget spans the
-  // whole stage, not each disjunct.
+  // whole stage, not each disjunct. An UNKNOWN disjunct does not end the
+  // scan, since a later one may still map into the prefix.
   chase.FreezeConjuncts();
   ExecGovernor hom_governor(anchored, options.budget.cancel,
                             options.budget.hom_step_budget);
   MatchOptions match = options.match;
   if (governed && match.governor == nullptr) match.governor = &hom_governor;
-
+  TripReason unknown = TripReason::kNone;
   for (size_t i = 0; i < disjuncts.size(); ++i) {
-    ConjunctiveQuery fresh = disjuncts[i].RenameApart(world);
-    if (FindQueryHomomorphism(fresh, chase.conjuncts(), chase.head(),
-                              /*stats=*/nullptr, match)
-            .has_value()) {
+    Settlement settled =
+        SettlePair(disjuncts[i].RenameApart(world), chase, chase_trip, match);
+    if (settled.resolution == Resolution::kContained) {
       return std::optional<size_t>(i);
     }
+    if (unknown == TripReason::kNone) unknown = settled.unknown_reason;
   }
-  if (match.governor != nullptr && match.governor->tripped()) {
-    switch (match.governor->trip()) {
-      case TripReason::kCancelled:
-        return CancelledError("UCQ containment cancelled during hom search");
-      case TripReason::kHomStepBudget:
-        return ResourceExhaustedError(
-            "UCQ containment exhausted the hom step budget");
-      default:
-        return DeadlineExceededError(
-            "UCQ containment deadline exceeded during hom search");
-    }
-  }
+  if (unknown != TripReason::kNone) return TripError(unknown);
   return std::optional<size_t>();
-}
-
-Result<ContainmentResult> CheckContainmentUnderDependencies(
-    World& world, const ConjunctiveQuery& q1, const ConjunctiveQuery& q2,
-    const DependencySet& dependencies, const ContainmentOptions& options) {
-  FLOQ_RETURN_IF_ERROR(ValidatePair(world, q1, q2));
-
-  const bool weakly_acyclic = IsWeaklyAcyclic(dependencies, world);
-  ChaseOptions chase_options;
-  chase_options.max_atoms = options.max_chase_atoms;
-  int level_bound = -1;
-  if (weakly_acyclic) {
-    // The chase terminates; no level cap needed.
-  } else if (options.level_override >= 0) {
-    level_bound = options.level_override;
-    chase_options.max_level = level_bound;
-  } else {
-    return FailedPreconditionError(
-        "dependency set is not weakly acyclic: the chase may not "
-        "terminate; set ContainmentOptions::level_override for a sound "
-        "(but possibly inconclusive) bounded check");
-  }
-
-  const bool governed = !options.budget.unlimited();
-  Deadline anchored = AnchorDeadline(options.budget);
-  ExecGovernor chase_governor(anchored, options.budget.cancel);
-  if (governed) chase_options.governor = &chase_governor;
-
-  ContainmentResult result;
-  result.level_bound = level_bound;
-  TraceSpan span("check.under_dependencies");
-  AnnotateWithRequest(span);
-  const SteadyClock::time_point chase_start = SteadyClock::now();
-  result.chase = ChaseQuery(world, q1, dependencies, chase_options);
-  result.chase_ms = MsSince(chase_start);
-  FoldGovernorMetrics(chase_governor);
-
-  if (result.chase.failed()) {
-    MarkContained(result);
-    result.q1_unsatisfiable = true;
-    return result;
-  }
-
-  TripReason chase_trip = ChaseTripReason(result.chase.outcome(),
-                                          chase_governor);
-  if (chase_trip == TripReason::kDeadlineExceeded ||
-      chase_trip == TripReason::kCancelled) {
-    MarkUnknown(result, chase_trip);
-    return result;
-  }
-
-  result.chase.FreezeConjuncts();
-  ExecGovernor hom_governor(anchored, options.budget.cancel,
-                            options.budget.hom_step_budget);
-  MatchOptions match = options.match;
-  if (governed && match.governor == nullptr) match.governor = &hom_governor;
-
-  Substitution renaming;
-  ConjunctiveQuery q2_fresh = q2.RenameApart(world, &renaming);
-  const SteadyClock::time_point hom_start = SteadyClock::now();
-  std::optional<Substitution> hom =
-      FindQueryHomomorphism(q2_fresh, result.chase.conjuncts(),
-                            result.chase.head(), &result.hom_stats, match);
-  result.hom_ms = MsSince(hom_start);
-  if (match.governor == &hom_governor) FoldGovernorMetrics(hom_governor);
-  if (hom.has_value()) {
-    result.witness = renaming.ComposeWith(*hom);
-    MarkContained(result);
-    return result;
-  }
-  ResolveNegative(result, chase_trip, match.governor);
-  // On a truncated chase of a non-weakly-acyclic set, "no homomorphism"
-  // does not refute containment even when no resource budget tripped.
-  if (result.resolution == Resolution::kNotContained) {
-    result.conclusive =
-        weakly_acyclic ||
-        result.chase.outcome() == ChaseOutcome::kCompleted;
-  }
-  return result;
 }
 
 Result<std::optional<size_t>> CheckUnionContainment(

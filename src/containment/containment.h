@@ -16,34 +16,34 @@
 // Containment of conjunctive object meta-queries under Sigma_FL — the
 // paper's main result. CheckContainment decides q1 ⊆_Sigma q2 by
 // materializing chase_Sigma(q1) up to level |q2| · 2|q1| (Theorem 12) and
-// searching for a homomorphism from q2 (Theorem 4). Two weaker, sound-but-
-// incomplete baselines are provided for the benchmarks: classical
-// Chandra–Merlin containment (constraints ignored) and containment against
-// level 0 only (the terminating Sigma_FL^- chase).
+// searching for a homomorphism from q2 (Theorem 4).
+//
+// Every check here takes that one decision path (DESIGN.md §7): chase q1
+// under a dependency set and its level policy, rename q2 apart, and let
+// SettlePair search and settle the pair. The entry points differ only in
+// the set: Sigma_FL to the Theorem 12 bound (or level_override),
+// a user set (CheckContainmentUnderDependencies), or Sigma = ∅
+// (CheckClassicalContainment: Chandra–Merlin, whose chase is body(q1)).
+// Two weaker, sound-but-incomplete baselines serve the benchmarks: the
+// classical check, and level_override = 0, which searches level 0 only
+// (the terminating Sigma_FL^- chase).
 
 namespace floq {
-
-/// How deep to chase q1 before the homomorphism search.
-enum class ChaseDepth {
-  /// The paper's bound: |q2| * 2|q1| levels (Theorem 12). Complete.
-  kPaperBound,
-  /// Level 0 only (Sigma_FL minus rho_5). Sound, incomplete.
-  kLevelZero,
-  /// No chase at all: classical containment (Chandra & Merlin 1977).
-  /// Sound, incomplete under constraints.
-  kNone,
-};
 
 /// The level cap of Theorem 12: |q2| * delta with delta = 2|q1|.
 int PaperLevelBound(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2);
 
 struct ContainmentOptions {
-  ChaseDepth depth = ChaseDepth::kPaperBound;
-  /// Overrides the level cap when >= 0 (used by convergence experiments).
+  /// Overrides the level cap when >= 0: 0 searches level 0 only (the
+  /// Sigma_FL^- baseline), and convergence experiments sweep it. Required
+  /// by CheckContainmentUnderDependencies on a set that is not weakly
+  /// acyclic; a weakly acyclic set (Sigma = ∅ among them) runs to
+  /// completion and ignores it.
   int level_override = -1;
-  /// Budget on materialized chase conjuncts; exceeding it yields
-  /// kResourceExhausted (the decision problem is NP-hard, Theorem 13 gives
-  /// a *nondeterministic* polynomial algorithm).
+  /// Budget on materialized chase conjuncts; exceeding it truncates the
+  /// chase, so a negative verdict becomes kUnknown(kChaseAtomBudget) (the
+  /// decision problem is NP-hard, Theorem 13 gives a *nondeterministic*
+  /// polynomial algorithm).
   uint64_t max_chase_atoms = 2'000'000;
   /// Homomorphism search configuration (compiled kernel, atom ordering)
   /// — forwarded to every hom search this check runs. Defaults to the
@@ -83,12 +83,14 @@ struct ContainmentResult {
   Resolution resolution = Resolution::kNotContained;
 
   /// The budget that made the verdict kUnknown (kNone otherwise). When
-  /// both stages tripped, the chase stage (the earlier one) wins.
+  /// several tripped, cancellation wins, then the chase stage (the
+  /// earlier one); see SettlePair.
   TripReason unknown_reason = TripReason::kNone;
 
-  /// False only for CheckContainmentUnderDependencies on a
-  /// non-weakly-acyclic set with a level override: a negative verdict is
-  /// then inconclusive (the homomorphism could exist deeper).
+  /// False when the verdict is kUnknown, and for a negative verdict of
+  /// CheckContainmentUnderDependencies on a non-weakly-acyclic set whose
+  /// chase stopped at the level override (the homomorphism could exist
+  /// deeper).
   bool conclusive = true;
 
   /// True when containment holds vacuously because chase(q1) failed
@@ -102,9 +104,12 @@ struct ContainmentResult {
 
   /// The materialized chase of q1. When not contained, this (frozen) is
   /// the counterexample database: q1 yields chase_head on it, q2 does not.
+  /// Under Sigma = ∅ (CheckClassicalContainment) it is body(q1) itself,
+  /// completed at level 0.
   ChaseResult chase;
 
-  /// Level cap that was used (-1 when depth == kNone).
+  /// Level cap that was used; -1 when the chase ran to completion (a
+  /// weakly acyclic set, Sigma = ∅ included).
   int level_bound = -1;
 
   /// Homomorphism search effort.
@@ -129,8 +134,9 @@ Result<ContainmentResult> CheckContainment(World& world,
                                                {});
 
 /// Classical conjunctive-query containment q1 ⊆ q2 over unconstrained
-/// databases: a homomorphism body(q2) -> body(q1) with head(q2) -> head(q1).
-/// Only options.match and options.budget (hom stage) are consulted.
+/// databases (Chandra & Merlin 1977): the one decision path under
+/// Sigma = ∅, i.e. a homomorphism body(q2) -> body(q1) with head(q2) ->
+/// head(q1). Sound, incomplete under Sigma_FL. level_override is ignored.
 Result<ContainmentResult> CheckClassicalContainment(
     World& world, const ConjunctiveQuery& q1, const ConjunctiveQuery& q2,
     const ContainmentOptions& options = {});
@@ -142,8 +148,13 @@ Result<bool> CheckEquivalence(World& world, const ConjunctiveQuery& q1,
 
 /// Containment in a union of conjunctive queries: q ⊆_Sigma q1 ∪ ... ∪ qn
 /// iff some disjunct maps into chase_Sigma(q) within the per-disjunct
-/// bound (the standard disjunct-wise argument; see DESIGN.md §7). Returns
-/// the index of the first disjunct that witnesses containment, or nullopt.
+/// bound (the standard disjunct-wise argument; see DESIGN.md §7). One
+/// chase, to the largest per-disjunct bound (or level_override), serves
+/// every disjunct, and SettlePair settles each. Returns the index of the
+/// first disjunct that witnesses containment, or nullopt. With no kUnknown
+/// channel, a pair no disjunct witnesses while a budget tripped fails with
+/// the trip's typed error (ResourceExhausted, DeadlineExceeded,
+/// Cancelled).
 Result<std::optional<size_t>> CheckUcqContainment(
     World& world, const ConjunctiveQuery& q,
     std::span<const ConjunctiveQuery> disjuncts,
@@ -170,6 +181,33 @@ Result<std::optional<size_t>> CheckUnionContainment(
     World& world, std::span<const ConjunctiveQuery> lhs,
     std::span<const ConjunctiveQuery> rhs,
     const ContainmentOptions& options = {});
+
+/// What SettlePair decided for one pair.
+struct Settlement {
+  Resolution resolution = Resolution::kNotContained;
+  /// The trip behind kUnknown (kNone otherwise).
+  TripReason unknown_reason = TripReason::kNone;
+  /// body(q2_renamed) -> chase, when a search found one.
+  std::optional<Substitution> hom;
+};
+
+/// The step every containment check ends in — the one-shot entry points
+/// above and the batch engine's hom stage alike. Searches `q2_renamed`
+/// (q2 renamed apart from the chase's values; DESIGN.md §4) in `chase`,
+/// the materialized chase of q1, and settles the pair:
+///   * a failed chase is kContained without a search (q1 is
+///     unsatisfiable);
+///   * a homomorphism is kContained whatever tripped: it maps into any
+///     prefix of the universal model (governor.h);
+///   * otherwise the pair is kUnknown if anything tripped — a
+///     cancellation first, then `chase_trip` (why the chase cannot refute
+///     containment; kNone when it is complete up to its cap), then the
+///     search governor's trip — and kNotContained if nothing did.
+/// `match.governor`, when set, bounds the search; a governor that has
+/// already tripped skips it.
+Settlement SettlePair(const ConjunctiveQuery& q2_renamed,
+                      const ChaseResult& chase, TripReason chase_trip,
+                      const MatchOptions& match, MatchStats* stats = nullptr);
 
 }  // namespace floq
 

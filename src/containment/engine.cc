@@ -3,7 +3,6 @@
 #include <chrono>
 #include <optional>
 
-#include "containment/homomorphism.h"
 #include "util/metrics.h"
 #include "util/parallel_for.h"
 #include "util/request_context.h"
@@ -16,12 +15,6 @@ namespace {
 
 using SteadyClock = std::chrono::steady_clock;
 
-// Chase levels the registration-time signature probe materializes
-// (ChaseDepth::kPaperBound only; level-0 mode probes level 0). A completed
-// probe makes the closure signature exact; an inconclusive one falls back
-// to the static Sigma_FL closure.
-constexpr int kSignatureProbeLevels = 2;
-
 double MsSince(SteadyClock::time_point start) {
   return std::chrono::duration<double, std::milli>(SteadyClock::now() - start)
       .count();
@@ -29,9 +22,9 @@ double MsSince(SteadyClock::time_point start) {
 
 }  // namespace
 
-// Per-query cache slot. `chase` (or `body_index` in kNone mode) is built
-// the first time the query appears as a left-hand side and reused — and
-// deepened, never rebuilt — by every later pair.
+// Per-query cache slot. `chase` is built at registration (the signature
+// probe) or the first time the query appears as a left-hand side, and
+// reused — and deepened, never rebuilt — by every later pair.
 struct ContainmentEngine::Entry {
   ConjunctiveQuery query;
   // The rhs pattern: variables renamed apart from every chase value (chase
@@ -40,8 +33,6 @@ struct ContainmentEngine::Entry {
   // registration, shared read-only by all workers.
   ConjunctiveQuery renamed;
   std::optional<ResumableChase> chase;
-  // ChaseDepth::kNone target: body(q) as a plain fact index.
-  std::optional<FactIndex> body_index;
   // Stage-0 prefilter signature, computed once at registration from the
   // probe chase (absent when use_signature_index is off).
   std::optional<ClosureSignature> signature;
@@ -60,27 +51,24 @@ Result<size_t> ContainmentEngine::AddQuery(const ConjunctiveQuery& query) {
   entry->renamed = query.RenameApart(world_);
   const ContainmentOptions& copts = options_.containment;
   if (copts.use_signature_index) {
-    const ChaseResult* probe = nullptr;
-    if (copts.depth != ChaseDepth::kNone) {
-      // The probe IS the pair pipeline's cached chase handle: whatever it
-      // materializes here is reused — and deepened, never rebuilt — by
-      // every later pair with this query on the left. It runs under the
-      // same governed budget as a pair's chase stage, so a runaway query
-      // cannot stall registration; an inconclusive probe just degrades
-      // the signature to the static closure.
-      ChaseOptions chase_options;
-      chase_options.max_atoms = copts.max_chase_atoms;
-      ExecGovernor governor = MakeChaseGovernor(copts.budget);
-      governor.AddCancellation(cancel_source_.token());
-      const int probe_level =
-          copts.depth == ChaseDepth::kLevelZero ? 0 : kSignatureProbeLevels;
-      ++stats_.chases_run;
-      entry->chase.emplace(world_, entry->query, chase_options);
-      probe = &entry->chase->EnsureLevel(probe_level, &governor);
-      FoldGovernorMetrics(governor);
-    }
+    // The probe IS the pair pipeline's cached chase handle: whatever it
+    // materializes here is reused — and deepened, never rebuilt — by
+    // every later pair with this query on the left, so it stops at the
+    // engine's level cap (SignatureProbeLevel). It runs under the same
+    // governed budget as a pair's chase stage, so a runaway query cannot
+    // stall registration; an inconclusive probe just degrades the
+    // signature to the static closure.
+    ChaseOptions chase_options;
+    chase_options.max_atoms = copts.max_chase_atoms;
+    ExecGovernor governor = MakeChaseGovernor(copts.budget);
+    governor.AddCancellation(cancel_source_.token());
+    ++stats_.chases_run;
+    entry->chase.emplace(world_, entry->query, chase_options);
+    const ChaseResult& probe = entry->chase->EnsureLevel(
+        SignatureProbeLevel(copts.level_override), &governor);
+    FoldGovernorMetrics(governor);
     entry->signature =
-        ComputeClosureSignature(entry->query, copts.depth, probe);
+        ComputeClosureSignature(entry->query, copts.level_override, &probe);
   }
   entries_.push_back(std::move(entry));
   ++live_entries_;
@@ -121,15 +109,9 @@ const ClosureSignature* ContainmentEngine::signature_of(size_t id) const {
 
 namespace {
 
-void MarkPairContained(PairVerdict& verdict) {
-  verdict.contained = true;
-  verdict.resolution = Resolution::kContained;
-  verdict.unknown_reason = TripReason::kNone;
-}
-
-void MarkPairUnknown(PairVerdict& verdict, TripReason reason) {
-  verdict.contained = false;
-  verdict.resolution = Resolution::kUnknown;
+void Record(PairVerdict& verdict, Resolution resolution, TripReason reason) {
+  verdict.contained = resolution == Resolution::kContained;
+  verdict.resolution = resolution;
   verdict.unknown_reason = reason;
 }
 
@@ -282,35 +264,19 @@ void ContainmentEngine::CheckPairsCore(size_t pair_count,
     }
     StageTimer timer(&s.chase_ms);
 
-    if (copts.depth == ChaseDepth::kNone) {
-      verdict.level_bound = -1;
-      if (!l.body_index.has_value()) {
-        ++stats_.chases_run;
-        l.body_index.emplace();
-        for (const Atom& atom : l.query.body()) l.body_index->Insert(atom);
-      } else {
-        ++stats_.chase_cache_hits;
-      }
-      s.needs_search = true;
-      continue;
-    }
-
     ExecGovernor chase_governor = MakeChaseGovernor(budget);
     chase_governor.AddCancellation(engine_token);
     if (!chase_governor.CheckNow()) {
       // Already cancelled (or the absolute deadline has passed) before
-      // this pair started: skip its chase entirely.
+      // this pair started: skip its chase and its search entirely.
       FoldGovernorMetrics(chase_governor);
-      MarkPairUnknown(verdict, chase_governor.trip());
+      Record(verdict, Resolution::kUnknown, chase_governor.trip());
       continue;
     }
 
-    int level = 0;
-    if (copts.depth == ChaseDepth::kPaperBound) {
-      level = copts.level_override >= 0
-                  ? copts.level_override
-                  : PaperLevelBound(l.query, entries_[s.rhs]->query);
-    }
+    const int level = copts.level_override >= 0
+                          ? copts.level_override
+                          : PaperLevelBound(l.query, entries_[s.rhs]->query);
     verdict.level_bound = level;
 
     if (!l.chase.has_value()) {
@@ -328,21 +294,13 @@ void ContainmentEngine::CheckPairsCore(size_t pair_count,
           .Arg("outcome", ChaseOutcomeName(chase.outcome()));
     }
 
-    if (chase.failed()) {
-      // lhs has no answers on any database satisfying Sigma_FL: contained
-      // in every query of the same arity, no search needed.
-      MarkPairContained(verdict);
-      verdict.lhs_unsatisfiable = true;
-      continue;
-    }
-    s.chase_trip = ChaseTripReason(chase.outcome(), chase_governor);
-    if (s.chase_trip == TripReason::kCancelled) {
-      MarkPairUnknown(verdict, TripReason::kCancelled);
-      continue;
-    }
+    // lhs has no answers on any database satisfying Sigma_FL when its
+    // chase failed: SettlePair then settles the pair without a search.
+    verdict.lhs_unsatisfiable = chase.failed();
     // A truncated prefix (atom budget, or this pair's chase deadline) is
     // still worth searching: a homomorphism into it is a sound positive,
     // and the hom stage anchors its own fresh timeout slice.
+    s.chase_trip = ChaseTripReason(chase.outcome(), chase_governor);
     s.needs_search = true;
   }
 
@@ -362,46 +320,15 @@ void ContainmentEngine::CheckPairsCore(size_t pair_count,
   // its own survivor and verdict cell.
   const SteadyClock::time_point fanout_start = SteadyClock::now();
   auto search = [&](Survivor& s) {
-    PairVerdict& verdict = *s.verdict;
     ExecGovernor hom_governor = MakeHomGovernor(budget);
     hom_governor.AddCancellation(engine_token);
-    if (!hom_governor.CheckNow()) {
-      FoldGovernorMetrics(hom_governor);
-      MarkPairUnknown(verdict,
-                      hom_governor.trip() == TripReason::kCancelled
-                          ? TripReason::kCancelled
-                          : s.chase_trip != TripReason::kNone
-                                ? s.chase_trip
-                                : hom_governor.trip());
-      return;
-    }
-    const Entry& l = *entries_[s.lhs];
-    const Entry& r = *entries_[s.rhs];
-    const FactIndex& target = copts.depth == ChaseDepth::kNone
-                                  ? *l.body_index
-                                  : l.chase->result().conjuncts();
-    const std::vector<Term>& target_head = copts.depth == ChaseDepth::kNone
-                                               ? l.query.head()
-                                               : l.chase->result().head();
     MatchOptions match = copts.match;
     match.governor = &hom_governor;
-    bool found = FindQueryHomomorphism(r.renamed, target, target_head,
-                                       &s.hom_stats, match)
-                     .has_value();
+    Settlement settled =
+        SettlePair(entries_[s.rhs]->renamed, entries_[s.lhs]->chase->result(),
+                   s.chase_trip, match, &s.hom_stats);
     FoldGovernorMetrics(hom_governor);
-    if (found) {
-      // Sound even into a truncated prefix (see governor.h).
-      MarkPairContained(verdict);
-      return;
-    }
-    if (s.chase_trip != TripReason::kNone) {
-      MarkPairUnknown(verdict, s.chase_trip);
-    } else if (hom_governor.tripped()) {
-      MarkPairUnknown(verdict, hom_governor.trip());
-    } else {
-      verdict.contained = false;
-      verdict.resolution = Resolution::kNotContained;
-    }
+    Record(*s.verdict, settled.resolution, settled.unknown_reason);
   };
   auto run_pair = [&](size_t index) {
     Survivor& s = survivors[index];
@@ -453,26 +380,20 @@ void ContainmentEngine::CheckPairsCore(size_t pair_count,
       }
       continue;
     }
+    // A decided pair ran both stages: only a pair whose chase stage was
+    // skipped goes unsearched, and that pair is UNKNOWN.
     stats_.hom.Accumulate(s.hom_stats);
-    if (copts.depth != ChaseDepth::kNone) {
-      stats_.chase_stage.Record(s.chase_ms);
-    }
-    if (s.needs_search) {
-      stats_.hom_stage.Record(s.hom_ms);
-      stats_.queue_wait.Record(s.queue_wait_ms);
-    }
+    stats_.chase_stage.Record(s.chase_ms);
+    stats_.hom_stage.Record(s.hom_ms);
+    stats_.queue_wait.Record(s.queue_wait_ms);
     if (metrics) {
       MetricsRegistry& registry = MetricsRegistry::Get();
       static Histogram& chase_us = registry.histogram("engine.chase_stage_us");
       static Histogram& hom_us = registry.histogram("engine.hom_stage_us");
       static Histogram& wait_us = registry.histogram("engine.queue_wait_us");
-      if (copts.depth != ChaseDepth::kNone) {
-        chase_us.Record(uint64_t(s.chase_ms * 1000.0));
-      }
-      if (s.needs_search) {
-        hom_us.Record(uint64_t(s.hom_ms * 1000.0));
-        wait_us.Record(uint64_t(s.queue_wait_ms * 1000.0));
-      }
+      chase_us.Record(uint64_t(s.chase_ms * 1000.0));
+      hom_us.Record(uint64_t(s.hom_ms * 1000.0));
+      wait_us.Record(uint64_t(s.queue_wait_ms * 1000.0));
     }
   }
   if (metrics) {

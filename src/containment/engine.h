@@ -41,13 +41,16 @@
 namespace floq {
 
 struct BatchContainmentOptions {
-  /// Per-pair semantics: depth, level override, chase atom budget, and the
-  /// resource budget (containment.budget). The engine honors all three
-  /// ChaseDepth modes. The budget is applied *per pair, per stage*: each
-  /// pair's chase stage and hom stage re-anchor containment.budget's
-  /// timeout_ms, so one runaway pair exhausts its own slice (at most
-  /// ~2x timeout_ms) and every other pair still gets its full share. The
-  /// absolute deadline and cancellation token are shared batch-wide.
+  /// Per-pair semantics: level override, chase atom budget, and the
+  /// resource budget (containment.budget). The engine decides under
+  /// Sigma_FL to each pair's Theorem 12 bound, or to level_override for
+  /// every pair (0: level 0 only); classical containment is
+  /// CheckClassicalContainment alone. The budget is applied *per pair,
+  /// per stage*: each pair's chase stage and hom stage re-anchor
+  /// containment.budget's timeout_ms, so one runaway pair exhausts its own
+  /// slice (at most ~2x timeout_ms) and every other pair still gets its
+  /// full share. The absolute deadline and cancellation token are shared
+  /// batch-wide.
   ContainmentOptions containment;
   /// Workers for the homomorphism fan-out: the calling thread plus
   /// jobs - 1 threads started per batch. 0 = hardware concurrency; 1 = run
@@ -90,8 +93,8 @@ struct BatchStats {
   uint64_t pairs_checked = 0;
   /// Pairs discharged by the stage-0 signature filter: definite
   /// kNotContained with zero chase or hom work (never counted in
-  /// chase_requests). pruned_pairs + chase_requests == pairs checked in
-  /// every depth mode when the filter is on.
+  /// chase_requests). pruned_pairs + chase_requests == pairs checked
+  /// whenever the filter is on.
   uint64_t pruned_pairs = 0;
   /// Cumulative microseconds spent in the stage-0 signature subset tests
   /// (registration-time probe chases are accounted to chases_run).
@@ -131,8 +134,8 @@ struct PairVerdict {
   /// Containment holds vacuously: chase(lhs) failed (rho_4 equated two
   /// distinct constants), so lhs is unsatisfiable under Sigma_FL.
   bool lhs_unsatisfiable = false;
-  /// Level the lhs chase was materialized to when searching (-1 for
-  /// ChaseDepth::kNone).
+  /// Level cap the pair was searched at: level_override, or the pair's
+  /// Theorem 12 bound (-1 when its chase stage never ran).
   int level_bound = -1;
 };
 // The verdict alone: a cell of CheckAll's n x n matrix. Per-pair effort and
@@ -183,9 +186,9 @@ class ContainmentEngine {
   Result<std::vector<std::vector<PairVerdict>>> CheckAll();
 
   /// The materialized chase of a query, if one was built (nullptr before
-  /// any check used `id` as a left-hand side, or in kNone mode). With the
-  /// signature index on, registration already runs a bounded probe chase,
-  /// so this is non-null for every id right after AddQuery.
+  /// any check used `id` as a left-hand side). With the signature index
+  /// on, registration already runs a bounded probe chase, so this is
+  /// non-null for every id right after AddQuery.
   const ChaseResult* chase_of(size_t id) const;
 
   /// The closure signature computed at registration, or nullptr when

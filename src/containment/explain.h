@@ -16,7 +16,8 @@
 namespace floq {
 
 /// Renders an explanation for `result`, which must come from
-/// CheckContainment(world, q1, q2, ...) with depth != kNone.
+/// CheckContainment(world, q1, q2, ...): the witness maps into
+/// result.chase.
 std::string ExplainContainment(const World& world,
                                const ConjunctiveQuery& q1,
                                const ConjunctiveQuery& q2,

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "containment/containment.h"
-
 namespace floq {
 
 namespace {
@@ -116,22 +114,16 @@ PredicateBits SigmaClosurePredicates(const PredicateBits& start,
   return closure;
 }
 
+int SignatureProbeLevel(int level_cap) {
+  constexpr int kProbeLevels = 2;
+  return level_cap >= 0 ? std::min(level_cap, kProbeLevels) : kProbeLevels;
+}
+
 ClosureSignature ComputeClosureSignature(const ConjunctiveQuery& query,
-                                         ChaseDepth depth,
+                                         int level_cap,
                                          const ChaseResult* probe) {
   ClosureSignature sig;
   sig.base = ComputeQuerySignature(query);
-
-  if (depth == ChaseDepth::kNone) {
-    // Classical containment: the hom target IS body(q), so the base
-    // signature is exact and no chase can fail.
-    sig.closure_predicates = sig.base.predicates;
-    sig.closure_constants = sig.base.constants;
-    sig.closure_constant_mask = sig.base.constant_mask;
-    sig.exact = true;
-    sig.prunable = true;
-    return sig;
-  }
 
   if (probe != nullptr && probe->failed()) {
     sig.closure_predicates = sig.base.predicates;
@@ -143,14 +135,14 @@ ClosureSignature ComputeClosureSignature(const ConjunctiveQuery& query,
   }
 
   // The probe is exact when it materialized everything the engine's hom
-  // stage can ever search: a completed chase, or — in level-0 mode — a
-  // level-capped one (kLevelCapped promises every conjunct up to the cap
-  // is present, and level 0 is the whole target).
+  // stage can ever search: a completed chase, or a level-capped one whose
+  // probe level is the engine's cap (kLevelCapped promises every conjunct
+  // up to the cap is present).
   const bool exact =
       probe != nullptr &&
       (probe->outcome() == ChaseOutcome::kCompleted ||
-       (depth == ChaseDepth::kLevelZero &&
-        probe->outcome() == ChaseOutcome::kLevelCapped));
+       (probe->outcome() == ChaseOutcome::kLevelCapped &&
+        SignatureProbeLevel(level_cap) == level_cap));
 
   if (exact) {
     for (const Atom& atom : probe->conjuncts().atoms()) {
@@ -170,7 +162,7 @@ ClosureSignature ComputeClosureSignature(const ConjunctiveQuery& query,
   // Inconclusive probe (interrupted / budget / deeper cap): fall back to
   // the static over-approximations, which cover every level.
   sig.closure_predicates = SigmaClosurePredicates(
-      sig.base.predicates, /*with_rho5=*/depth != ChaseDepth::kLevelZero);
+      sig.base.predicates, /*with_rho5=*/level_cap != 0);
   sig.closure_constants = sig.base.constants;
   sig.closure_constant_mask = sig.base.constant_mask;
 

@@ -33,8 +33,6 @@
 
 namespace floq {
 
-enum class ChaseDepth;  // containment/containment.h
-
 /// Dynamic bitset over interned predicate ids. Queries registered later
 /// may intern predicates the earlier ones never saw, so subset tests must
 /// tolerate operands of different widths (missing words read as zero).
@@ -118,8 +116,8 @@ QuerySignature ComputeQuerySignature(const ConjunctiveQuery& query);
 /// from their own body; the other ten are predicate-preserving, and user
 /// predicates are inert (no Sigma_FL rule mentions them). Sound because a
 /// chase firing requires every body predicate materialized and only adds
-/// its head's predicate. `with_rho5` = false models the Sigma_FL^- chase
-/// of ChaseDepth::kLevelZero.
+/// its head's predicate. `with_rho5` = false models the Sigma_FL^- chase,
+/// all a level cap of 0 searches.
 PredicateBits SigmaClosurePredicates(const PredicateBits& start,
                                      bool with_rho5);
 
@@ -128,10 +126,10 @@ PredicateBits SigmaClosurePredicates(const PredicateBits& start,
 struct ClosureSignature {
   QuerySignature base;
 
-  /// Over-approximates preds(chase_Sigma(q)) for the chase depth the
+  /// Over-approximates preds(chase_Sigma(q)) up to the level cap the
   /// engine will search. Exact (the observed set) when the registration
-  /// probe completed; the static SigmaClosurePredicates fixpoint
-  /// otherwise.
+  /// probe completed or reached that cap; the static
+  /// SigmaClosurePredicates fixpoint otherwise.
   PredicateBits closure_predicates;
 
   /// Over-approximates constants(chase_Sigma(q)): the chase invents only
@@ -161,12 +159,20 @@ struct ClosureSignature {
   bool prunable = false;
 };
 
-/// Builds the closure signature for `query` as the engine will search it.
-/// `probe` is the registration-time bounded chase (nullptr in
-/// ChaseDepth::kNone mode, where the hom target is body(q) itself and the
-/// base signature is already exact).
+/// Chase levels the engine's registration probe materializes for an
+/// engine that searches up to `level_cap` (< 0: no fixed cap, each pair's
+/// Theorem 12 bound): two, or the cap when that is lower. The probe is the
+/// cached handle every later pair searches, so it must never run deeper
+/// than the cap.
+int SignatureProbeLevel(int level_cap);
+
+/// Builds the closure signature for `query` as an engine that searches up
+/// to `level_cap` (as in SignatureProbeLevel) will search it. `probe` is
+/// the registration chase, materialized to SignatureProbeLevel(level_cap)
+/// (nullptr: none ran, so only the static closure applies). A cap of 0
+/// excludes rho_5 from the static closure.
 ClosureSignature ComputeClosureSignature(const ConjunctiveQuery& query,
-                                         ChaseDepth depth,
+                                         int level_cap,
                                          const ChaseResult* probe);
 
 /// The stage-0 test for the ordered pair "lhs ⊆_Sigma rhs". False is a

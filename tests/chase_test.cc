@@ -460,58 +460,3 @@ TEST(ChaseHeadTest, EmptyBodyQueryYieldsEmptyCompletedChase) {
 
 }  // namespace
 }  // namespace floq
-
-namespace floq {
-namespace {
-
-// ---- oblivious vs restricted rho_5 (ChaseOptions::restricted_rho5) ---------
-
-TEST(ObliviousChaseTest, ExistingDataDoesNotBlock) {
-  World world;
-  Result<ConjunctiveQuery> q =
-      ParseQuery(world, "q() :- mandatory(A, O), data(O, A, V).");
-  ASSERT_TRUE(q.ok());
-  ChaseOptions oblivious;
-  oblivious.max_level = 5;
-  oblivious.restricted_rho5 = false;
-  ChaseResult chase = ChaseQuery(world, *q, oblivious);
-  EXPECT_EQ(chase.outcome(), ChaseOutcome::kCompleted);
-  // The restricted chase keeps one data conjunct; the oblivious one
-  // invents a second value.
-  EXPECT_EQ(chase.conjuncts().WithPredicate(pfl::kData).size(), 2u);
-  EXPECT_EQ(chase.stats().fresh_nulls, 1u);
-}
-
-TEST(ObliviousChaseTest, FiresOncePerPair) {
-  World world;
-  Result<ConjunctiveQuery> q = ParseQuery(world, "q() :- mandatory(A, O).");
-  ASSERT_TRUE(q.ok());
-  ChaseOptions oblivious;
-  oblivious.max_level = 50;
-  oblivious.restricted_rho5 = false;
-  ChaseResult chase = ChaseQuery(world, *q, oblivious);
-  EXPECT_EQ(chase.outcome(), ChaseOutcome::kCompleted);
-  EXPECT_EQ(chase.stats().fresh_nulls, 1u);
-}
-
-TEST(ObliviousChaseTest, IsASupersetOfTheRestrictedChase) {
-  const char* text =
-      "q() :- mandatory(A, T), type(T, A, T), data(T, A, w).";
-  World world_r, world_o;
-  ConjunctiveQuery qr = *ParseQuery(world_r, text);
-  ConjunctiveQuery qo = *ParseQuery(world_o, text);
-  ChaseOptions restricted;
-  restricted.max_level = 8;
-  ChaseOptions oblivious = restricted;
-  oblivious.restricted_rho5 = false;
-  ChaseResult r = ChaseQuery(world_r, qr, restricted);
-  ChaseResult o = ChaseQuery(world_o, qo, oblivious);
-  // Every restricted conjunct appears (up to null renaming) obliviously;
-  // here the constant skeleton suffices: compare per-predicate counts.
-  EXPECT_GE(o.conjuncts().WithPredicate(pfl::kData).size(),
-            r.conjuncts().WithPredicate(pfl::kData).size());
-  EXPECT_GT(o.stats().fresh_nulls, r.stats().fresh_nulls);
-}
-
-}  // namespace
-}  // namespace floq

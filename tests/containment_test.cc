@@ -175,7 +175,7 @@ TEST(ContainmentTest, MandatoryAttributeImpliesSomeValue) {
   EXPECT_TRUE(Contained(world, q1, q2));
   // Not visible at level 0 (rho_5 never fires there).
   ContainmentOptions level_zero;
-  level_zero.depth = ChaseDepth::kLevelZero;
+  level_zero.level_override = 0;
   EXPECT_FALSE(Contained(world, q1, q2, level_zero));
 }
 

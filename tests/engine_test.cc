@@ -70,29 +70,66 @@ TEST(ContainmentEngineTest, MatchesPairwiseCheckContainment) {
   }
 }
 
+// Classical containment is CheckClassicalContainment alone: the engine
+// always decides under Sigma_FL, so only its level-0 mode is compared.
 TEST(ContainmentEngineTest, MatchesPairwiseInLevelZeroAndClassicalModes) {
-  for (ChaseDepth depth : {ChaseDepth::kLevelZero, ChaseDepth::kNone}) {
-    World world;
-    std::vector<ConjunctiveQuery> queries = Workload(world);
-    BatchContainmentOptions options;
-    options.containment.depth = depth;
+  World world;
+  std::vector<ConjunctiveQuery> queries = Workload(world);
+  BatchContainmentOptions options;
+  options.containment.level_override = 0;
 
-    ContainmentEngine engine(world, options);
-    for (const ConjunctiveQuery& q : queries) {
-      ASSERT_TRUE(engine.AddQuery(q).ok());
+  ContainmentEngine engine(world, options);
+  for (const ConjunctiveQuery& q : queries) {
+    ASSERT_TRUE(engine.AddQuery(q).ok());
+  }
+  Result<std::vector<std::vector<PairVerdict>>> matrix = engine.CheckAll();
+  ASSERT_TRUE(matrix.ok()) << matrix.status().ToString();
+
+  for (size_t i = 0; i < queries.size(); ++i) {
+    for (size_t j = 0; j < queries.size(); ++j) {
+      if (i == j) continue;
+      Result<ContainmentResult> direct = CheckContainment(
+          world, queries[i], queries[j], options.containment);
+      ASSERT_TRUE(direct.ok());
+      EXPECT_EQ((*matrix)[i][j].contained, direct->contained)
+          << "level 0: " << queries[i].name() << " ⊆ " << queries[j].name();
     }
-    Result<std::vector<std::vector<PairVerdict>>> matrix = engine.CheckAll();
-    ASSERT_TRUE(matrix.ok()) << matrix.status().ToString();
+  }
+}
 
-    for (size_t i = 0; i < queries.size(); ++i) {
-      for (size_t j = 0; j < queries.size(); ++j) {
-        if (i == j) continue;
-        Result<ContainmentResult> direct = CheckContainment(
-            world, queries[i], queries[j], options.containment);
-        ASSERT_TRUE(direct.ok());
-        EXPECT_EQ((*matrix)[i][j].contained, direct->contained)
-            << "depth mode " << int(depth) << ": " << queries[i].name()
-            << " ⊆ " << queries[j].name();
+// The registration probe is the pair's cached chase handle, so it must not
+// run deeper than the cap the engine searches: member(V, T) first appears
+// at level 2 of this lhs chase (rho_5 at level 1, then rho_1), and at caps
+// 0 and 1 a level-2 probe would let the index-on engine report CONTAINED
+// where the one-shot check and the index-off engine do not.
+TEST(ContainmentEngineTest, SignatureProbeStaysWithinTheLevelCap) {
+  for (int cap : {0, 1, 2}) {
+    World world;
+    ConjunctiveQuery lhs = Q(world, "q() :- mandatory(A, O), type(O, A, T).");
+    ConjunctiveQuery rhs = Q(world, "q() :- member(V, T).");
+    ContainmentOptions copts;
+    copts.level_override = cap;
+    Result<ContainmentResult> direct = CheckContainment(world, lhs, rhs, copts);
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+    EXPECT_EQ(direct->resolution,
+              cap < 2 ? Resolution::kNotContained : Resolution::kContained)
+        << "cap " << cap;
+    for (bool index : {true, false}) {
+      BatchContainmentOptions options;
+      options.jobs = 1;
+      options.containment = copts;
+      options.containment.use_signature_index = index;
+      ContainmentEngine engine(world, options);
+      ASSERT_TRUE(engine.AddQuery(lhs).ok());
+      ASSERT_TRUE(engine.AddQuery(rhs).ok());
+      std::vector<std::pair<size_t, size_t>> pairs = {{0, 1}};
+      Result<std::vector<PairVerdict>> verdicts = engine.CheckPairs(pairs);
+      ASSERT_TRUE(verdicts.ok()) << verdicts.status().ToString();
+      EXPECT_EQ((*verdicts)[0].resolution, direct->resolution)
+          << "cap " << cap << ", index " << (index ? "on" : "off");
+      // A pruned pair never reached the chase stage.
+      if (!(*verdicts)[0].pruned) {
+        EXPECT_EQ((*verdicts)[0].level_bound, cap);
       }
     }
   }

@@ -52,7 +52,7 @@ TEST(PaperSection2Test, JoinableAttributesNeedsSupertyping) {
 
   // And on the derived conjunct type(T1, A, T3) being at level 0.
   ContainmentOptions level_zero_options;
-  level_zero_options.depth = ChaseDepth::kLevelZero;
+  level_zero_options.level_override = 0;
   Result<ContainmentResult> level_zero =
       CheckContainment(world, q, qq, level_zero_options);
   ASSERT_TRUE(level_zero.ok());
@@ -87,7 +87,7 @@ TEST(PaperSection2Test, MandatoryAttributeTripleContainment) {
   // rho_5 must invent the value.
   EXPECT_FALSE(CheckClassicalContainment(world, q, qq)->contained);
   ContainmentOptions level_zero_options;
-  level_zero_options.depth = ChaseDepth::kLevelZero;
+  level_zero_options.level_override = 0;
   EXPECT_FALSE(
       CheckContainment(world, q, qq, level_zero_options)->contained);
 }

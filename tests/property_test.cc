@@ -106,7 +106,7 @@ TEST_P(BaselineSoundnessProperty, LevelZeroImpliesSigma) {
   if (q1.arity() != q2.arity()) return;
 
   ContainmentOptions level_zero;
-  level_zero.depth = ChaseDepth::kLevelZero;
+  level_zero.level_override = 0;
   Result<ContainmentResult> shallow =
       CheckContainment(world, q1, q2, level_zero);
   ASSERT_TRUE(shallow.ok());
@@ -717,6 +717,203 @@ TEST_P(GenericAgreementProperty, GenericSigmaFLMatchesPaperChecker) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GenericAgreementProperty,
                          ::testing::Range(uint64_t(0), uint64_t(50)));
+
+}  // namespace
+}  // namespace floq
+
+// Appended suite: every containment entry point decides a pair the same
+// way (DESIGN.md §7), and a tighter budget only ever turns a verdict into
+// UNKNOWN. The classical check is held to a nested-loop Chandra–Merlin
+// oracle built on reference::MatchAll, which shares no code with the
+// homomorphism kernel.
+
+#include "containment/engine.h"
+
+namespace floq {
+namespace {
+
+// body(q2) -> body(q1) with head(q2) -> head(q1), by brute force.
+bool ChandraMerlinContained(const ConjunctiveQuery& q1,
+                            const ConjunctiveQuery& q2) {
+  bool found = false;
+  reference::MatchAll(
+      q2.body(), 0, q1.body(), {}, [&](const reference::Binding& binding) {
+        for (int i = 0; i < q1.arity(); ++i) {
+          if (reference::Image(q2.head()[i], binding) != q1.head()[i]) return;
+        }
+        found = true;
+      });
+  return found;
+}
+
+struct EntryVerdict {
+  const char* entry;
+  Resolution resolution;
+  // Unset where the entry point does not report it (the UCQ check).
+  std::optional<bool> unsatisfiable;
+};
+
+// Decides q1 ⊆ q2 through every Sigma_FL entry point under `options`. A
+// budget error of the UCQ check reads as UNKNOWN.
+std::vector<EntryVerdict> DecideEverywhere(World& world,
+                                           const ConjunctiveQuery& q1,
+                                           const ConjunctiveQuery& q2,
+                                           const ContainmentOptions& options) {
+  std::vector<EntryVerdict> out;
+  Result<ContainmentResult> plain = CheckContainment(world, q1, q2, options);
+  EXPECT_TRUE(plain.ok()) << plain.status().ToString();
+  if (!plain.ok()) return out;
+  out.push_back({"CheckContainment", plain->resolution,
+                 plain->q1_unsatisfiable});
+
+  ContainmentOptions bounded = options;
+  bounded.level_override = PaperLevelBound(q1, q2);
+  Result<ContainmentResult> under = CheckContainmentUnderDependencies(
+      world, q1, q2, MakeSigmaFLDependencies(world), bounded);
+  EXPECT_TRUE(under.ok()) << under.status().ToString();
+  if (!under.ok()) return out;
+  out.push_back({"CheckContainmentUnderDependencies", under->resolution,
+                 under->q1_unsatisfiable});
+
+  std::vector<ConjunctiveQuery> disjuncts = {q2};
+  Result<std::optional<size_t>> ucq =
+      CheckUcqContainment(world, q1, disjuncts, options);
+  if (ucq.ok()) {
+    out.push_back({"CheckUcqContainment",
+                   ucq->has_value() ? Resolution::kContained
+                                    : Resolution::kNotContained,
+                   std::nullopt});
+  } else {
+    const StatusCode code = ucq.status().code();
+    EXPECT_TRUE(code == StatusCode::kResourceExhausted ||
+                code == StatusCode::kDeadlineExceeded ||
+                code == StatusCode::kCancelled)
+        << ucq.status().ToString();
+    out.push_back({"CheckUcqContainment", Resolution::kUnknown, std::nullopt});
+  }
+
+  for (bool index : {true, false}) {
+    BatchContainmentOptions batch;
+    batch.jobs = 1;
+    batch.containment = options;
+    batch.containment.use_signature_index = index;
+    ContainmentEngine engine(world, batch);
+    Result<size_t> lhs = engine.AddQuery(q1);
+    Result<size_t> rhs = engine.AddQuery(q2);
+    EXPECT_TRUE(lhs.ok() && rhs.ok());
+    if (!lhs.ok() || !rhs.ok()) return out;
+    std::vector<std::pair<size_t, size_t>> pairs = {{*lhs, *rhs}};
+    Result<std::vector<PairVerdict>> verdicts = engine.CheckPairs(pairs);
+    EXPECT_TRUE(verdicts.ok()) << verdicts.status().ToString();
+    if (!verdicts.ok()) return out;
+    out.push_back({index ? "ContainmentEngine(index on)"
+                         : "ContainmentEngine(index off)",
+                   (*verdicts)[0].resolution,
+                   (*verdicts)[0].lhs_unsatisfiable});
+  }
+  return out;
+}
+
+// Two independent random queries are almost never contained, so three in
+// four seeds derive the pair from one random query instead: q minus one
+// body atom contains q classically (kind 1) and is contained in q exactly
+// when the chase re-derives the atom (kind 3), and q plus one conjunct of
+// its chase, nulls turned into variables, contains q under Sigma_FL only
+// (kind 2).
+std::pair<ConjunctiveQuery, ConjunctiveQuery> ParityPair(World& world,
+                                                         uint64_t seed) {
+  ConjunctiveQuery q = gen::MakeRandomQuery(
+      world, SmallQuerySpec(seed * 37 + 1, 2 + int(seed % 3), 1), "q1");
+  ConjunctiveQuery other =
+      gen::MakeRandomQuery(world, SmallQuerySpec(seed * 37 + 2, 2, 1), "q2");
+  std::vector<Atom> body = q.body();
+  switch (seed % 4) {
+    case 1:
+    case 3: {
+      body.erase(body.begin() + long(seed / 4 % body.size()));
+      ConjunctiveQuery wider("q2", q.head(), std::move(body));
+      if (!wider.Validate(world).ok()) break;
+      if (seed % 4 == 1) return {q, wider};
+      return {wider, q};
+    }
+    case 2: {
+      ChaseResult chase = ChaseQuery(world, q, {.max_level = 3,
+                                                .max_atoms = 2000});
+      std::vector<uint32_t> derived;
+      for (uint32_t id = 0; id < chase.size(); ++id) {
+        if (chase.meta(id).rule != kRho0) derived.push_back(id);
+      }
+      if (chase.failed() || derived.empty()) break;
+      Atom atom = chase.conjunct(derived[seed / 4 % derived.size()]);
+      for (int i = 0; i < atom.arity(); ++i) {
+        if (atom.arg(i).IsNull()) {
+          atom.set_arg(i, world.MakeVariable("q2_N" + std::to_string(i)));
+        }
+      }
+      body.push_back(atom);
+      return {q, ConjunctiveQuery("q2", q.head(), std::move(body))};
+    }
+    default:
+      break;
+  }
+  return {q, other};
+}
+
+class DecisionPathParityProperty : public ::testing::TestWithParam<uint64_t> {
+};
+
+TEST_P(DecisionPathParityProperty, EveryEntryPointSettlesAlike) {
+  World world;
+  auto [q1, q2] = ParityPair(world, GetParam());
+  if (q1.arity() != q2.arity()) return;
+  const std::string pair = q1.ToString(world) + " vs " + q2.ToString(world);
+
+  std::vector<EntryVerdict> exact = DecideEverywhere(world, q1, q2, {});
+  ASSERT_EQ(exact.size(), 5u) << pair;
+  const EntryVerdict& reference = exact[0];
+  ASSERT_NE(reference.resolution, Resolution::kUnknown) << pair;
+  for (const EntryVerdict& v : exact) {
+    EXPECT_EQ(v.resolution, reference.resolution) << v.entry << ": " << pair;
+    if (v.unsatisfiable.has_value()) {
+      EXPECT_EQ(*v.unsatisfiable, *reference.unsatisfiable)
+          << v.entry << ": " << pair;
+    }
+  }
+
+  const Resolution oracle = ChandraMerlinContained(q1, q2)
+                                ? Resolution::kContained
+                                : Resolution::kNotContained;
+  Result<ContainmentResult> classical =
+      CheckClassicalContainment(world, q1, q2);
+  ASSERT_TRUE(classical.ok()) << classical.status().ToString();
+  EXPECT_EQ(classical->resolution, oracle) << pair;
+
+  // A tripped budget may cost a verdict, never flip it.
+  for (uint64_t steps : {uint64_t(1), uint64_t(16), uint64_t(256)}) {
+    for (uint64_t atoms : {uint64_t(2'000'000), uint64_t(4)}) {
+      ContainmentOptions tight;
+      tight.budget.hom_step_budget = steps;
+      tight.max_chase_atoms = atoms;
+      const std::string config = "hom_step_budget " + std::to_string(steps) +
+                                 ", max_chase_atoms " + std::to_string(atoms);
+      for (const EntryVerdict& v : DecideEverywhere(world, q1, q2, tight)) {
+        EXPECT_TRUE(v.resolution == reference.resolution ||
+                    v.resolution == Resolution::kUnknown)
+            << v.entry << " under " << config << " said "
+            << ResolutionName(v.resolution) << ": " << pair;
+      }
+      Result<ContainmentResult> governed =
+          CheckClassicalContainment(world, q1, q2, tight);
+      ASSERT_TRUE(governed.ok()) << governed.status().ToString();
+      EXPECT_TRUE(governed->resolution == oracle ||
+                  governed->resolution == Resolution::kUnknown)
+          << "classical under " << config << ": " << pair;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DecisionPathParityProperty,
+                         ::testing::Range(uint64_t(0), uint64_t(60)));
 
 }  // namespace
 }  // namespace floq

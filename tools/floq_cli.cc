@@ -357,8 +357,7 @@ int CmdCheckUnder(const std::string& deps_path, const std::string& path,
   ContainmentOptions options;
   options.budget = budget;
   if (!weakly_acyclic) {
-    options.level_override =
-        (*rules)[1].size() * 2 * (*rules)[0].size();
+    options.level_override = PaperLevelBound((*rules)[0], (*rules)[1]);
     std::printf("using bounded chase to level %d (sound; negatives "
                 "inconclusive)\n",
                 options.level_override);
