@@ -781,8 +781,12 @@ ChaseResult ChaseLevelZero(World& world, const ConjunctiveQuery& query,
 // ---- ResumableChase ---------------------------------------------------------
 
 ResumableChase::ResumableChase(World& world, const ConjunctiveQuery& query,
+                               const DependencySet& dependencies,
                                const ChaseOptions& options)
-    : world_(&world), query_(query), options_(options) {}
+    : world_(&world),
+      query_(query),
+      dependencies_(&dependencies),
+      options_(options) {}
 
 ResumableChase::~ResumableChase() = default;
 ResumableChase::ResumableChase(ResumableChase&&) noexcept = default;
@@ -791,11 +795,10 @@ ResumableChase& ResumableChase::operator=(ResumableChase&&) noexcept = default;
 const ChaseResult& ResumableChase::EnsureLevel(int level,
                                                ExecGovernor* governor) {
   if (!started_) {
-    FLOQ_CHECK(!frozen_);
     ChaseOptions run_options = options_;
     run_options.max_level = level;
-    sigma_ = MakeSigmaFLDependencies(*world_);
-    engine_ = std::make_unique<ChaseEngine>(*world_, sigma_, run_options);
+    engine_ =
+        std::make_unique<ChaseEngine>(*world_, *dependencies_, run_options);
     engine_->Run(query_.body(), query_.head(), governor);
     started_ = true;
     return engine_->result();
@@ -805,12 +808,11 @@ const ChaseResult& ResumableChase::EnsureLevel(int level,
       (level <= engine_->level_cap() ||
        outcome != ChaseOutcome::kLevelCapped)) {
     // Already materialized deep enough, or nothing deeper exists
-    // (completed) or can be computed (failed / budget): const read. An
-    // interrupted chase never takes this path — its materialization is
-    // incomplete even at the current cap, so it always resumes.
+    // (completed) or can be computed (failed / budget). An interrupted
+    // chase never takes this path — its materialization is incomplete
+    // even at the current cap, so it always resumes.
     return engine_->result();
   }
-  FLOQ_CHECK(!frozen_);  // immutability contract: no deepening when shared
   engine_->Deepen(level, governor);
   ++deepen_count_;
   return engine_->result();

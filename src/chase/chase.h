@@ -187,17 +187,19 @@ class ChaseEngine;
 /// A memoized, resumable chase of one query: the engine state survives
 /// between calls, so EnsureLevel(k') after EnsureLevel(k) only materializes
 /// the missing levels (k, k']. `options.max_level` is ignored — the level
-/// cap always comes from EnsureLevel.
+/// cap always comes from EnsureLevel. The handle borrows `dependencies`
+/// (Sigma_FL for the batch engine, which builds it once and lends it to
+/// every handle): the set must outlive the handle and stay unchanged.
 ///
-/// Concurrency contract: a ResumableChase is single-threaded while it is
-/// being deepened (the chase draws fresh nulls from the shared World).
-/// Once Freeze() has been called the handle is immutable — result() and
-/// EnsureLevel() calls that need no deepening are const reads of the
-/// FactIndex and may run from many threads concurrently. EnsureLevel()
-/// FLOQ_CHECK-fails if it would have to deepen a frozen handle.
+/// Concurrency contract: one thread at a time may deepen or read a handle.
+/// Distinct handles may be deepened concurrently: they share only the
+/// borrowed dependency set (read-only) and the World, from which a chase
+/// draws fresh nulls (World::MakeFreshNull is safe to share) and reads
+/// names, so nothing may intern into that World meanwhile.
 class ResumableChase {
  public:
   ResumableChase(World& world, const ConjunctiveQuery& query,
+                 const DependencySet& dependencies,
                  const ChaseOptions& options = {});
   ~ResumableChase();
   ResumableChase(ResumableChase&&) noexcept;
@@ -225,24 +227,13 @@ class ResumableChase {
   /// materialization (cache-friendly deepenings, excluding the first run).
   uint64_t deepen_count() const { return deepen_count_; }
 
-  /// Declares the handle immutable: any further EnsureLevel call that
-  /// would deepen the chase aborts. Call before sharing across threads.
-  void Freeze() { frozen_ = true; }
-  /// Lifts the immutability declaration. Only legal once no other thread
-  /// holds a reference anymore (i.e., after the sharing fan-out joined).
-  void Thaw() { frozen_ = false; }
-  bool frozen() const { return frozen_; }
-
  private:
   World* world_;
   ConjunctiveQuery query_;
+  const DependencySet* dependencies_;
   ChaseOptions options_;
-  // Sigma_FL, built on the first EnsureLevel; engine_ points into its rule
-  // vectors, which a move of this handle carries along.
-  DependencySet sigma_;
   std::unique_ptr<ChaseEngine> engine_;
   bool started_ = false;
-  bool frozen_ = false;
   uint64_t deepen_count_ = 0;
 };
 

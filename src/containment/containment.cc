@@ -127,18 +127,19 @@ Result<ContainmentResult> Decide(World& world, const ConjunctiveQuery& q1,
   return result;
 }
 
+// The typed error of a check whose verdict a tripped budget left open.
 Status TripError(TripReason reason) {
   switch (reason) {
     case TripReason::kCancelled:
-      return CancelledError("UCQ containment cancelled");
+      return CancelledError("containment check cancelled");
     case TripReason::kDeadlineExceeded:
-      return DeadlineExceededError("UCQ containment deadline exceeded");
+      return DeadlineExceededError("containment check deadline exceeded");
     case TripReason::kChaseAtomBudget:
       return ResourceExhaustedError(
-          "UCQ containment: the chase exceeded max_chase_atoms");
+          "containment check: the chase exceeded max_chase_atoms");
     default:
       return ResourceExhaustedError(
-          "UCQ containment exhausted the hom step budget");
+          "containment check exhausted the hom step budget");
   }
 }
 
@@ -205,10 +206,17 @@ Result<bool> CheckEquivalence(World& world, const ConjunctiveQuery& q1,
                               const ContainmentOptions& options) {
   Result<ContainmentResult> forward = CheckContainment(world, q1, q2, options);
   if (!forward.ok()) return forward.status();
-  if (!forward->contained) return false;
+  if (forward->resolution == Resolution::kNotContained) return false;
   Result<ContainmentResult> backward = CheckContainment(world, q2, q1, options);
   if (!backward.ok()) return backward.status();
-  return backward->contained;
+  if (backward->resolution == Resolution::kNotContained) return false;
+  // Neither direction is refuted: an UNKNOWN one leaves the answer open.
+  for (const ContainmentResult* direction : {&*forward, &*backward}) {
+    if (direction->resolution == Resolution::kUnknown) {
+      return TripError(direction->unknown_reason);
+    }
+  }
+  return true;
 }
 
 Result<std::optional<size_t>> CheckUcqContainment(

@@ -141,7 +141,10 @@ Result<ContainmentResult> CheckClassicalContainment(
     World& world, const ConjunctiveQuery& q1, const ConjunctiveQuery& q2,
     const ContainmentOptions& options = {});
 
-/// Equivalence under Sigma_FL: containment in both directions.
+/// Equivalence under Sigma_FL: containment in both directions. False as
+/// soon as either direction is NOT_CONTAINED; when neither is and one is
+/// UNKNOWN, fails with the trip's typed error (ResourceExhausted,
+/// DeadlineExceeded, Cancelled) as CheckUcqContainment does.
 Result<bool> CheckEquivalence(World& world, const ConjunctiveQuery& q1,
                               const ConjunctiveQuery& q2,
                               const ContainmentOptions& options = {});

@@ -1,6 +1,8 @@
 #include "containment/engine.h"
 
+#include <algorithm>
 #include <chrono>
+#include <numeric>
 #include <optional>
 
 #include "util/metrics.h"
@@ -20,6 +22,10 @@ double MsSince(SteadyClock::time_point start) {
       .count();
 }
 
+// The stage-0 posting of the queries without constants: no constant's
+// Term::raw() is this large.
+constexpr uint32_t kConstantFree = UINT32_MAX;
+
 }  // namespace
 
 // Per-query cache slot. `chase` is built at registration (the signature
@@ -36,16 +42,21 @@ struct ContainmentEngine::Entry {
   // Stage-0 prefilter signature, computed once at registration from the
   // probe chase (absent when use_signature_index is off).
   std::optional<ClosureSignature> signature;
+  // The stage-0 posting holding this entry (with a signature only).
+  uint32_t filed_under = kConstantFree;
 };
 
 ContainmentEngine::ContainmentEngine(World& world,
                                      const BatchContainmentOptions& options)
-    : world_(world), options_(options) {}
+    : world_(world),
+      options_(options),
+      sigma_(MakeSigmaFLDependencies(world)) {}
 
 ContainmentEngine::~ContainmentEngine() = default;
 
 Result<size_t> ContainmentEngine::AddQuery(const ConjunctiveQuery& query) {
   FLOQ_RETURN_IF_ERROR(query.Validate(world_));
+  const size_t id = entries_.size();
   auto entry = std::make_unique<Entry>();
   entry->query = query;
   entry->renamed = query.RenameApart(world_);
@@ -63,21 +74,39 @@ Result<size_t> ContainmentEngine::AddQuery(const ConjunctiveQuery& query) {
     ExecGovernor governor = MakeChaseGovernor(copts.budget);
     governor.AddCancellation(cancel_source_.token());
     ++stats_.chases_run;
-    entry->chase.emplace(world_, entry->query, chase_options);
+    entry->chase.emplace(world_, entry->query, sigma_, chase_options);
     const ChaseResult& probe = entry->chase->EnsureLevel(
         SignatureProbeLevel(copts.level_override), &governor);
     FoldGovernorMetrics(governor);
     entry->signature =
         ComputeClosureSignature(entry->query, copts.level_override, &probe);
+    // File under the constant with the shortest posting, so the fewest
+    // rows enumerate this entry (ids grow, so every list stays ascending).
+    size_t shortest = SIZE_MAX;
+    for (uint32_t constant : entry->signature->base.constants) {
+      auto it = filed_.find(constant);
+      const size_t size = it == filed_.end() ? 0 : it->second.size();
+      if (size < shortest) {
+        shortest = size;
+        entry->filed_under = constant;
+      }
+    }
+    filed_[entry->filed_under].push_back(id);
   }
   entries_.push_back(std::move(entry));
   ++live_entries_;
-  return entries_.size() - 1;
+  return id;
 }
 
 Status ContainmentEngine::RemoveQuery(size_t id) {
   if (!has_query(id)) {
     return NotFoundError(StrCat("no query with engine id ", id));
+  }
+  const Entry& entry = *entries_[id];
+  if (entry.signature.has_value()) {
+    std::vector<size_t>& posting = filed_[entry.filed_under];
+    posting.erase(std::lower_bound(posting.begin(), posting.end(), id));
+    if (posting.empty()) filed_.erase(entry.filed_under);
   }
   entries_[id].reset();
   --live_entries_;
@@ -107,6 +136,54 @@ const ClosureSignature* ContainmentEngine::signature_of(size_t id) const {
   return entry.signature.has_value() ? &*entry.signature : nullptr;
 }
 
+void BatchStats::Accumulate(const BatchStats& other) {
+  chase_requests += other.chase_requests;
+  chase_cache_hits += other.chase_cache_hits;
+  chases_run += other.chases_run;
+  chase_deepenings += other.chase_deepenings;
+  pairs_checked += other.pairs_checked;
+  pruned_pairs += other.pruned_pairs;
+  signature_us += other.signature_us;
+  unknown_pairs += other.unknown_pairs;
+  timed_out_pairs += other.timed_out_pairs;
+  cancelled_pairs += other.cancelled_pairs;
+  hom.Accumulate(other.hom);
+  hom_degraded.Accumulate(other.hom_degraded);
+  chase_stage.Accumulate(other.chase_stage);
+  hom_stage.Accumulate(other.hom_stage);
+  queue_wait.Accumulate(other.queue_wait);
+}
+
+template <class Fn>
+void ContainmentEngine::ForEachCandidate(const ClosureSignature& lhs,
+                                         Fn&& fn) const {
+  // A query filed under a constant outside lhs's closure carries that
+  // constant, which MayContain requires among lhs's closure constants:
+  // its pair is a sound negative without a test (DESIGN.md §13).
+  auto read = [&](uint32_t key) {
+    auto it = filed_.find(key);
+    if (it == filed_.end()) return;
+    for (size_t id : it->second) fn(id);
+  };
+  read(kConstantFree);
+  for (uint32_t constant : lhs.closure_constants) read(constant);
+}
+
+std::vector<size_t> ContainmentEngine::CandidatesOf(size_t lhs) const {
+  const ClosureSignature* signature = signature_of(lhs);
+  FLOQ_CHECK(signature != nullptr);
+  std::vector<size_t> ids;
+  if (signature->prunable) {
+    ForEachCandidate(*signature, [&](size_t id) { ids.push_back(id); });
+    std::sort(ids.begin(), ids.end());
+    return ids;
+  }
+  for (size_t id = 0; id < entries_.size(); ++id) {
+    if (entries_[id] != nullptr) ids.push_back(id);
+  }
+  return ids;
+}
+
 namespace {
 
 void Record(PairVerdict& verdict, Resolution resolution, TripReason reason) {
@@ -116,7 +193,7 @@ void Record(PairVerdict& verdict, Resolution resolution, TripReason reason) {
 }
 
 // Writes the elapsed milliseconds since construction into *out at scope
-// exit — times a per-pair stage across its early `continue`s / `return`s.
+// exit — times a per-pair stage across its early exits.
 class StageTimer {
  public:
   explicit StageTimer(double* out) : out_(out) {}
@@ -127,31 +204,121 @@ class StageTimer {
   SteadyClock::time_point start_ = SteadyClock::now();
 };
 
-// A pair stage 0 did not discharge, with the scratch its chase and hom
-// stages fill and the BatchStats fold reads. Only survivors carry it, so a
-// pruned pair costs its verdict cell and nothing else.
-struct Survivor {
-  Survivor(size_t lhs_in, size_t rhs_in, PairVerdict* verdict_in)
-      : lhs(lhs_in), rhs(rhs_in), verdict(verdict_in) {}
-
-  size_t lhs;
-  size_t rhs;
-  PairVerdict* verdict;
-  // Why this pair's chase prefix cannot refute containment (kNone when it
-  // can): consumed by the hom stage to settle negatives.
-  TripReason chase_trip = TripReason::kNone;
-  bool needs_search = false;
-  // Wall-clock stage costs: chase_ms covers the EnsureLevel call (near
-  // zero on a cache hit that needs no deepening), hom_ms the search,
-  // queue_wait_ms the delay before a worker picked the pair up. Zero for
-  // stages the pair never reached.
+// What one surviving pair cost: chase_ms covers the EnsureLevel call (near
+// zero when the row's chase needs no deepening), hom_ms the search,
+// queue_wait_ms the delay from the fan-out opening to the search. Zero
+// for stages the pair never reached.
+struct PairCost {
   double chase_ms = 0.0;
   double hom_ms = 0.0;
   double queue_wait_ms = 0.0;
-  MatchStats hom_stats;
+  MatchStats hom;
+};
+
+// Folds a settled pair into its row's stats partial. Degraded pairs: their
+// search was cut off mid-flight, so their effort and stage times stay out
+// of the throughput aggregates (hom / chase_stage / hom_stage /
+// queue_wait) and land in their own bucket instead.
+void RecordPair(const PairVerdict& verdict, const PairCost& cost,
+                bool metrics, BatchStats& stats) {
+  if (verdict.resolution == Resolution::kUnknown) {
+    stats.hom_degraded.Accumulate(cost.hom);
+    ++stats.unknown_pairs;
+    if (verdict.unknown_reason == TripReason::kDeadlineExceeded) {
+      ++stats.timed_out_pairs;
+    } else if (verdict.unknown_reason == TripReason::kCancelled) {
+      ++stats.cancelled_pairs;
+    }
+    return;
+  }
+  // A decided pair ran both stages: only a pair whose chase stage was
+  // skipped goes unsearched, and that pair is UNKNOWN.
+  stats.hom.Accumulate(cost.hom);
+  stats.chase_stage.Record(cost.chase_ms);
+  stats.hom_stage.Record(cost.hom_ms);
+  stats.queue_wait.Record(cost.queue_wait_ms);
+  if (metrics) {
+    MetricsRegistry& registry = MetricsRegistry::Get();
+    static Histogram& chase_us = registry.histogram("engine.chase_stage_us");
+    static Histogram& hom_us = registry.histogram("engine.hom_stage_us");
+    static Histogram& wait_us = registry.histogram("engine.queue_wait_us");
+    chase_us.Record(uint64_t(cost.chase_ms * 1000.0));
+    hom_us.Record(uint64_t(cost.hom_ms * 1000.0));
+    wait_us.Record(uint64_t(cost.queue_wait_ms * 1000.0));
+  }
+}
+
+// CheckAll's rows: row i is query i against every other id, ascending, in
+// the cells of matrix row i.
+class MatrixRows {
+ public:
+  static constexpr bool kComplete = true;
+
+  explicit MatrixRows(std::vector<std::vector<PairVerdict>>& matrix)
+      : matrix_(matrix) {}
+
+  size_t size() const { return matrix_.size(); }
+  size_t lhs(size_t r) const { return r; }
+  size_t pair_count(size_t) const { return matrix_.size() - 1; }
+  PairVerdict& cell(size_t r, size_t rhs) const { return matrix_[r][rhs]; }
+  template <class Visit>
+  void ForEach(size_t r, Visit&& visit) const {
+    std::vector<PairVerdict>& row = matrix_[r];
+    for (size_t rhs = 0; rhs < row.size(); ++rhs) {
+      if (rhs != r) visit(rhs, row[rhs]);
+    }
+  }
+
+ private:
+  std::vector<std::vector<PairVerdict>>& matrix_;
+};
+
+// CheckPairs' rows: the requested pairs grouped by lhs, in request order
+// within a group.
+class PairRows {
+ public:
+  static constexpr bool kComplete = false;
+
+  PairRows(std::span<const std::pair<size_t, size_t>> pairs,
+           std::vector<PairVerdict>& verdicts)
+      : pairs_(pairs), verdicts_(verdicts), order_(pairs.size()) {
+    std::iota(order_.begin(), order_.end(), size_t{0});
+    std::stable_sort(order_.begin(), order_.end(), [&](size_t a, size_t b) {
+      return pairs_[a].first < pairs_[b].first;
+    });
+    for (size_t k = 0; k < order_.size(); ++k) {
+      if (k == 0 || lhs_of(k) != lhs_of(k - 1)) start_.push_back(k);
+    }
+    start_.push_back(order_.size());
+  }
+
+  size_t size() const { return start_.size() - 1; }
+  size_t lhs(size_t r) const { return lhs_of(start_[r]); }
+  size_t pair_count(size_t r) const { return start_[r + 1] - start_[r]; }
+  template <class Visit>
+  void ForEach(size_t r, Visit&& visit) const {
+    for (size_t k = start_[r]; k < start_[r + 1]; ++k) {
+      visit(pairs_[order_[k]].second, verdicts_[order_[k]]);
+    }
+  }
+
+ private:
+  size_t lhs_of(size_t k) const { return pairs_[order_[k]].first; }
+
+  std::span<const std::pair<size_t, size_t>> pairs_;
+  std::vector<PairVerdict>& verdicts_;
+  // Pair indices grouped by lhs; row r is order_[start_[r] .. start_[r+1]).
+  std::vector<size_t> order_;
+  std::vector<size_t> start_;
 };
 
 }  // namespace
+
+PairVerdict ContainmentEngine::UncheckedVerdict() const {
+  PairVerdict verdict;
+  verdict.pruned = options_.containment.use_signature_index;
+  return verdict;
+}
 
 void ContainmentEngine::Cancel() { cancel_source_.Cancel(); }
 
@@ -174,9 +341,8 @@ Status ContainmentEngine::ValidatePair(size_t lhs, size_t rhs) const {
   return Status::Ok();
 }
 
-template <class ForEachPair>
-void ContainmentEngine::CheckPairsCore(size_t pair_count,
-                                       ForEachPair&& for_each_pair) {
+template <class Rows>
+void ContainmentEngine::CheckPairsCore(size_t pair_count, const Rows& rows) {
   const ContainmentOptions& copts = options_.containment;
   const ResourceBudget& budget = copts.budget;
   // Snapshot the token once: worker threads copy it concurrently below,
@@ -189,213 +355,182 @@ void ContainmentEngine::CheckPairsCore(size_t pair_count,
   if (batch_span.active()) {
     batch_span.Arg("pairs", int64_t(pair_count));
   }
-  // Snapshot for the per-batch metrics fold at the end (stats_ is
-  // cumulative across batches).
-  const BatchStats stats_before = stats_;
-
-  // ---- stage 0: signature prefilter --------------------------------------
-  //
-  // A failed subset test (signature.h) is a sound definite kNotContained:
-  // the pair skips both expensive stages entirely. Every other pair joins
-  // `survivors`, the only list the later stages and the stats fold walk.
-  // One governor covers the whole stage — each test is a few word ops, so
-  // per-pair re-anchoring would cost more than the work it guards. Once
-  // the governor trips, pruning STOPS and every remaining pair falls
-  // through to the governed chase/hom stages, which degrade it to
-  // kUnknown: a tripped stage-0 deadline must never manufacture a definite
-  // verdict.
-  std::vector<Survivor> survivors;
-  if (copts.use_signature_index && pair_count > 0) {
-    TraceSpan sig_span("engine.signature_stage");
-    AnnotateWithRequest(sig_span);
-    const SteadyClock::time_point sig_start = SteadyClock::now();
-    ExecGovernor sig_governor = MakeChaseGovernor(budget);
-    sig_governor.AddCancellation(engine_token);
-    size_t k = 0;
-    bool tripped = false;
-    for_each_pair([&](size_t lhs, size_t rhs, PairVerdict& verdict) {
-      // A subset test is a few word ops; polling the governor every pair
-      // would double the stage's cost. A 64-pair stride still bounds the
-      // deadline overshoot to a couple of microseconds — and the first
-      // pair is polled, so an already-tripped budget prunes nothing.
-      if (!tripped && (k++ & 63) == 0) tripped = !sig_governor.CheckNow();
-      if (!tripped) {
-        const std::optional<ClosureSignature>& l = entries_[lhs]->signature;
-        const std::optional<ClosureSignature>& r = entries_[rhs]->signature;
-        if (l.has_value() && r.has_value() && !MayContain(*l, r->base)) {
-          verdict.pruned = true;
-          return;
-        }
-      }
-      survivors.emplace_back(lhs, rhs, &verdict);
-    });
-    const uint64_t pruned_here = pair_count - survivors.size();
-    FoldGovernorMetrics(sig_governor);
-    stats_.pruned_pairs += pruned_here;
-    stats_.signature_us += MsSince(sig_start) * 1000.0;
-    if (sig_span.active()) {
-      sig_span.Arg("pairs", int64_t(pair_count))
-          .Arg("pruned", int64_t(pruned_here));
-    }
-  } else {
-    survivors.reserve(pair_count);
-    for_each_pair([&](size_t lhs, size_t rhs, PairVerdict& verdict) {
-      survivors.emplace_back(lhs, rhs, &verdict);
-    });
-  }
-
-  // ---- sequential phase: build / deepen the shared targets ---------------
-  //
-  // Everything that mutates the World (fresh nulls for chase steps) or a
-  // cache entry happens here, on the calling thread. The workers below
-  // only read. Each pair gets its own governor with a freshly anchored
-  // timeout (per-pair isolation): a runaway chase trips its own deadline,
-  // and the next pair starts with a full budget again.
+  const bool metrics = MetricsRegistry::enabled();
   ChaseOptions chase_options;
   chase_options.max_atoms = copts.max_chase_atoms;
-  for (Survivor& s : survivors) {
-    Entry& l = *entries_[s.lhs];
-    PairVerdict& verdict = *s.verdict;
-    ++stats_.chase_requests;
-    TraceSpan span("engine.chase_stage");
-    AnnotateWithRequest(span);
-    if (span.active()) {
-      span.Arg("lhs", int64_t(s.lhs)).Arg("rhs", int64_t(s.rhs));
-    }
-    StageTimer timer(&s.chase_ms);
-
-    ExecGovernor chase_governor = MakeChaseGovernor(budget);
-    chase_governor.AddCancellation(engine_token);
-    if (!chase_governor.CheckNow()) {
-      // Already cancelled (or the absolute deadline has passed) before
-      // this pair started: skip its chase and its search entirely.
-      FoldGovernorMetrics(chase_governor);
-      Record(verdict, Resolution::kUnknown, chase_governor.trip());
-      continue;
-    }
-
-    const int level = copts.level_override >= 0
-                          ? copts.level_override
-                          : PaperLevelBound(l.query, entries_[s.rhs]->query);
-    verdict.level_bound = level;
-
-    if (!l.chase.has_value()) {
-      ++stats_.chases_run;
-      l.chase.emplace(world_, l.query, chase_options);
-    } else {
-      ++stats_.chase_cache_hits;
-    }
-    uint64_t deepenings_before = l.chase->deepen_count();
-    const ChaseResult& chase = l.chase->EnsureLevel(level, &chase_governor);
-    stats_.chase_deepenings += l.chase->deepen_count() - deepenings_before;
-    FoldGovernorMetrics(chase_governor);
-    if (span.active()) {
-      span.Arg("level", int64_t(level))
-          .Arg("outcome", ChaseOutcomeName(chase.outcome()));
-    }
-
-    // lhs has no answers on any database satisfying Sigma_FL when its
-    // chase failed: SettlePair then settles the pair without a search.
-    verdict.lhs_unsatisfiable = chase.failed();
-    // A truncated prefix (atom budget, or this pair's chase deadline) is
-    // still worth searching: a homomorphism into it is a sound positive,
-    // and the hom stage anchors its own fresh timeout slice.
-    s.chase_trip = ChaseTripReason(chase.outcome(), chase_governor);
-    s.needs_search = true;
-  }
-
-  // Freeze the handles the workers read — the survivors' left-hand sides:
-  // from here on those chase artifacts are immutable and may be shared
-  // across threads (asserted by ResumableChase).
-  for (const Survivor& s : survivors) {
-    Entry& l = *entries_[s.lhs];
-    if (l.chase.has_value()) l.chase->Freeze();
-  }
-
-  // ---- parallel phase: stateless homomorphism searches -------------------
-  //
-  // Workers read frozen chase results directly (never EnsureLevel — an
-  // interrupted frozen handle must not resume here) and run under a
-  // per-pair hom governor with its own anchored timeout. Each writes only
-  // its own survivor and verdict cell.
+  // Each row writes only its own partial; the fold below runs in row
+  // order, so the totals do not depend on which worker ran which row.
+  std::vector<BatchStats> partials(rows.size());
   const SteadyClock::time_point fanout_start = SteadyClock::now();
-  auto search = [&](Survivor& s) {
-    ExecGovernor hom_governor = MakeHomGovernor(budget);
-    hom_governor.AddCancellation(engine_token);
-    MatchOptions match = copts.match;
-    match.governor = &hom_governor;
-    Settlement settled =
-        SettlePair(entries_[s.rhs]->renamed, entries_[s.lhs]->chase->result(),
-                   s.chase_trip, match, &s.hom_stats);
-    FoldGovernorMetrics(hom_governor);
-    Record(*s.verdict, settled.resolution, settled.unknown_reason);
-  };
-  auto run_pair = [&](size_t index) {
-    Survivor& s = survivors[index];
-    if (!s.needs_search) return;
-    s.queue_wait_ms = MsSince(fanout_start);
-    TraceSpan span("engine.hom_stage");
-    AnnotateWithRequest(span);
-    {
-      StageTimer timer(&s.hom_ms);
-      search(s);
-    }
-    if (span.active()) {
-      const PairVerdict& verdict = *s.verdict;
-      span.Arg("lhs", int64_t(s.lhs))
-          .Arg("rhs", int64_t(s.rhs))
-          .Arg("resolution", ResolutionName(verdict.resolution));
-      if (verdict.resolution == Resolution::kUnknown) {
-        span.Arg("trip", TripReasonName(verdict.unknown_reason));
+
+  auto run_row = [&](size_t r) {
+    const size_t lhs = rows.lhs(r);
+    Entry& l = *entries_[lhs];
+    BatchStats& stats = partials[r];
+    // The pairs stage 0 does not discharge, in visiting order.
+    std::vector<std::pair<size_t, PairVerdict*>> survivors;
+
+    // ---- stage 0: signature prefilter ------------------------------------
+    //
+    // A failed subset test (signature.h) is a sound definite kNotContained:
+    // the pair skips both expensive stages entirely. A complete row tests
+    // only the ids its postings enumerate; every other pair fails the
+    // constant test unseen and keeps the pruned flag it arrived with. A
+    // row whose signature cannot prune keeps every pair. One governor
+    // covers the row's stage — each test is a few word ops, so per-pair
+    // re-anchoring would cost more than the work it guards. It is polled
+    // before the first test, so an already-tripped budget prunes nothing,
+    // then every 64 tests, which bounds the deadline overshoot to a couple
+    // of microseconds. A row whose governor trips prunes nothing at all:
+    // its pairs meet their own governed chase/hom stages, which degrade
+    // them to kUnknown if the budget is spent — a tripped stage-0 deadline
+    // must never manufacture a definite verdict.
+    const ClosureSignature* signature =
+        l.signature.has_value() && l.signature->prunable ? &*l.signature
+                                                         : nullptr;
+    bool keep_all = signature == nullptr;
+    if (signature != nullptr) {
+      TraceSpan span("engine.signature_stage");
+      AnnotateWithRequest(span);
+      const SteadyClock::time_point start = SteadyClock::now();
+      ExecGovernor governor = MakeChaseGovernor(budget);
+      governor.AddCancellation(engine_token);
+      bool tripped = !governor.CheckNow();
+      uint64_t tested = 0;
+      auto test = [&](size_t rhs, PairVerdict& verdict) {
+        if (tripped) return;
+        if ((++tested & 63) == 0 && !governor.CheckNow()) {
+          tripped = true;
+          return;
+        }
+        if (MayContain(*signature, entries_[rhs]->signature->base)) {
+          survivors.emplace_back(rhs, &verdict);
+        }
+      };
+      if constexpr (Rows::kComplete) {
+        ForEachCandidate(*signature, [&](size_t rhs) {
+          if (rhs != lhs) test(rhs, rows.cell(r, rhs));
+        });
+        std::sort(survivors.begin(), survivors.end());
+      } else {
+        rows.ForEach(r, test);
       }
+      FoldGovernorMetrics(governor);
+      keep_all = tripped;
+      stats.signature_us = MsSince(start) * 1000.0;
+      if (span.active()) {
+        span.Arg("lhs", int64_t(lhs))
+            .Arg("pairs", int64_t(rows.pair_count(r)))
+            .Arg("pruned", int64_t(keep_all ? 0
+                                            : rows.pair_count(r) -
+                                                  survivors.size()));
+      }
+    }
+    if (keep_all) {
+      survivors.clear();
+      rows.ForEach(r, [&](size_t rhs, PairVerdict& verdict) {
+        survivors.emplace_back(rhs, &verdict);
+      });
+    }
+    stats.pairs_checked = rows.pair_count(r);
+    stats.pruned_pairs = stats.pairs_checked - survivors.size();
+
+    for (const auto& [rhs, verdict_slot] : survivors) {
+      PairVerdict& verdict = *verdict_slot;
+      verdict.pruned = false;
+      PairCost cost;
+      ++stats.chase_requests;
+
+      // ---- chase: deepen the row's own chase to this pair's level -------
+      //
+      // Each pair gets its own governor with a freshly anchored timeout
+      // (per-pair isolation): a runaway chase trips its own deadline, and
+      // the next pair starts with a full budget again.
+      TripReason chase_trip = TripReason::kNone;
+      bool started = true;
+      {
+        TraceSpan span("engine.chase_stage");
+        AnnotateWithRequest(span);
+        if (span.active()) {
+          span.Arg("lhs", int64_t(lhs)).Arg("rhs", int64_t(rhs));
+        }
+        StageTimer timer(&cost.chase_ms);
+        ExecGovernor chase_governor = MakeChaseGovernor(budget);
+        chase_governor.AddCancellation(engine_token);
+        if (!chase_governor.CheckNow()) {
+          // Already cancelled (or the absolute deadline has passed) before
+          // this pair started: skip its chase and its search entirely.
+          FoldGovernorMetrics(chase_governor);
+          Record(verdict, Resolution::kUnknown, chase_governor.trip());
+          started = false;
+        } else {
+          const int level = copts.level_override >= 0
+                                ? copts.level_override
+                                : PaperLevelBound(l.query,
+                                                  entries_[rhs]->query);
+          verdict.level_bound = level;
+          if (!l.chase.has_value()) {
+            ++stats.chases_run;
+            l.chase.emplace(world_, l.query, sigma_, chase_options);
+          } else {
+            ++stats.chase_cache_hits;
+          }
+          const uint64_t deepenings_before = l.chase->deepen_count();
+          const ChaseResult& chase =
+              l.chase->EnsureLevel(level, &chase_governor);
+          stats.chase_deepenings += l.chase->deepen_count() - deepenings_before;
+          FoldGovernorMetrics(chase_governor);
+          if (span.active()) {
+            span.Arg("level", int64_t(level))
+                .Arg("outcome", ChaseOutcomeName(chase.outcome()));
+          }
+          // lhs has no answers on any database satisfying Sigma_FL when
+          // its chase failed: SettlePair then settles the pair without a
+          // search.
+          verdict.lhs_unsatisfiable = chase.failed();
+          // A truncated prefix (atom budget, or this pair's chase
+          // deadline) is still worth searching: a homomorphism into it is
+          // a sound positive, and the hom stage anchors its own fresh
+          // timeout slice.
+          chase_trip = ChaseTripReason(chase.outcome(), chase_governor);
+        }
+      }
+
+      // ---- hom: settle the pair against the prefix ------------------------
+      if (started) {
+        cost.queue_wait_ms = MsSince(fanout_start);
+        TraceSpan span("engine.hom_stage");
+        AnnotateWithRequest(span);
+        {
+          StageTimer timer(&cost.hom_ms);
+          ExecGovernor hom_governor = MakeHomGovernor(budget);
+          hom_governor.AddCancellation(engine_token);
+          MatchOptions match = copts.match;
+          match.governor = &hom_governor;
+          Settlement settled =
+              SettlePair(entries_[rhs]->renamed, l.chase->result(),
+                         chase_trip, match, &cost.hom);
+          FoldGovernorMetrics(hom_governor);
+          Record(verdict, settled.resolution, settled.unknown_reason);
+        }
+        if (span.active()) {
+          span.Arg("lhs", int64_t(lhs))
+              .Arg("rhs", int64_t(rhs))
+              .Arg("resolution", ResolutionName(verdict.resolution));
+          if (verdict.resolution == Resolution::kUnknown) {
+            span.Arg("trip", TripReasonName(verdict.unknown_reason));
+          }
+        }
+      }
+      RecordPair(verdict, cost, metrics, stats);
     }
   };
   ParallelFor(options_.jobs == 0 ? DefaultThreads() : size_t(options_.jobs),
-              survivors.size(), run_pair);
+              rows.size(), run_row);
+  BatchStats batch;
+  for (const BatchStats& partial : partials) batch.Accumulate(partial);
+  stats_.Accumulate(batch);
 
-  // The fan-out has joined; a later CheckPairs call on this engine may
-  // legally deepen the handles again.
-  for (const Survivor& s : survivors) {
-    Entry& l = *entries_[s.lhs];
-    if (l.chase.has_value()) l.chase->Thaw();
-  }
-
-  stats_.pairs_checked += pair_count;
-  const bool metrics = MetricsRegistry::enabled();
-  // Pruned pairs ran neither stage and are not in `survivors`: nothing to
-  // record, and folding their zero times in would deflate every mean.
-  for (const Survivor& s : survivors) {
-    const PairVerdict& verdict = *s.verdict;
-    if (verdict.resolution == Resolution::kUnknown) {
-      // Degraded pairs: their search was cut off mid-flight, so their
-      // effort and stage times stay out of the throughput aggregates
-      // (hom / chase_stage / hom_stage / queue_wait) and land in their
-      // own bucket instead.
-      stats_.hom_degraded.Accumulate(s.hom_stats);
-      ++stats_.unknown_pairs;
-      if (verdict.unknown_reason == TripReason::kDeadlineExceeded) {
-        ++stats_.timed_out_pairs;
-      } else if (verdict.unknown_reason == TripReason::kCancelled) {
-        ++stats_.cancelled_pairs;
-      }
-      continue;
-    }
-    // A decided pair ran both stages: only a pair whose chase stage was
-    // skipped goes unsearched, and that pair is UNKNOWN.
-    stats_.hom.Accumulate(s.hom_stats);
-    stats_.chase_stage.Record(s.chase_ms);
-    stats_.hom_stage.Record(s.hom_ms);
-    stats_.queue_wait.Record(s.queue_wait_ms);
-    if (metrics) {
-      MetricsRegistry& registry = MetricsRegistry::Get();
-      static Histogram& chase_us = registry.histogram("engine.chase_stage_us");
-      static Histogram& hom_us = registry.histogram("engine.hom_stage_us");
-      static Histogram& wait_us = registry.histogram("engine.queue_wait_us");
-      chase_us.Record(uint64_t(s.chase_ms * 1000.0));
-      hom_us.Record(uint64_t(s.hom_ms * 1000.0));
-      wait_us.Record(uint64_t(s.queue_wait_ms * 1000.0));
-    }
-  }
   if (metrics) {
     MetricsRegistry& registry = MetricsRegistry::Get();
     static Counter& pairs_checked = registry.counter("engine.pairs_checked");
@@ -405,22 +540,18 @@ void ContainmentEngine::CheckPairsCore(size_t pair_count,
     static Counter& cache_hits = registry.counter("engine.chase_cache_hits");
     static Counter& chases = registry.counter("engine.chases_run");
     static Counter& deepenings = registry.counter("engine.chase_deepenings");
-    auto fold = [](Counter& c, uint64_t before, uint64_t after) {
-      if (after > before) c.Add(after - before);
-    };
-    fold(pairs_checked, stats_before.pairs_checked, stats_.pairs_checked);
-    fold(pruned_pairs, stats_before.pruned_pairs, stats_.pruned_pairs);
-    fold(unknown, stats_before.unknown_pairs, stats_.unknown_pairs);
+    pairs_checked.Add(batch.pairs_checked);
+    pruned_pairs.Add(batch.pruned_pairs);
+    unknown.Add(batch.unknown_pairs);
     if (copts.use_signature_index && pair_count > 0) {
       static Histogram& sig_us =
           registry.histogram("engine.signature_stage_us");
-      sig_us.Record(
-          uint64_t(stats_.signature_us - stats_before.signature_us));
+      sig_us.Record(uint64_t(batch.signature_us));
     }
-    fold(requests, stats_before.chase_requests, stats_.chase_requests);
-    fold(cache_hits, stats_before.chase_cache_hits, stats_.chase_cache_hits);
-    fold(chases, stats_before.chases_run, stats_.chases_run);
-    fold(deepenings, stats_before.chase_deepenings, stats_.chase_deepenings);
+    requests.Add(batch.chase_requests);
+    cache_hits.Add(batch.chase_cache_hits);
+    chases.Add(batch.chases_run);
+    deepenings.Add(batch.chase_deepenings);
   }
 }
 
@@ -429,12 +560,8 @@ Result<std::vector<PairVerdict>> ContainmentEngine::CheckPairs(
   for (const auto& [lhs, rhs] : pairs) {
     FLOQ_RETURN_IF_ERROR(ValidatePair(lhs, rhs));
   }
-  std::vector<PairVerdict> verdicts(pairs.size());
-  CheckPairsCore(pairs.size(), [&](auto&& visit) {
-    for (size_t k = 0; k < pairs.size(); ++k) {
-      visit(pairs[k].first, pairs[k].second, verdicts[k]);
-    }
-  });
+  std::vector<PairVerdict> verdicts(pairs.size(), UncheckedVerdict());
+  CheckPairsCore(pairs.size(), PairRows(pairs, verdicts));
   return verdicts;
 }
 
@@ -444,17 +571,12 @@ Result<std::vector<std::vector<PairVerdict>>> ContainmentEngine::CheckAll() {
   // first removed id or arity mismatch in row 0: checking (0, j) for every
   // j reports the same error in O(n).
   for (size_t j = 1; j < n; ++j) FLOQ_RETURN_IF_ERROR(ValidatePair(0, j));
-  // Verdicts land directly in their matrix cells (the diagonal stays
-  // defaulted): no pair list, no flat intermediate vector, no n^2 copy.
-  std::vector<std::vector<PairVerdict>> matrix(n,
-                                               std::vector<PairVerdict>(n));
-  CheckPairsCore(n * (n - 1), [&](auto&& visit) {
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j < n; ++j) {
-        if (i != j) visit(i, j, matrix[i][j]);
-      }
-    }
-  });
+  // Verdicts land directly in their matrix cells: no pair list, no flat
+  // intermediate vector, no n^2 copy. The diagonal stays defaulted.
+  std::vector<std::vector<PairVerdict>> matrix(
+      n, std::vector<PairVerdict>(n, UncheckedVerdict()));
+  for (size_t i = 0; i < n; ++i) matrix[i][i] = PairVerdict();
+  CheckPairsCore(n * (n - 1), MatrixRows(matrix));
   return matrix;
 }
 

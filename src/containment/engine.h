@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -18,25 +19,28 @@
 // O(n^2) containment questions over the *same* n queries, and the pairwise
 // CheckContainment re-materializes chase_Sigma(q1) from scratch for every
 // pair. The engine instead keeps one memoized, resumable chase handle per
-// registered query, deepens it lazily to the largest Theorem 12 bound
-// |q2| * 2|q1| any requested pair demands (a deeper chase prefix is still
-// a universal-model prefix, so homomorphism verdicts are unchanged), and
-// then fans the pairwise homomorphism searches out across `jobs` workers.
+// registered query and deepens it lazily to each pair's Theorem 12 bound
+// |q2| * 2|q1| (a deeper chase prefix is still a universal-model prefix,
+// so homomorphism verdicts are unchanged). n queries cost n chases
+// instead of n(n-1), all borrowing the one Sigma_FL the engine builds.
 //
 // With options.containment.use_signature_index on (the default), a stage-0
 // signature filter runs first: registration computes a closure signature
-// per query (signature.h) from a bounded probe chase, and any pair whose
+// per query (signature.h) from a bounded probe chase and files the query
+// in a posting under one of its constants, and any pair whose
 // predicate/constant subset test fails is discharged as a definite
 // kNotContained before either expensive stage — typically the vast
-// majority of a dense N^2 matrix (DESIGN.md §13).
+// majority of a dense N^2 matrix (DESIGN.md §13). A full row of CheckAll
+// tests only the queries its postings enumerate.
 //
-// Concurrency model (see DESIGN.md §8): all chase construction, deepening,
-// and query renaming happen sequentially on the calling thread (they draw
-// fresh nulls/variables from the shared World, which is not thread-safe);
-// the handles are then frozen (ResumableChase::Freeze) and shared
-// read-only with stateless workers that only perform const FactIndex
-// lookups. n queries cost n chases instead of n(n-1), and everything after
-// stage 0 runs over the pairs it did not discharge.
+// Concurrency model (see DESIGN.md §8): a batch is a row per left-hand
+// side, and `jobs` workers claim rows one at a time. A row task runs
+// stage 0, deepens its own entry's chase and searches each surviving
+// pair; it reads other entries' renamed copies and signatures, draws
+// fresh nulls from the World (the one World member concurrent chases
+// share), and writes only its row's verdict cells and its own stats
+// partial, which are folded in row order after the join. Registration and
+// removal (AddQuery, RemoveQuery) intern names and must not race a batch.
 
 namespace floq {
 
@@ -52,8 +56,8 @@ struct BatchContainmentOptions {
   /// full share. The absolute deadline and cancellation token are shared
   /// batch-wide.
   ContainmentOptions containment;
-  /// Workers for the homomorphism fan-out: the calling thread plus
-  /// jobs - 1 threads started per batch. 0 = hardware concurrency; 1 = run
+  /// Workers a batch's rows fan out to: the calling thread plus jobs - 1
+  /// threads started per batch. 0 = hardware concurrency; 1 = run
   /// everything on the calling thread.
   int jobs = 0;
 };
@@ -77,6 +81,11 @@ struct StageMetrics {
   double mean_ms() const {
     return samples == 0 ? 0.0 : total_ms / double(samples);
   }
+  void Accumulate(const StageMetrics& other) {
+    samples += other.samples;
+    total_ms += other.total_ms;
+    if (other.max_ms > max_ms) max_ms = other.max_ms;
+  }
 };
 
 /// Cache and fan-out accounting for one engine.
@@ -96,8 +105,9 @@ struct BatchStats {
   /// chase_requests). pruned_pairs + chase_requests == pairs checked
   /// whenever the filter is on.
   uint64_t pruned_pairs = 0;
-  /// Cumulative microseconds spent in the stage-0 signature subset tests
-  /// (registration-time probe chases are accounted to chases_run).
+  /// Cumulative microseconds spent in the stage-0 signature subset tests,
+  /// summed over the rows that ran them (registration-time probe chases
+  /// are accounted to chases_run).
   double signature_us = 0.0;
   /// Pairs whose verdict degraded to Resolution::kUnknown (any reason).
   uint64_t unknown_pairs = 0;
@@ -111,12 +121,16 @@ struct BatchStats {
   /// of `hom` so decided-pair averages are not polluted by searches that
   /// were cut off mid-flight.
   MatchStats hom_degraded;
-  /// Per-stage wall time, decided pairs only (see StageMetrics).
+  /// Per-stage wall time, decided pairs only (see StageMetrics). Rows run
+  /// on `jobs` workers, so the totals are busy time summed over workers.
   StageMetrics chase_stage;
   StageMetrics hom_stage;
-  /// Delay between the hom fan-out opening and each pair's search actually
-  /// starting on a worker (scheduling / queueing latency).
+  /// Delay between the batch's row fan-out opening and each pair's search
+  /// starting: the wait for a worker plus the row's earlier work (its
+  /// stage 0, its chase and the searches of the pairs before it).
   StageMetrics queue_wait;
+
+  void Accumulate(const BatchStats& other);
 };
 
 /// Verdict for one ordered pair lhs ⊆ rhs.
@@ -158,8 +172,8 @@ class ContainmentEngine {
   Result<size_t> AddQuery(const ConjunctiveQuery& query);
 
   /// Frees the entry of `id`: the query, its renamed copy, the resumable
-  /// chase with its fact index, and the signature. The id is never
-  /// reused; a pair naming it fails CheckPairs with InvalidArgument, and
+  /// chase with its fact index, the signature and its posting. The id is
+  /// never reused; a pair naming it fails CheckPairs with InvalidArgument, and
   /// the accessors below must not be called with it. NotFound when `id`
   /// is out of range or already removed. Must not race a batch.
   Status RemoveQuery(size_t id);
@@ -197,6 +211,14 @@ class ContainmentEngine {
   /// building a CheckPairs batch.
   const ClosureSignature* signature_of(size_t id) const;
 
+  /// The live ids stage 0 enumerates as right-hand sides of `lhs`,
+  /// ascending: for a prunable signature, the ids filed under one of its
+  /// closure constants plus the constant-free ones; otherwise every live
+  /// id. A superset of the ids j with MayContain(*signature_of(lhs),
+  /// signature_of(j)->base), and it may include `lhs`. Requires
+  /// options.containment.use_signature_index.
+  std::vector<size_t> CandidatesOf(size_t lhs) const;
+
   const BatchStats& stats() const { return stats_; }
 
   /// Requests cooperative cancellation of any in-flight CheckPairs /
@@ -217,20 +239,39 @@ class ContainmentEngine {
   /// InvalidArgument unless both ids name live entries of equal arity.
   Status ValidatePair(size_t lhs, size_t rhs) const;
 
+  /// A verdict slot before its batch: pruned when the signature index is
+  /// on, since stage 0 discharges most pairs without visiting them.
+  PairVerdict UncheckedVerdict() const;
+
+  /// Calls fn(id) for each id CandidatesOf enumerates for a prunable
+  /// `lhs`: the constant-free ids, then the ids filed under each of its
+  /// closure constants. Each id comes once (it is filed once), unsorted.
+  template <class Fn>
+  void ForEachCandidate(const ClosureSignature& lhs, Fn&& fn) const;
+
   /// The batch pipeline behind CheckPairs and CheckAll, over pairs the
-  /// caller has validated. `for_each_pair(visit)` calls
-  /// visit(lhs, rhs, verdict) once per pair, in order, with the pair's
-  /// output slot: CheckAll hands out its matrix cells directly, so no pair
-  /// list and no flat verdict vector is built. Instantiated only in
-  /// engine.cc.
-  template <class ForEachPair>
-  void CheckPairsCore(size_t pair_count, ForEachPair&& for_each_pair);
+  /// caller has validated and grouped into rows by left-hand side (see
+  /// MatrixRows and PairRows in engine.cc): row r is query rows.lhs(r)
+  /// against the rhs ids rows.ForEach(r, visit) hands out as
+  /// visit(rhs, verdict), each with its output slot. Every slot arrives
+  /// pruned when the signature index is on; stage 0 clears the flag of
+  /// each pair it keeps. Rows run in parallel, the pairs of a row in the
+  /// order visited. Instantiated only in engine.cc.
+  template <class Rows>
+  void CheckPairsCore(size_t pair_count, const Rows& rows);
 
   World& world_;
   BatchContainmentOptions options_;
+  // Sigma_FL, built once: every entry's chase borrows it.
+  DependencySet sigma_;
   // By id; a removed entry is null.
   std::vector<std::unique_ptr<Entry>> entries_;
   size_t live_entries_ = 0;
+  // Stage-0 postings (signature index on), keyed by Term::raw(): each
+  // entry is filed under the base-signature constant whose list was
+  // shortest when it was added, or under a key no constant has when it
+  // has none. Lists are ascending by id.
+  std::unordered_map<uint32_t, std::vector<size_t>> filed_;
   BatchStats stats_;
   CancellationSource cancel_source_;
 };

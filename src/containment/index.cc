@@ -79,35 +79,97 @@ Resolution ContainmentIndex::ResolutionOf(size_t lhs, size_t rhs) const {
                                            : Resolution::kNotContained;
 }
 
+std::vector<size_t> ContainmentIndex::ContainerCandidates(
+    const ClosureSignature& signature) const {
+  const std::vector<uint32_t>& constants = signature.base.constants;
+  if (constants.empty()) return live_ids_;
+  // A prunable container carries every constant of the query among its
+  // closure constants, so the query's least-filed constant lists it.
+  const std::vector<size_t>* shortest = nullptr;
+  for (uint32_t constant : constants) {
+    auto it = by_closure_constant_.find(constant);
+    if (it == by_closure_constant_.end()) {
+      shortest = nullptr;
+      break;
+    }
+    if (shortest == nullptr || it->second.size() < shortest->size()) {
+      shortest = &it->second;
+    }
+  }
+  std::vector<size_t> ids = unprunable_;
+  if (shortest != nullptr) {
+    ids.insert(ids.end(), shortest->begin(), shortest->end());
+    std::sort(ids.begin(), ids.end());
+  }
+  return ids;
+}
+
+void ContainmentIndex::FileContainer(size_t id,
+                                     const ClosureSignature& signature) {
+  if (!signature.prunable) {
+    unprunable_.push_back(id);
+    return;
+  }
+  for (uint32_t constant : signature.closure_constants) {
+    by_closure_constant_[constant].push_back(id);
+  }
+}
+
+void ContainmentIndex::UnfileContainer(size_t id,
+                                       const ClosureSignature& signature) {
+  auto erase = [id](std::vector<size_t>& ids) {
+    ids.erase(std::lower_bound(ids.begin(), ids.end(), id));
+  };
+  if (!signature.prunable) {
+    erase(unprunable_);
+    return;
+  }
+  for (uint32_t constant : signature.closure_constants) {
+    auto it = by_closure_constant_.find(constant);
+    erase(it->second);
+    if (it->second.empty()) by_closure_constant_.erase(it);
+  }
+}
+
 Result<size_t> ContainmentIndex::Insert(const ConjunctiveQuery& query) {
   Result<size_t> id_or = engine_.AddQuery(query);
   if (!id_or.ok()) return id_or.status();
   const size_t id = *id_or;
   FLOQ_CHECK_EQ(id, nodes_.size());
-  nodes_.push_back(Node{query.arity(), true, nullptr, {}});
+  const int arity = query.arity();
+  nodes_.push_back(Node{arity, true, nullptr, {}});
   ++stats_.inserts;
+  if (size_t(arity) >= live_by_arity_.size()) {
+    live_by_arity_.resize(size_t(arity) + 1, 0);
+  }
 
   // Candidate pairs in both directions against every live same-arity
-  // entry, prefiltered here so the engine batch holds only survivors. The
-  // engine applies the same test again as its stage 0 — deterministic, so
-  // the survivors pass it and nothing is double-counted as pruned.
+  // entry. With signatures, each direction reads a posting instead of
+  // testing them all: (id ⊆ j) the engine's stage-0 postings, (j ⊆ id)
+  // the containers filed under id's least-filed constant plus those that
+  // cannot prune. A pair neither lists fails MayContain, so it counts as
+  // pruned unseen. The engine batch holds only survivors; its stage 0
+  // applies the same test again — deterministic, so nothing is
+  // double-counted as pruned.
   const ClosureSignature* sig_new = engine_.signature_of(id);
+  auto kept = [&](size_t lhs, size_t rhs) {
+    return lhs != rhs && nodes_[lhs].arity == nodes_[rhs].arity &&
+           (sig_new == nullptr ||
+            MayContain(*engine_.signature_of(lhs),
+                       engine_.signature_of(rhs)->base));
+  };
   std::vector<std::pair<size_t, size_t>> pairs;
-  for (size_t j : live_ids_) {
-    if (nodes_[j].arity != query.arity()) continue;
-    const ClosureSignature* sig_old = engine_.signature_of(j);
-    const std::pair<size_t, size_t> directions[2] = {{id, j}, {j, id}};
-    for (const auto& [lhs, rhs] : directions) {
-      ++stats_.candidate_pairs;
-      const ClosureSignature* ls = lhs == id ? sig_new : sig_old;
-      const ClosureSignature* rs = rhs == id ? sig_new : sig_old;
-      if (ls != nullptr && rs != nullptr && !MayContain(*ls, rs->base)) {
-        ++stats_.pruned_pairs;  // an absent pair reads kNotContained
-        continue;
-      }
-      pairs.emplace_back(lhs, rhs);
-    }
+  for (size_t j : sig_new ? engine_.CandidatesOf(id) : live_ids_) {
+    if (kept(id, j)) pairs.emplace_back(id, j);
   }
+  for (size_t j : sig_new ? ContainerCandidates(*sig_new) : live_ids_) {
+    if (kept(j, id)) pairs.emplace_back(j, id);
+  }
+  if (sig_new != nullptr) FileContainer(id, *sig_new);
+  const uint64_t candidates = 2 * uint64_t(live_by_arity_[size_t(arity)]);
+  stats_.candidate_pairs += candidates;
+  stats_.pruned_pairs += candidates - pairs.size();  // absent: kNotContained
+  ++live_by_arity_[size_t(arity)];
   live_ids_.push_back(id);
 
   Status checked = Status::Ok();
@@ -121,8 +183,8 @@ Result<size_t> ContainmentIndex::Insert(const ConjunctiveQuery& query) {
         if (resolution == Resolution::kUnknown) ++stats_.unknown_pairs;
         if (resolution == Resolution::kNotContained) continue;
         ++edge_count_;
-        // `id` is the largest id and the pairs visit live ids ascending,
-        // so every append keeps its row ascending.
+        // `id` is the largest id and each direction's pairs visit live ids
+        // ascending, so every append keeps its row ascending.
         const auto [lhs, rhs] = pairs[k];
         if (lhs == id) {
           own_supers.push_back({rhs, resolution});
@@ -177,6 +239,10 @@ Status ContainmentIndex::Remove(size_t id) {
   node.subs = {};  // releases the list's storage
   retired_rows_.Seal();
   live_ids_.erase(std::lower_bound(live_ids_.begin(), live_ids_.end(), id));
+  --live_by_arity_[size_t(node.arity)];
+  if (const ClosureSignature* signature = engine_.signature_of(id)) {
+    UnfileContainer(id, *signature);
+  }
   ++stats_.removed;
   return engine_.RemoveQuery(id);
 }

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "containment/classifier.h"
@@ -20,7 +21,9 @@
 // (signature.h) — for a typical registry the filter discharges the
 // overwhelming majority of the 2·N candidate pairs before the engine ever
 // sees them, so an insert costs a handful of chase/hom decisions instead
-// of 2·N. Remove takes a query out again and frees its engine entry.
+// of 2·N. The prefilter itself reads postings by constant rather than
+// testing every live query (DESIGN.md §13). Remove takes a query out again
+// and frees its engine entry.
 //
 // The relation is stored sparse: per id, the ascending lists of pairs
 // whose verdict is not kNotContained (a contained pair, or an UNKNOWN one
@@ -185,10 +188,24 @@ class ContainmentIndex : private RelationRows {
   // Installs `row` as id's supers row, retiring the one it replaces.
   void ReplaceSupers(size_t id, std::shared_ptr<const Edges> row);
 
+  // Live ids, ascending, that may contain a query of `signature`: a
+  // superset of the ids j with MayContain(signature_of(j), signature.base).
+  std::vector<size_t> ContainerCandidates(
+      const ClosureSignature& signature) const;
+  void FileContainer(size_t id, const ClosureSignature& signature);
+  void UnfileContainer(size_t id, const ClosureSignature& signature);
+
   ContainmentEngine engine_;
   std::vector<Node> nodes_;       // by id, removed ones included
   std::vector<size_t> live_ids_;  // ascending
   size_t edge_count_ = 0;
+  // Live ids per arity: an insert's candidate count without a scan.
+  std::vector<size_t> live_by_arity_;
+  // Containers by constant (signature index on): each live id is filed
+  // under every constant of its closure signature, or in unprunable_ when
+  // its signature cannot discharge pairs. Lists ascend by id.
+  std::unordered_map<uint32_t, std::vector<size_t>> by_closure_constant_;
+  std::vector<size_t> unprunable_;
   IndexStats stats_;
   Retirer retired_rows_;
   TaxonomyMaintainer taxonomy_{*this};

@@ -1,6 +1,8 @@
 #ifndef FLOQ_TERM_WORLD_H_
 #define FLOQ_TERM_WORLD_H_
 
+#include <atomic>
+#include <cstdint>
 #include <string>
 #include <string_view>
 
@@ -14,6 +16,10 @@
 // nulls, and the predicate registry. Everything that must be compared
 // (queries in a containment check, a query and a database) must live in
 // the same World.
+//
+// Threads: const reads may run concurrently while nothing interns, and
+// MakeFreshNull may run concurrently with them and with itself; every
+// other mutation needs the World to itself.
 
 namespace floq {
 
@@ -37,8 +43,13 @@ class World {
   /// Creates a fresh labeled null. Nulls are ordered by creation, matching
   /// the paper's requirement that each fresh value "lexicographically
   /// follows all other constants in the segment of the chase constructed
-  /// so far (but still precedes all variables)".
-  Term MakeFreshNull() { return Term::Null(null_count_++); }
+  /// so far (but still precedes all variables)". The only World member
+  /// concurrent chases may call: nulls stay globally unique, and the nulls
+  /// one chase draws rise in the order it draws them, which is all the
+  /// chase order compares (the nulls of one chase only meet each other).
+  Term MakeFreshNull() {
+    return Term::Null(null_count_.fetch_add(1, std::memory_order_relaxed));
+  }
 
   /// Creates a fresh variable never seen before (for `_` in the surface
   /// syntax and for renaming queries apart). The generated "_G<n>" names
@@ -101,13 +112,19 @@ class World {
 
   uint32_t constant_count() const { return constants_.size(); }
   uint32_t variable_count() const { return variables_.size(); }
-  uint32_t null_count() const { return null_count_; }
+  uint32_t null_count() const {
+    return null_count_.load(std::memory_order_relaxed);
+  }
 
   /// Fast-forwards the fresh-null supply so the next MakeFreshNull() is at
   /// least Null(count). Snapshot loading restores a saved World's null
   /// watermark this way; never rewinds.
   void AdvanceNullCounter(uint32_t count) {
-    if (count > null_count_) null_count_ = count;
+    uint32_t current = null_count();
+    while (count > current &&
+           !null_count_.compare_exchange_weak(current, count,
+                                              std::memory_order_relaxed)) {
+    }
   }
 
  private:
@@ -115,7 +132,7 @@ class World {
   StringInterner variables_;
   PredicateTable predicates_;
   SpanTable spans_;
-  uint32_t null_count_ = 0;
+  std::atomic<uint32_t> null_count_{0};
   uint32_t fresh_variable_count_ = 0;
   uint32_t reserved_variable_count_ = 0;
 };

@@ -8,9 +8,10 @@
 // The batch engine's fan-out (DESIGN.md §8): no pool, no task queue. A
 // call starts its own workers, they claim indices one at a time from one
 // atomic counter, and the call joins them before it returns. Items are
-// coarse (a homomorphism search each) and their cost is unknown up front,
-// so claiming one at a time keeps a slow item from holding up any other:
-// a runaway search pins only the worker running it.
+// coarse (a row of a containment batch each: its signature tests, its own
+// chase and its searches) and their cost is unknown up front, so claiming
+// one at a time keeps a slow item from holding up any other: a runaway
+// row pins only the worker running it.
 
 namespace floq {
 

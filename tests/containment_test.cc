@@ -292,6 +292,32 @@ TEST(EquivalenceTest, StrictContainmentIsNotEquivalence) {
   EXPECT_FALSE(*equivalent);
 }
 
+// A budget trip leaves q ≡ q open: the chase stops while it seeds q's
+// body, so neither direction is decided, and "not equivalent" would be a
+// false negative.
+TEST(EquivalenceTest, UnknownDirectionIsATypedErrorNotANegative) {
+  World world;
+  ConjunctiveQuery q =
+      Q(world, "q(X) :- member(X, C), sub(C, D), member(X, D).");
+  ContainmentOptions options;
+  options.max_chase_atoms = 1;
+  Result<ContainmentResult> contained =
+      CheckContainment(world, q, q, options);
+  ASSERT_TRUE(contained.ok()) << contained.status().ToString();
+  EXPECT_EQ(contained->resolution, Resolution::kUnknown);
+
+  Result<bool> equivalent = CheckEquivalence(world, q, q, options);
+  ASSERT_FALSE(equivalent.ok());
+  EXPECT_EQ(equivalent.status().code(), StatusCode::kResourceExhausted);
+
+  // A refuted direction still settles the question despite the trip.
+  ConjunctiveQuery narrower = Q(world, "q(X) :- member(X, person).");
+  ConjunctiveQuery wider = Q(world, "q(X) :- member(X, C).");
+  Result<bool> strict = CheckEquivalence(world, wider, narrower, options);
+  ASSERT_TRUE(strict.ok()) << strict.status().ToString();
+  EXPECT_FALSE(*strict);
+}
+
 // ---- UCQ containment ---------------------------------------------------------
 
 TEST(UcqContainmentTest, PicksTheMatchingDisjunct) {

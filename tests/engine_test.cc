@@ -298,6 +298,125 @@ TEST(ContainmentEngineTest, ParallelVerdictsEqualSequential) {
   }
 }
 
+// A seeded arity-0 corpus with the four kinds of a classify workload:
+// families (a base query and variants contained in it, each family with a
+// private constant), narrow random queries over a small shared vocabulary,
+// mandatory cycles and data-chain probes. The last two are the rows whose
+// chases deepen pair after pair.
+std::vector<ConjunctiveQuery> MixedCorpus(World& world, uint64_t seed) {
+  std::vector<ConjunctiveQuery> queries;
+  for (int f = 0; f < 3; ++f) {
+    const std::string c = "fam" + std::to_string(seed) + "_" +
+                          std::to_string(f);
+    const std::string tag = std::to_string(f);
+    const std::string base = "member(X, " + c + "), data(X, a, V)";
+    queries.push_back(Q(world, ("b" + tag + "() :- " + base + ".").c_str()));
+    queries.push_back(Q(world, ("e" + tag + "() :- " + base + ", type(" + c +
+                                ", a, t).")
+                                   .c_str()));
+    queries.push_back(Q(world, ("s" + tag + "() :- member(X, " + c +
+                                "_sub), sub(" + c + "_sub, " + c +
+                                "), data(X, a, V).")
+                                   .c_str()));
+    queries.push_back(Q(world, ("r" + tag + "() :- member(Y, " + c +
+                                "), data(Y, a, W).")
+                                   .c_str()));
+  }
+  for (int k = 0; k < 8; ++k) {
+    gen::RandomQuerySpec spec;
+    spec.seed = seed * 100 + uint64_t(k);
+    spec.atoms = 2 + k % 3;
+    spec.variable_pool = 3;
+    spec.constant_pool = 2;
+    spec.arity = 0;
+    queries.push_back(
+        gen::MakeRandomQuery(world, spec, "n" + std::to_string(k)));
+  }
+  for (int k = 1; k <= 3; ++k) {
+    queries.push_back(gen::MakeMandatoryCycleQuery(
+        world, k, "cycle" + std::to_string(k)));
+    queries.push_back(
+        gen::MakeDataChainProbe(world, k, "probe" + std::to_string(k)));
+  }
+  return queries;
+}
+
+// Rows run on any worker in any order: the matrix and every counter must
+// not depend on `jobs`.
+TEST(ContainmentEngineTest, CheckAllIsIndependentOfJobs) {
+  for (bool use_index : {true, false}) {
+    for (int level_override : {0, 1, -1}) {
+      SCOPED_TRACE(std::string(use_index ? "index on" : "index off") +
+                   ", level_override " + std::to_string(level_override));
+      World world;
+      std::vector<ConjunctiveQuery> queries = MixedCorpus(world, 7);
+      const size_t n = queries.size();
+      std::vector<std::vector<std::vector<PairVerdict>>> matrices;
+      std::vector<BatchStats> stats;
+      for (int jobs : {1, 2, 4}) {
+        BatchContainmentOptions options;
+        options.jobs = jobs;
+        options.containment.use_signature_index = use_index;
+        options.containment.level_override = level_override;
+        ContainmentEngine engine(world, options);
+        for (const ConjunctiveQuery& q : queries) {
+          ASSERT_TRUE(engine.AddQuery(q).ok());
+        }
+        Result<std::vector<std::vector<PairVerdict>>> matrix =
+            engine.CheckAll();
+        ASSERT_TRUE(matrix.ok()) << matrix.status().ToString();
+        matrices.push_back(*std::move(matrix));
+        stats.push_back(engine.stats());
+      }
+
+      for (size_t run = 1; run < matrices.size(); ++run) {
+        for (size_t i = 0; i < n; ++i) {
+          for (size_t j = 0; j < n; ++j) {
+            const PairVerdict& s = matrices[0][i][j];
+            const PairVerdict& p = matrices[run][i][j];
+            const std::string cell = queries[i].name() + " ⊆ " +
+                                     queries[j].name() + ", run " +
+                                     std::to_string(run);
+            EXPECT_EQ(s.contained, p.contained) << cell;
+            EXPECT_EQ(s.resolution, p.resolution) << cell;
+            EXPECT_EQ(s.unknown_reason, p.unknown_reason) << cell;
+            EXPECT_EQ(s.pruned, p.pruned) << cell;
+            EXPECT_EQ(s.lhs_unsatisfiable, p.lhs_unsatisfiable) << cell;
+            EXPECT_EQ(s.level_bound, p.level_bound) << cell;
+          }
+        }
+        const BatchStats& s = stats[0];
+        const BatchStats& p = stats[run];
+        EXPECT_EQ(s.pairs_checked, p.pairs_checked);
+        EXPECT_EQ(s.pruned_pairs, p.pruned_pairs);
+        EXPECT_EQ(s.chase_requests, p.chase_requests);
+        EXPECT_EQ(s.chase_cache_hits, p.chase_cache_hits);
+        EXPECT_EQ(s.chases_run, p.chases_run);
+        EXPECT_EQ(s.chase_deepenings, p.chase_deepenings);
+        EXPECT_EQ(s.unknown_pairs, p.unknown_pairs);
+        EXPECT_EQ(s.hom.nodes_visited, p.hom.nodes_visited);
+      }
+      size_t contained = 0;
+      for (size_t i = 0; i < n; ++i) {
+        for (size_t j = 0; j < n; ++j) {
+          if (i != j && matrices[0][i][j].contained) ++contained;
+        }
+      }
+      EXPECT_GT(contained, n);
+      const BatchStats& s = stats[0];
+      EXPECT_EQ(s.pairs_checked, n * (n - 1));
+      EXPECT_EQ(s.pruned_pairs > 0, use_index);
+      EXPECT_EQ(s.pruned_pairs + s.chase_requests, s.pairs_checked);
+      EXPECT_EQ(s.unknown_pairs, 0u);
+      EXPECT_GT(s.hom.nodes_visited, 0u);
+      // Without a fixed cap, the cycles' rows deepen their chases.
+      if (level_override < 0) {
+        EXPECT_GT(s.chase_deepenings, 0u);
+      }
+    }
+  }
+}
+
 // ---- fan-out workers run in the caller's request scope -------------------
 
 // The request context and trace suppression are thread-local: the threads
@@ -571,8 +690,9 @@ TEST(ResumableChaseTest, DeepeningMatchesFreshChaseAcrossCorpus) {
         gen::MakeRandomQuery(world, spec, "rand" + std::to_string(seed)));
   }
 
+  const DependencySet sigma = MakeSigmaFLDependencies(world);
   for (const ConjunctiveQuery& query : corpus) {
-    ResumableChase resumable(world, query);
+    ResumableChase resumable(world, query, sigma);
     for (int level : kSteps) {
       const ChaseResult& resumed = resumable.EnsureLevel(level);
       ChaseOptions fresh_options;
@@ -592,7 +712,8 @@ TEST(ResumableChaseTest, DeepeningMatchesFreshChaseAcrossCorpus) {
 TEST(ResumableChaseTest, EnsureLevelIsMonotoneAndIdempotent) {
   World world;
   ConjunctiveQuery cycle = gen::MakeMandatoryCycleQuery(world, 2, "cycle");
-  ResumableChase resumable(world, cycle);
+  const DependencySet sigma = MakeSigmaFLDependencies(world);
+  ResumableChase resumable(world, cycle, sigma);
 
   const ChaseResult& at4 = resumable.EnsureLevel(4);
   EXPECT_EQ(at4.outcome(), ChaseOutcome::kLevelCapped);
@@ -611,29 +732,55 @@ TEST(ResumableChaseTest, EnsureLevelIsMonotoneAndIdempotent) {
   EXPECT_GE(at8.max_level(), 5);
 }
 
-TEST(ResumableChaseTest, FrozenHandleAllowsConstReads) {
+// Handles of different queries deepen concurrently over one borrowed
+// Sigma_FL and the World's shared null supply (TSan runs this suite): each
+// still equals its one-shot chase, and no null is drawn twice.
+TEST(ResumableChaseTest, ConcurrentHandlesShareSigmaAndTheNullSupply) {
   World world;
-  ConjunctiveQuery cycle = gen::MakeMandatoryCycleQuery(world, 2, "cycle");
-  ResumableChase resumable(world, cycle);
-  resumable.EnsureLevel(5);
-  uint32_t size = resumable.result().size();
+  std::vector<ConjunctiveQuery> queries;
+  for (int k = 1; k <= 4; ++k) {
+    queries.push_back(gen::MakeMandatoryCycleQuery(
+        world, k, "cycle" + std::to_string(k)));
+  }
+  const DependencySet sigma = MakeSigmaFLDependencies(world);
+  std::vector<ResumableChase> handles;
+  for (const ConjunctiveQuery& query : queries) {
+    handles.emplace_back(world, query, sigma);
+  }
+  std::vector<std::thread> threads;
+  for (ResumableChase& handle : handles) {
+    threads.emplace_back([&handle] {
+      for (int level : {3, 8, 14}) handle.EnsureLevel(level);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
 
-  resumable.Freeze();
-  EXPECT_TRUE(resumable.frozen());
-  // Reads and non-deepening EnsureLevel calls stay legal while frozen.
-  EXPECT_EQ(resumable.EnsureLevel(3).size(), size);
-  EXPECT_EQ(resumable.result().size(), size);
-  resumable.Thaw();
-  EXPECT_FALSE(resumable.frozen());
-  // After thawing, deepening is legal again.
-  EXPECT_GT(resumable.EnsureLevel(7).size(), size);
+  std::map<Term, size_t> owner;
+  for (size_t i = 0; i < handles.size(); ++i) {
+    const ChaseResult& resumed = handles[i].result();
+    ChaseOptions fresh_options;
+    fresh_options.max_level = 14;
+    EXPECT_TRUE(ChasesIsomorphic(
+        resumed, ChaseQuery(world, queries[i], fresh_options)))
+        << queries[i].name();
+    EXPECT_EQ(handles[i].deepen_count(), 2u) << queries[i].name();
+    for (const Atom& atom : resumed.conjuncts().atoms()) {
+      for (Term t : atom) {
+        if (!t.IsNull()) continue;
+        auto [it, inserted] = owner.emplace(t, i);
+        EXPECT_EQ(it->second, i) << "null shared by two chases";
+      }
+    }
+  }
+  EXPECT_GT(owner.size(), handles.size());
 }
 
 TEST(ResumableChaseTest, CompletedChaseNeverDeepens) {
   World world;
   // No mandatory atoms: the chase completes at level 0.
   ConjunctiveQuery q = Q(world, "q(X) :- member(X, C), sub(C, D).");
-  ResumableChase resumable(world, q);
+  const DependencySet sigma = MakeSigmaFLDependencies(world);
+  ResumableChase resumable(world, q, sigma);
   const ChaseResult& result = resumable.EnsureLevel(3);
   EXPECT_EQ(result.outcome(), ChaseOutcome::kCompleted);
   resumable.EnsureLevel(100);

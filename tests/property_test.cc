@@ -917,3 +917,139 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DecisionPathParityProperty,
 
 }  // namespace
 }  // namespace floq
+
+// Appended suite: stage 0 and the index read postings by constant instead
+// of testing every pair, so what they enumerate must cover every pair the
+// signature test accepts (DESIGN.md §13). The corpus mixes the signature
+// shapes the postings treat apart: constant-free queries (the
+// constant-free list), queries whose only constant is in the head, and
+// funct queries with two or more constants whose chase fails or stays
+// inconclusive (not prunable: every id is a candidate).
+
+#include "containment/index.h"
+#include "containment/signature.h"
+
+namespace floq {
+namespace {
+
+std::vector<ConjunctiveQuery> PostingCorpus(World& world, uint64_t seed) {
+  std::vector<ConjunctiveQuery> queries;
+  for (int k = 0; k < 18; ++k) {
+    gen::RandomQuerySpec spec =
+        SmallQuerySpec(seed * 101 + uint64_t(k), 2 + k % 3, k % 2);
+    spec.constant_probability = k % 3 == 0 ? 0.0 : 0.3;
+    queries.push_back(
+        gen::MakeRandomQuery(world, spec, "r" + std::to_string(k)));
+  }
+  const Term c = world.MakeConstant("c" + std::to_string(seed % 3));
+  for (int k = 0; k < 2; ++k) {
+    // The head constant is the query's only constant.
+    ConjunctiveQuery body = gen::MakeRandomQuery(
+        world, SmallQuerySpec(seed * 103 + uint64_t(k), 2, 0), "h");
+    std::vector<Atom> atoms;
+    for (const Atom& atom : body.body()) {
+      bool constant_free = true;
+      for (Term t : atom) constant_free = constant_free && !t.IsConstant();
+      if (constant_free) atoms.push_back(atom);
+    }
+    if (!atoms.empty()) {
+      queries.emplace_back("h" + std::to_string(k), std::vector<Term>{c},
+                           std::move(atoms));
+    }
+  }
+  Term a = world.MakeConstant("a");
+  Term o = world.MakeConstant("o");
+  Term v1 = world.MakeConstant("c1");
+  Term v2 = world.MakeConstant("c2");
+  // rho_4 equates c1 and c2: the chase fails.
+  queries.emplace_back("failing", std::vector<Term>{},
+                       std::vector<Atom>{Atom::Funct(a, o),
+                                         Atom::Data(o, a, v1),
+                                         Atom::Data(o, a, v2)});
+  // A mandatory cycle never completes, so a failure stays possible.
+  ConjunctiveQuery cycle = gen::MakeMandatoryCycleQuery(world, 2, "cycle");
+  std::vector<Atom> atoms = cycle.body();
+  atoms.push_back(Atom::Funct(atoms[0].arg(0), atoms[0].arg(1)));
+  queries.emplace_back("inconclusive", std::vector<Term>{}, std::move(atoms));
+  return queries;
+}
+
+class StageZeroEnumerationProperty
+    : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(StageZeroEnumerationProperty, PostingsCoverEveryPairMayContainKeeps) {
+  World world;
+  std::vector<ConjunctiveQuery> queries = PostingCorpus(world, GetParam());
+  ContainmentEngine engine(world);
+  for (const ConjunctiveQuery& q : queries) {
+    ASSERT_TRUE(engine.AddQuery(q).ok()) << q.ToString(world);
+  }
+  size_t unprunable = 0;
+  size_t constant_free = 0;
+  for (size_t id = 0; id < queries.size(); ++id) {
+    unprunable += engine.signature_of(id)->prunable ? 0 : 1;
+    constant_free += engine.signature_of(id)->base.constants.empty() ? 1 : 0;
+  }
+  EXPECT_GE(unprunable, 2u);
+  EXPECT_GT(constant_free, 0u);
+
+  auto check = [&](const char* when) {
+    for (size_t lhs = 0; lhs < queries.size(); ++lhs) {
+      if (!engine.has_query(lhs)) continue;
+      const std::vector<size_t> listed = engine.CandidatesOf(lhs);
+      EXPECT_TRUE(std::is_sorted(listed.begin(), listed.end()));
+      const std::set<size_t> enumerated(listed.begin(), listed.end());
+      EXPECT_EQ(enumerated.size(), listed.size()) << "repeated id";
+      for (size_t rhs = 0; rhs < queries.size(); ++rhs) {
+        if (!engine.has_query(rhs)) {
+          EXPECT_EQ(enumerated.count(rhs), 0u) << "removed id listed";
+          continue;
+        }
+        if (MayContain(*engine.signature_of(lhs),
+                       engine.signature_of(rhs)->base)) {
+          EXPECT_EQ(enumerated.count(rhs), 1u)
+              << when << ": " << queries[lhs].ToString(world) << " ⊆ "
+              << queries[rhs].ToString(world);
+        }
+      }
+    }
+  };
+  check("registered");
+  for (size_t id = 0; id < queries.size(); id += 3) {
+    ASSERT_TRUE(engine.RemoveQuery(id).ok());
+  }
+  check("after removals");
+}
+
+// The index checks exactly the same-arity pairs the signature test keeps,
+// in both directions, and counts the rest as pruned.
+TEST_P(StageZeroEnumerationProperty, IndexChecksExactlyThePairsKept) {
+  World world;
+  std::vector<ConjunctiveQuery> queries = PostingCorpus(world, GetParam());
+  ContainmentIndex index(world);
+  uint64_t kept = 0;
+  uint64_t candidates = 0;
+  for (size_t k = 0; k < queries.size(); ++k) {
+    Result<size_t> id = index.Insert(queries[k]);
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    const ClosureSignature& added = *index.engine().signature_of(*id);
+    for (size_t j : index.live_ids()) {
+      if (j == *id || index.query(j).arity() != queries[k].arity()) continue;
+      const ClosureSignature& other = *index.engine().signature_of(j);
+      candidates += 2;
+      kept += MayContain(added, other.base) ? 1 : 0;
+      kept += MayContain(other, added.base) ? 1 : 0;
+    }
+    if (k % 4 == 3) ASSERT_TRUE(index.Remove(index.live_ids()[k / 4]).ok());
+  }
+  const IndexStats& stats = index.index_stats();
+  EXPECT_EQ(stats.candidate_pairs, candidates);
+  EXPECT_EQ(stats.checked_pairs, kept);
+  EXPECT_EQ(stats.pruned_pairs, candidates - kept);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, StageZeroEnumerationProperty,
+                         ::testing::Range(uint64_t(0), uint64_t(30)));
+
+}  // namespace
+}  // namespace floq
