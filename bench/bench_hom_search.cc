@@ -6,16 +6,19 @@
 // Experiment E11 — the compiled homomorphism kernel (DESIGN.md §9). The
 // same searches are run two ways over a generator-corpus grid:
 //
-//   * legacy — the interpreted, map-based matcher
-//              (use_compiled_kernel = false), on plain posting vectors,
-//   * kernel — the production path: compiled pattern, flat binding trail,
-//              smallest-list candidate scans over the frozen tier.
+//   * kernel_plain  — the kernel on the unfrozen index: plain posting
+//                     vectors,
+//   * kernel_frozen — the production path: the same kernel streaming the
+//                     block-compressed frozen tier, as the engine does
+//                     after FreezeConjuncts().
 //
 // Per configuration the report records wall time (best of several
 // passes), backtracking nodes, index probes, and probes per node; the
-// headline number is the geometric-mean wall-time speedup of the kernel
-// over the legacy matcher. Everything is written to BENCH_hom_search.json
-// (and echoed to stdout) so the bench trajectory is machine-checkable.
+// headline number is the geometric-mean wall-time speedup of the frozen
+// tier over plain postings. Both arms run one search, so their node and
+// found counts must agree (verdicts_agree). Everything is written to
+// BENCH_hom_search.json (and echoed to stdout) so the bench trajectory is
+// machine-checkable.
 
 #include <benchmark/benchmark.h>
 
@@ -89,7 +92,7 @@ void PrintSearchTable() {
   std::printf("\n");
 }
 
-// ---- E11: compiled kernel vs legacy matcher ---------------------------------
+// ---- E11: the kernel on plain vs frozen postings ----------------------------
 
 struct CorpusConfig {
   const char* name;
@@ -129,7 +132,7 @@ constexpr CorpusConfig kCorpus[] = {
 struct RunMetrics {
   double wall_ms = 0;  // best pass
   MatchStats stats;    // of one pass
-  uint64_t found = 0;  // per-probe verdicts, for cross-matcher agreement
+  uint64_t found = 0;  // per-probe verdicts, for cross-arm agreement
 };
 
 struct Workload {
@@ -179,15 +182,14 @@ void MakeWorkload(const CorpusConfig& config, Workload& w) {
 
 // One pass over every probe of the workload; returns per-pass stats and a
 // bitset-as-counter of verdicts (enumerate_all: total match count).
-RunMetrics OnePass(const Workload& workload, const CorpusConfig& config,
-                   const MatchOptions& options) {
+RunMetrics OnePass(const Workload& workload, const CorpusConfig& config) {
   RunMetrics metrics;
   for (const ConjunctiveQuery& probe : workload.probes) {
     if (config.enumerate_all) {
       // Cap per-probe enumeration: embeddings of a subquery into a wide
-      // chase can be combinatorial. Both matchers enumerate in the same
-      // order (asserted by kernel_test), so the capped workload is the
-      // exact same node set for every configuration under comparison.
+      // chase can be combinatorial. Posting lists hold the same ids in the
+      // same order in both tiers, so the capped workload is the exact
+      // same node set for both arms.
       constexpr uint64_t kMatchCap = 20000;
       uint64_t matches = 0;
       MatchConjunction(
@@ -195,11 +197,11 @@ RunMetrics OnePass(const Workload& workload, const CorpusConfig& config,
           [&](const Substitution&) {
             return ++matches < kMatchCap;
           },
-          &metrics.stats, options);
+          &metrics.stats);
       metrics.found += matches;
     } else {
       if (FindQueryHomomorphism(probe, workload.chase.conjuncts(), {},
-                                &metrics.stats, options)) {
+                                &metrics.stats)) {
         ++metrics.found;
       }
     }
@@ -207,14 +209,13 @@ RunMetrics OnePass(const Workload& workload, const CorpusConfig& config,
   return metrics;
 }
 
-RunMetrics TimedRun(const Workload& workload, const CorpusConfig& config,
-                    const MatchOptions& options) {
-  OnePass(workload, config, options);  // warm-up
+RunMetrics TimedRun(const Workload& workload, const CorpusConfig& config) {
+  OnePass(workload, config);  // warm-up
   RunMetrics best;
   constexpr int kPasses = 5;
   for (int pass = 0; pass < kPasses; ++pass) {
     auto start = std::chrono::steady_clock::now();
-    RunMetrics metrics = OnePass(workload, config, options);
+    RunMetrics metrics = OnePass(workload, config);
     auto stop = std::chrono::steady_clock::now();
     metrics.wall_ms =
         std::chrono::duration<double, std::milli>(stop - start).count();
@@ -254,26 +255,24 @@ void WriteKernelReport() {
     Workload workload;
     MakeWorkload(config, workload);
 
-    MatchOptions legacy;
-    legacy.use_compiled_kernel = false;
-    MatchOptions kernel;
-
-    // Legacy runs on the unfrozen index — plain posting vectors, the PR 2
-    // storage — then the index is frozen and the kernel runs stream the
-    // block-compressed tier, as the engine does (containment.cc).
-    RunMetrics legacy_run = TimedRun(workload, config, legacy);
+    // First on the unfrozen index (plain posting vectors), then the index
+    // is frozen and the same searches stream the block-compressed tier, as
+    // the engine does (containment.cc).
+    RunMetrics plain_run = TimedRun(workload, config);
     workload.chase.FreezeConjuncts();
-    RunMetrics kernel_run = TimedRun(workload, config, kernel);
+    RunMetrics frozen_run = TimedRun(workload, config);
     FactIndex::StorageStats storage = workload.chase.conjuncts().Stats();
     double bytes_per_posting =
         storage.frozen_postings == 0
             ? 0.0
             : double(storage.arena_bytes) / double(storage.frozen_postings);
 
-    bool agree = legacy_run.found == kernel_run.found;
+    bool agree = plain_run.found == frozen_run.found &&
+                 plain_run.stats.nodes_visited ==
+                     frozen_run.stats.nodes_visited;
     all_agree = all_agree && agree;
-    double speedup = kernel_run.wall_ms > 0
-                         ? legacy_run.wall_ms / kernel_run.wall_ms
+    double speedup = frozen_run.wall_ms > 0
+                         ? plain_run.wall_ms / frozen_run.wall_ms
                          : 0.0;
     log_speedup_sum += std::log(speedup);
     ++config_count;
@@ -289,12 +288,12 @@ void WriteKernelReport() {
                   config.enumerate_all ? "all_matches" : "first_match",
                   config.probes);
     json += buffer;
-    AppendRunJson(json, "legacy", legacy_run);
+    AppendRunJson(json, "kernel_plain", plain_run);
     json += ",\n";
-    AppendRunJson(json, "kernel", kernel_run);
+    AppendRunJson(json, "kernel_frozen", frozen_run);
     json += ",\n";
     std::snprintf(buffer, sizeof(buffer),
-                  "      \"speedup_kernel_vs_legacy\": %.3f, "
+                  "      \"speedup_frozen_vs_plain\": %.3f, "
                   "\"bytes_per_posting_frozen\": %.3f, "
                   "\"verdicts_agree\": %s}",
                   speedup, bytes_per_posting,
@@ -306,12 +305,12 @@ void WriteKernelReport() {
   double geomean = std::exp(log_speedup_sum / config_count);
   char buffer[256];
   std::snprintf(buffer, sizeof(buffer),
-                "  ],\n  \"geomean_speedup_kernel_vs_legacy\": %.3f,\n"
+                "  ],\n  \"geomean_speedup_frozen_vs_plain\": %.3f,\n"
                 "  \"all_verdicts_agree\": %s\n}\n",
                 geomean, all_agree ? "true" : "false");
   json += buffer;
 
-  std::printf("== E11: compiled kernel vs legacy matcher ==\n%s\n",
+  std::printf("== E11: the kernel on plain vs frozen postings ==\n%s\n",
               json.c_str());
   std::FILE* file = std::fopen("BENCH_hom_search.json", "w");
   FLOQ_CHECK(file != nullptr);
@@ -324,7 +323,6 @@ void WriteKernelReport() {
 
 void BM_HomSearch(benchmark::State& state) {
   const int atoms = int(state.range(0));
-  const bool compiled = state.range(1) != 0;
   World world;
   ConjunctiveQuery q1 = MakeWideTarget(world);
   ChaseResult chase = ChaseLevelZero(world, q1);
@@ -343,26 +341,19 @@ void BM_HomSearch(benchmark::State& state) {
         gen::MakeRandomQuery(world, spec, "probe").RenameApart(world));
   }
 
-  MatchOptions options;
-  options.use_compiled_kernel = compiled;
   size_t i = 0;
   uint64_t nodes = 0;
   for (auto _ : state) {
     MatchStats stats;
     auto hom = FindQueryHomomorphism(probes[i++ % probes.size()],
-                                     chase.conjuncts(), {}, &stats, options);
+                                     chase.conjuncts(), {}, &stats);
     benchmark::DoNotOptimize(hom.has_value());
     nodes += stats.nodes_visited;
   }
   state.counters["nodes/op"] =
       benchmark::Counter(double(nodes), benchmark::Counter::kAvgIterations);
 }
-BENCHMARK(BM_HomSearch)
-    ->ArgNames({"atoms", "kernel"})
-    ->Args({2, 1})->Args({2, 0})
-    ->Args({8, 1})->Args({8, 0})
-    ->Args({16, 1})->Args({16, 0})
-    ->Args({24, 1})->Args({24, 0});
+BENCHMARK(BM_HomSearch)->ArgName("atoms")->Arg(2)->Arg(8)->Arg(16)->Arg(24);
 
 }  // namespace
 

@@ -90,8 +90,8 @@ Result<ContainmentResult> Decide(World& world, const ConjunctiveQuery& q1,
   result.chase.FreezeConjuncts();
   ExecGovernor hom_governor(anchored, options.budget.cancel,
                             options.budget.hom_step_budget);
-  MatchOptions match = options.match;
-  if (governed && match.governor == nullptr) match.governor = &hom_governor;
+  MatchOptions match;
+  if (governed) match.governor = &hom_governor;
 
   // The witness is expressed in q2's original variables.
   Substitution renaming;
@@ -102,9 +102,7 @@ Result<ContainmentResult> Decide(World& world, const ConjunctiveQuery& q1,
                  ChaseTripReason(result.chase.outcome(), chase_governor),
                  match, &result.hom_stats);
   result.hom_ms = MsSince(hom_start);
-  // Only the stage-local governor is folded: a caller-supplied shared
-  // governor accumulates steps across calls and would double-count.
-  if (match.governor == &hom_governor) FoldGovernorMetrics(hom_governor);
+  FoldGovernorMetrics(hom_governor);
 
   result.resolution = settled.resolution;
   result.contained = settled.resolution == Resolution::kContained;
@@ -254,8 +252,8 @@ Result<std::optional<size_t>> CheckUcqContainment(
   chase.FreezeConjuncts();
   ExecGovernor hom_governor(anchored, options.budget.cancel,
                             options.budget.hom_step_budget);
-  MatchOptions match = options.match;
-  if (governed && match.governor == nullptr) match.governor = &hom_governor;
+  MatchOptions match;
+  if (governed) match.governor = &hom_governor;
   TripReason unknown = TripReason::kNone;
   for (size_t i = 0; i < disjuncts.size(); ++i) {
     Settlement settled =

@@ -45,11 +45,6 @@ struct ContainmentOptions {
   /// decision problem is NP-hard, Theorem 13 gives a *nondeterministic*
   /// polynomial algorithm).
   uint64_t max_chase_atoms = 2'000'000;
-  /// Homomorphism search configuration (compiled kernel, atom ordering)
-  /// — forwarded to every hom search this check runs. Defaults to the
-  /// production kernel; the differential tests and ablation benches flip
-  /// the toggles.
-  MatchOptions match;
   /// Resource governance: wall-clock timeout/deadline, cancellation
   /// token, and hom-search step budget. When any of these trips before
   /// the check is decided, the result degrades to

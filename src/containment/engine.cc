@@ -505,7 +505,7 @@ void ContainmentEngine::CheckPairsCore(size_t pair_count, const Rows& rows) {
           StageTimer timer(&cost.hom_ms);
           ExecGovernor hom_governor = MakeHomGovernor(budget);
           hom_governor.AddCancellation(engine_token);
-          MatchOptions match = copts.match;
+          MatchOptions match;
           match.governor = &hom_governor;
           Settlement settled =
               SettlePair(entries_[rhs]->renamed, l.chase->result(),

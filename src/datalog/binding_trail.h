@@ -28,13 +28,13 @@ class BindingTrail {
     trail_.reserve(num_slots);
   }
 
-  bool Bound(uint16_t slot) const { return bindings_[slot].valid(); }
+  bool Bound(uint32_t slot) const { return bindings_[slot].valid(); }
 
   /// The image of `slot`; only meaningful when Bound(slot).
-  Term Get(uint16_t slot) const { return bindings_[slot]; }
+  Term Get(uint32_t slot) const { return bindings_[slot]; }
 
   /// Binds an *unbound* slot and records it for undo.
-  void Bind(uint16_t slot, Term value) {
+  void Bind(uint32_t slot, Term value) {
     FLOQ_CHECK(!bindings_[slot].valid());
     bindings_[slot] = value;
     trail_.push_back(slot);
@@ -54,13 +54,13 @@ class BindingTrail {
   /// The slots bound so far, in binding order (the kernel reads the
   /// suffix since a mark to invalidate its selectivity cache before
   /// undoing).
-  const std::vector<uint16_t>& trail() const { return trail_; }
+  const std::vector<uint32_t>& trail() const { return trail_; }
 
   size_t num_slots() const { return bindings_.size(); }
 
  private:
   std::vector<Term> bindings_;
-  std::vector<uint16_t> trail_;
+  std::vector<uint32_t> trail_;
 };
 
 }  // namespace floq

@@ -1,10 +1,12 @@
 #include "datalog/compiled_pattern.h"
 
 #include <algorithm>
+#include <memory>
+#include <type_traits>
 
 #include "datalog/binding_trail.h"
 #include "datalog/posting_block.h"
-#include "util/check.h"
+#include "util/metrics.h"
 
 namespace floq {
 
@@ -52,11 +54,8 @@ void CompiledPattern::Compile(std::span<const Atom> pattern,
         // of distinct variables, and this runs once per search (a hash
         // map's allocation costs more than the scan saves).
         auto it = std::find(slot_vars_.begin(), slot_vars_.end(), arg);
-        uint16_t slot = uint16_t(it - slot_vars_.begin());
-        if (it == slot_vars_.end()) {
-          FLOQ_CHECK_LT(slot_vars_.size(), size_t(UINT16_MAX));
-          slot_vars_.push_back(arg);
-        }
+        uint32_t slot = uint32_t(it - slot_vars_.begin());
+        if (it == slot_vars_.end()) slot_vars_.push_back(arg);
         slot_arg.kind = CompiledArg::Kind::kSlot;
         slot_arg.slot = slot;
         for (int j = 0; j < i; ++j) {
@@ -109,6 +108,24 @@ struct AtomCache {
   std::array<uint64_t, kMaxArity> pos_version{};
 };
 
+// Candidates walked per governor TickBatch (see BindNextCandidate).
+constexpr uint32_t kGovernorBatch = 64;
+
+// One level of the explicit search stack: the atom placed at this depth,
+// where it sat in the remaining list, and the cursor over its candidates.
+// `mark` is the trail depth before the current candidate's bindings.
+struct Frame {
+  Frame() = default;
+  Frame(const PostingView& candidates, uint32_t atom, uint32_t position)
+      : cursor(candidates), atom_index(atom), remaining_pos(position) {}
+  PostingCursor cursor;
+  uint32_t atom_index = 0;
+  uint32_t remaining_pos = 0;
+  uint32_t governor_countdown = kGovernorBatch;
+  size_t mark = 0;
+};
+static_assert(std::is_trivially_destructible_v<Frame>);
+
 // Per-thread reusable kernel state. Containment search runs millions of
 // tiny searches (most die after a handful of nodes), so per-search
 // malloc/free of the compile output and matcher arrays would rival the
@@ -121,26 +138,31 @@ struct KernelScratch {
   std::vector<uint64_t> slot_version;
   std::vector<AtomCache> cache;
   std::vector<Term> emitted;
-  std::vector<uint16_t> remaining;
+  std::vector<uint32_t> remaining;
+  std::vector<Frame> frames;
   bool in_use = false;
 };
 
-// The trail-based backtracking search over a compiled pattern. Mirrors
-// the legacy Matcher in match.cc node for node (same dynamic atom
-// ordering, same candidate semantics) so the two enumerate identical
-// match sets — asserted by tests/kernel_test.cc.
+// How a search node settled: kDescend pushed a frame whose candidates are
+// still to walk; kContinue and kStop are a finished node's verdict (go on
+// enumerating, or stop: the callback said so or the governor tripped).
+enum class Step : uint8_t { kDescend, kContinue, kStop };
+
+// The trail-based backtracking search over a compiled pattern, run on an
+// explicit stack of Frames rather than the call stack, so the depth a
+// pattern reaches (one frame per atom) costs heap, not thread stack.
 class CompiledMatcher {
  public:
   CompiledMatcher(const CompiledPattern& pattern, const FactIndex& index,
                   const Substitution& initial,
                   FunctionRef<bool(const Substitution&)> on_match,
-                  MatchStats* stats, const MatchOptions& options,
+                  MatchStats* stats, ExecGovernor* governor,
                   KernelScratch& scratch)
       : pattern_(pattern),
         index_(index),
         on_match_(on_match),
         stats_(stats),
-        options_(options),
+        governor_(governor),
         trail_(scratch.trail),
         slot_version_(scratch.slot_version),
         cache_(scratch.cache),
@@ -155,13 +177,42 @@ class CompiledMatcher {
     emitted_.assign(num_slots, Term());
     remaining_.clear();
     remaining_.reserve(num_atoms);
-    for (size_t i = 0; i < num_atoms; ++i) remaining_.push_back(uint16_t(i));
+    for (size_t i = 0; i < num_atoms; ++i) remaining_.push_back(uint32_t(i));
+    // Depth never exceeds the atom count. Frames are trivially
+    // destructible, so Expand constructs each node's frame in place over
+    // the slot its finished sibling left: no per-node vector bookkeeping.
+    if (scratch.frames.size() < num_atoms) scratch.frames.resize(num_atoms);
+    frames_ = scratch.frames.data();
   }
 
-  bool Run() { return Recurse(); }
+  /// Returns false iff the enumeration was stopped early.
+  bool Run() {
+    Step step = Expand();
+    while (depth_ > 0) {
+      Frame& frame = frames_[depth_ - 1];
+      if (step != Step::kDescend) {
+        // The node under this frame's current candidate has settled:
+        // undo its bindings and, unless it stopped the search, move on.
+        UndoToMark(frame.mark);
+        if (step == Step::kContinue) frame.cursor.Next();
+      }
+      if (step != Step::kStop) {
+        step = BindNextCandidate(frame);
+        if (step == Step::kDescend) {
+          step = Expand();
+          continue;
+        }
+      }
+      // Candidates exhausted, or the search stops: the frame settles with
+      // `step` as its verdict, which its parent receives next iteration.
+      remaining_.insert(remaining_.begin() + frame.remaining_pos,
+                        frame.atom_index);
+      --depth_;
+    }
+    return step != Step::kStop;
+  }
 
  private:
-
   uint64_t VersionOf(const CompiledAtom& atom) const {
     uint64_t v = 0;
     for (uint8_t i = 0; i < atom.num_slot_positions; ++i) {
@@ -170,7 +221,7 @@ class CompiledMatcher {
     return v;
   }
 
-  void Refresh(uint16_t atom_index, uint64_t version) {
+  void Refresh(uint32_t atom_index, uint64_t version) {
     const CompiledAtom& atom = pattern_.atoms()[atom_index];
     AtomCache& cache = cache_[atom_index];
     cache.version = version;
@@ -199,13 +250,13 @@ class CompiledMatcher {
     cache.best_size = uint32_t(best->size());
   }
 
-  void BindSlot(uint16_t slot, Term value) {
+  void BindSlot(uint32_t slot, Term value) {
     trail_.Bind(slot, value);
     ++slot_version_[slot];
   }
 
   void UndoToMark(size_t mark) {
-    const std::vector<uint16_t>& trail = trail_.trail();
+    const std::vector<uint32_t>& trail = trail_.trail();
     for (size_t i = mark; i < trail.size(); ++i) ++slot_version_[trail[i]];
     trail_.UndoTo(mark);
   }
@@ -236,11 +287,10 @@ class CompiledMatcher {
   // enumeration differ only in their deepest bindings, so diffing against
   // the previously emitted assignment turns the per-match cost from
   // "rebuild a hash map" into a slot-array scan plus a hash update per
-  // *changed* slot. Callbacks see the same aliasing contract as the
-  // legacy matcher's live substitution: valid for the duration of the
-  // call, copy to retain.
+  // *changed* slot. The substitution is valid for the duration of the
+  // callback; copy to retain.
   const Substitution& Materialize() {
-    for (uint16_t slot = 0; slot < uint16_t(emitted_.size()); ++slot) {
+    for (uint32_t slot = 0; slot < uint32_t(emitted_.size()); ++slot) {
       Term value = trail_.Get(slot);
       if (emitted_[slot] != value) {
         emit_.Bind(pattern_.slot_var(slot), value);
@@ -250,87 +300,71 @@ class CompiledMatcher {
     return emit_;
   }
 
-  bool Recurse() {
+  // Expands one search node: a complete match goes to the callback, a
+  // dead end settles at once, and otherwise the most constrained remaining
+  // atom leaves the remaining list and gets a frame.
+  Step Expand() {
     if (stats_ != nullptr) ++stats_->nodes_visited;
     // A governor trip unwinds exactly like a callback stop (every frame
     // undoes its trail mark); the caller distinguishes the two by
     // inspecting governor->tripped().
-    if (options_.governor != nullptr && !options_.governor->Tick()) {
-      return false;
-    }
+    if (governor_ != nullptr && !governor_->Tick()) return Step::kStop;
     if (remaining_.empty()) {
       if (stats_ != nullptr) ++stats_->matches_found;
-      return on_match_(Materialize());
+      return on_match_(Materialize()) ? Step::kContinue : Step::kStop;
     }
 
     // Most-constrained-first over *cached* candidate counts: only atoms
     // whose slots changed since their last estimate re-probe the index.
-    size_t best_slot = 0;
-    if (options_.most_constrained_first) {
-      uint32_t best_count = UINT32_MAX;
-      for (size_t slot = 0; slot < remaining_.size(); ++slot) {
-        uint16_t atom_index = remaining_[slot];
-        uint64_t version = VersionOf(pattern_.atoms()[atom_index]);
-        if (cache_[atom_index].version != version) {
-          Refresh(atom_index, version);
-        }
-        uint32_t count = cache_[atom_index].best_size;
-        if (count < best_count) {
-          best_count = count;
-          best_slot = slot;
-          if (count == 0) return true;  // dead end, enumerate siblings
-        }
-      }
-    } else {
-      uint16_t atom_index = remaining_[0];
+    size_t best_pos = 0;
+    uint32_t best_count = UINT32_MAX;
+    for (size_t pos = 0; pos < remaining_.size(); ++pos) {
+      uint32_t atom_index = remaining_[pos];
       uint64_t version = VersionOf(pattern_.atoms()[atom_index]);
-      if (cache_[atom_index].version != version) {
-        Refresh(atom_index, version);
+      if (cache_[atom_index].version != version) Refresh(atom_index, version);
+      uint32_t count = cache_[atom_index].best_size;
+      if (count < best_count) {
+        best_count = count;
+        best_pos = pos;
+        if (count == 0) return Step::kContinue;  // dead end
       }
     }
+    uint32_t atom_index = remaining_[best_pos];
+    remaining_.erase(remaining_.begin() + best_pos);
+    std::construct_at(&frames_[depth_++], cache_[atom_index].best,
+                      atom_index, uint32_t(best_pos));
+    return Step::kDescend;
+  }
 
-    uint16_t atom_index = remaining_[best_slot];
-    remaining_.erase(remaining_.begin() + best_slot);
-    const CompiledAtom& atom = pattern_.atoms()[atom_index];
-    const AtomCache& cache = cache_[atom_index];
-
-    // Drive the smallest constraining list; Unify rejects candidates that
-    // miss one of the atom's other constants or bound slots. Tick per
-    // candidate: a long run of rejected candidates never reaches
-    // Recurse(), so deadline enforcement must live in this loop too.
-    // Batched through a register counter: the hot loop pays one local
-    // decrement, and the governor's member state is touched once per
-    // kGovernorBatch iterations (still far finer than its kStride clock
-    // amortization).
-    constexpr uint32_t kGovernorBatch = 64;
-    ExecGovernor* const governor = options_.governor;
-    uint32_t governor_countdown = kGovernorBatch;
-    bool keep_going = true;
-    for (PostingCursor driver(cache.best); !driver.AtEnd(); driver.Next()) {
-      if (governor != nullptr && --governor_countdown == 0) {
-        governor_countdown = kGovernorBatch;
-        if (!governor->TickBatch(kGovernorBatch)) {
-          keep_going = false;
-          break;
-        }
+  // Drives the frame's cursor (its atom's smallest constraining list) to
+  // the next candidate that unifies, leaving that candidate's bindings on
+  // the trail: kDescend. Unify rejects candidates that miss one of the
+  // atom's other constants or bound slots. kContinue when the list is
+  // exhausted; kStop when the governor trips. The governor ticks per
+  // candidate, since a long run of rejected candidates never reaches
+  // Expand(), batched through the frame's countdown: the hot loop pays
+  // one decrement, and the governor's state is touched once per
+  // kGovernorBatch candidates (still far finer than its clock stride).
+  Step BindNextCandidate(Frame& frame) {
+    const CompiledAtom& atom = pattern_.atoms()[frame.atom_index];
+    for (; !frame.cursor.AtEnd(); frame.cursor.Next()) {
+      if (governor_ != nullptr && --frame.governor_countdown == 0) {
+        frame.governor_countdown = kGovernorBatch;
+        if (!governor_->TickBatch(kGovernorBatch)) return Step::kStop;
       }
-      size_t mark = trail_.Mark();
-      if (Unify(atom, index_.at(driver.value()), mark)) {
-        keep_going = Recurse();
-        UndoToMark(mark);
+      frame.mark = trail_.Mark();
+      if (Unify(atom, index_.at(frame.cursor.value()), frame.mark)) {
+        return Step::kDescend;
       }
-      if (!keep_going) break;
     }
-
-    remaining_.insert(remaining_.begin() + best_slot, atom_index);
-    return keep_going;
+    return Step::kContinue;
   }
 
   const CompiledPattern& pattern_;
   const FactIndex& index_;
   FunctionRef<bool(const Substitution&)> on_match_;
   MatchStats* stats_;
-  MatchOptions options_;
+  ExecGovernor* governor_;
   // Search state, borrowed from the per-thread KernelScratch.
   BindingTrail& trail_;
   std::vector<uint64_t>& slot_version_;
@@ -339,15 +373,37 @@ class CompiledMatcher {
   // callback and, per slot, the value it held then (invalid = never).
   Substitution emit_;
   std::vector<Term>& emitted_;
-  std::vector<uint16_t>& remaining_;
+  std::vector<uint32_t>& remaining_;
+  // The search stack: frames_[0, depth_) are the placed atoms' frames.
+  Frame* frames_ = nullptr;
+  size_t depth_ = 0;
 };
 
-}  // namespace
+// Folds the search effort of one MatchConjunction call into the registry.
+// The counters mirror MatchStats field for field so --metrics-out exposes
+// the same series bench_hom_search reports. Called only when metrics are
+// enabled; the instruments are cached in statics after the first call.
+void FoldMatchMetrics(const MatchStats& before, const MatchStats& after) {
+  MetricsRegistry& registry = MetricsRegistry::Get();
+  static Counter& searches = registry.counter("match.kernel_dispatch");
+  static Counter& nodes = registry.counter("hom.nodes_visited");
+  static Counter& matches = registry.counter("hom.matches_found");
+  static Counter& probes = registry.counter("hom.index_probes");
+  static Counter& rejects = registry.counter("hom.reject_prepass_hits");
+  searches.Add(1);
+  auto fold = [](Counter& c, uint64_t b, uint64_t a) {
+    if (a > b) c.Add(a - b);
+  };
+  fold(nodes, before.nodes_visited, after.nodes_visited);
+  fold(matches, before.matches_found, after.matches_found);
+  fold(probes, before.index_probes, after.index_probes);
+  fold(rejects, before.reject_prepass_hits, after.reject_prepass_hits);
+}
 
-bool MatchCompiled(std::span<const Atom> pattern, const FactIndex& index,
-                   const Substitution& initial,
-                   FunctionRef<bool(const Substitution&)> on_match,
-                   MatchStats* stats, const MatchOptions& options) {
+bool Search(std::span<const Atom> pattern, const FactIndex& index,
+            const Substitution& initial,
+            FunctionRef<bool(const Substitution&)> on_match,
+            MatchStats* stats, ExecGovernor* governor) {
   thread_local KernelScratch tls;
   KernelScratch local;  // empty vectors: only filled if re-entered
   KernelScratch& scratch = tls.in_use ? local : tls;
@@ -363,8 +419,28 @@ bool MatchCompiled(std::span<const Atom> pattern, const FactIndex& index,
     return true;  // no matches, not stopped early
   }
   return CompiledMatcher(scratch.pattern, index, initial, on_match, stats,
-                         options, scratch)
+                         governor, scratch)
       .Run();
+}
+
+}  // namespace
+
+bool MatchConjunction(std::span<const Atom> pattern, const FactIndex& index,
+                      const Substitution& initial,
+                      FunctionRef<bool(const Substitution&)> on_match,
+                      MatchStats* stats, const MatchOptions& options) {
+  // With metrics on, effort is folded into the registry once per call —
+  // never per node. A caller-provided MatchStats is snapshotted so only
+  // this call's delta lands; callers without one get a local stand-in.
+  const bool metrics = MetricsRegistry::enabled();
+  MatchStats local;
+  MatchStats* effective = stats;
+  if (metrics && effective == nullptr) effective = &local;
+  const MatchStats before = effective != nullptr ? *effective : MatchStats{};
+  const bool complete =
+      Search(pattern, index, initial, on_match, effective, options.governor);
+  if (metrics) FoldMatchMetrics(before, *effective);
+  return complete;
 }
 
 }  // namespace floq

@@ -11,12 +11,10 @@
 #include "datalog/match.h"
 #include "term/atom.h"
 #include "term/substitution.h"
-#include "util/function_ref.h"
 
-// Pattern compilation for the homomorphism kernel. MatchConjunction (with
-// MatchOptions::use_compiled_kernel, the default) compiles the conjunction
-// once per search instead of re-interpreting it at every backtracking
-// node:
+// Pattern compilation for the homomorphism kernel, the one search behind
+// MatchConjunction. Each search compiles its conjunction once instead of
+// re-interpreting it at every backtracking node:
 //
 //   * pattern variables are renumbered to dense slots, so the search-time
 //     substitution is a flat array + undo trail (binding_trail.h) instead
@@ -40,7 +38,7 @@ struct CompiledArg {
   /// kSlot only: this slot already occurred at an earlier position of the
   /// same atom (p(X, X)), so unification always compares here.
   bool repeated_in_atom = false;
-  uint16_t slot = 0;  // kSlot only
+  uint32_t slot = 0;  // kSlot only
   Term value;         // kConstant only: the image under `initial`
 };
 
@@ -53,7 +51,7 @@ struct CompiledAtom {
   /// (position, slot) of each kSlot argument; when the slot is bound at
   /// runtime the (predicate, position, image) posting list applies.
   uint8_t num_slot_positions = 0;
-  std::array<std::pair<uint8_t, uint16_t>, kMaxArity> slot_positions;
+  std::array<std::pair<uint8_t, uint32_t>, kMaxArity> slot_positions;
 
   /// Smallest of the predicate bucket and the constant-position lists
   /// (resolved at compile time, fixed for the whole search) — the
@@ -80,9 +78,9 @@ class CompiledPattern {
                const Substitution& initial, MatchStats* stats);
 
   const std::vector<CompiledAtom>& atoms() const { return atoms_; }
-  uint16_t num_slots() const { return uint16_t(slot_vars_.size()); }
+  uint32_t num_slots() const { return uint32_t(slot_vars_.size()); }
   /// The pattern variable a slot was renumbered from.
-  Term slot_var(uint16_t slot) const { return slot_vars_[slot]; }
+  Term slot_var(uint32_t slot) const { return slot_vars_[slot]; }
   /// True when some constant position has an empty posting list: no
   /// homomorphism exists and the search can be skipped entirely.
   bool impossible() const { return impossible_; }
@@ -92,14 +90,6 @@ class CompiledPattern {
   std::vector<Term> slot_vars_;
   bool impossible_ = false;
 };
-
-/// The kernel entry point behind MatchConjunction: compiles `pattern` and
-/// runs the trail-based backtracking search. Same contract as
-/// MatchConjunction (returns false iff stopped early by `on_match`).
-bool MatchCompiled(std::span<const Atom> pattern, const FactIndex& index,
-                   const Substitution& initial,
-                   FunctionRef<bool(const Substitution&)> on_match,
-                   MatchStats* stats, const MatchOptions& options);
 
 }  // namespace floq
 

@@ -129,19 +129,4 @@ std::vector<std::vector<Term>> EvaluateQuery(const Database& db,
   return answers;
 }
 
-bool QueryReturns(const Database& db, const ConjunctiveQuery& query,
-                  const std::vector<Term>& tuple) {
-  if (tuple.size() != size_t(query.arity())) return false;
-  bool found = false;
-  MatchConjunction(query.body(), db.index(), Substitution(),
-                   [&](const Substitution& match) {
-                     if (match.ApplyToTerms(query.head()) == tuple) {
-                       found = true;
-                       return false;
-                     }
-                     return true;
-                   });
-  return found;
-}
-
 }  // namespace floq

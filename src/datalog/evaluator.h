@@ -40,10 +40,6 @@ std::vector<std::vector<Term>> EvaluateQuery(const Database& db,
                                              const ConjunctiveQuery& query,
                                              MatchStats* stats = nullptr);
 
-/// True iff `tuple` is among the answers of `query` on `db`.
-bool QueryReturns(const Database& db, const ConjunctiveQuery& query,
-                  const std::vector<Term>& tuple);
-
 /// Attempts to extend `subst` so that it maps pattern atom `p` onto `fact`
 /// (same predicate and arity required). On failure `subst` is unchanged.
 bool TryUnifyAtom(const Atom& p, const Atom& fact, Substitution& subst);

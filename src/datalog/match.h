@@ -41,15 +41,6 @@ struct MatchStats {
 };
 
 struct MatchOptions {
-  /// Dynamic most-constrained-first atom ordering (the default). Disabling
-  /// it matches atoms left to right — kept for the ablation benchmark
-  /// bench_ablation, not for production use.
-  bool most_constrained_first = true;
-  /// Compiled-pattern kernel (the default): dense slot renumbering, flat
-  /// binding trail, compile-time constant-list resolution, cached
-  /// candidate counts. Disabling it runs the legacy map-based matcher —
-  /// kept for differential testing and bench_ablation/bench_hom_search.
-  bool use_compiled_kernel = true;
   /// Optional resource governor ticked once per backtracking node and per
   /// candidate-loop iteration (amortized; see util/deadline.h). When it
   /// trips, the search unwinds and MatchConjunction returns false exactly
@@ -66,9 +57,11 @@ struct MatchOptions {
 /// substitution; enumeration stops early if `on_match` returns false.
 /// Returns false iff the enumeration was stopped early.
 ///
-/// Atom order is chosen dynamically (fewest candidates first), so callers
-/// need not pre-order the pattern. `stats`, when non-null, accumulates
-/// search effort for benchmarks.
+/// The search is the compiled kernel (datalog/compiled_pattern.h, DESIGN.md
+/// §9). Atom order is chosen dynamically (fewest candidates first), so
+/// callers need not pre-order the pattern, and the search runs on a heap
+/// stack, so any pattern size is accepted. `stats`, when non-null,
+/// accumulates search effort for benchmarks.
 ///
 /// `on_match` is a non-owning FunctionRef: the callable only has to
 /// outlive this call (std::function's owning type erasure was measurable
@@ -78,12 +71,6 @@ bool MatchConjunction(std::span<const Atom> pattern, const FactIndex& index,
                       FunctionRef<bool(const Substitution&)> on_match,
                       MatchStats* stats = nullptr,
                       const MatchOptions& options = {});
-
-/// Convenience: true iff at least one match exists; if so and `out` is
-/// non-null, stores the first match found.
-bool FindFirstMatch(std::span<const Atom> pattern, const FactIndex& index,
-                    const Substitution& initial, Substitution* out = nullptr,
-                    MatchStats* stats = nullptr);
 
 }  // namespace floq
 

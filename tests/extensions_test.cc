@@ -1,5 +1,6 @@
 // Tests for the extension layer: query classification, explanations, DOT
-// export, certain answers, union containment, and the ablation knobs.
+// export, certain answers, union containment, and the delta-window chase
+// against the full-rescan reference chase.
 
 #include <gtest/gtest.h>
 
@@ -242,24 +243,7 @@ TEST(UnionContainmentTest, EmptyLhsIsContainedInAnything) {
   EXPECT_FALSE(violation->has_value());
 }
 
-// ---- ablation knobs ---------------------------------------------------------------
-
-TEST(AblationTest, NaiveAtomOrderFindsTheSameHomomorphisms) {
-  World world;
-  ConjunctiveQuery q1 =
-      Q(world, "q(X) :- member(X, C), sub(C, D), type(D, A, T), "
-               "data(X, A, V).");
-  ChaseResult chase = ChaseLevelZero(world, q1);
-  ConjunctiveQuery q2 =
-      Q(world, "p(X) :- member(X, C2), type(C2, A2, T2)."
-               ).RenameApart(world);
-  MatchOptions naive;
-  naive.most_constrained_first = false;
-  auto smart = FindQueryHomomorphism(q2, chase.conjuncts(), {chase.head()[0]});
-  auto dumb = FindQueryHomomorphism(q2, chase.conjuncts(), {chase.head()[0]},
-                                    nullptr, naive);
-  EXPECT_EQ(smart.has_value(), dumb.has_value());
-}
+// ---- delta-window chase vs full rescan -------------------------------------
 
 TEST(AblationTest, FullRecheckChaseMatchesDeltaChase) {
   // The engine collects rule applications through semi-naive delta

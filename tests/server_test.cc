@@ -799,6 +799,32 @@ TEST(DaemonTest, FullSessionAgainstLiveDaemon) {
   EXPECT_EQ(ShutdownDaemon(daemon), 0);
 }
 
+// An ad-hoc contain whose rhs has 8,000 atoms. The hom search places one
+// atom per level, so it runs 8,000 levels deep; the daemon must answer
+// from its explicit frame stack on the connection thread's default stack,
+// and stay up for the next request.
+TEST(DaemonTest, AdHocContainWithEightThousandAtomRhs) {
+  std::string dir = MakeTempDir();
+  DaemonProc daemon = SpawnDaemon(dir);
+  DaemonReaper daemon_reaper(daemon);
+  ASSERT_TRUE(WaitForDaemon(daemon));
+
+  std::string rhs = "q() :- X[Y -> Z]";
+  for (int i = 1; i < 8'000; ++i) rhs += ", X[Y -> Z]";
+  rhs += ".";
+  Json contain = MakeRequest("contain");
+  contain.Set("lhs_query", Json::String("q() :- o[a -> v]."));
+  contain.Set("rhs_query", Json::String(rhs));
+  Result<Json> verdict = Request(daemon.socket_path, contain, 60'000);
+  ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
+  ASSERT_TRUE(*verdict->GetBool("ok")) << verdict->Serialize();
+  EXPECT_EQ(verdict->Find("resolution")->AsString(), "CONTAINED");
+
+  Result<Json> pong = Request(daemon.socket_path, MakeRequest("ping"));
+  EXPECT_TRUE(pong.ok()) << pong.status().ToString();
+  EXPECT_EQ(ShutdownDaemon(daemon), 0);
+}
+
 TEST(DaemonTest, RegistrationsSurviveGracefulRestart) {
   std::string dir = MakeTempDir();
   DaemonProc daemon = SpawnDaemon(dir);

@@ -5,9 +5,13 @@
 // CheckContainment and by a two-query ContainmentEngine, both under a
 // tight budget (100 ms, 10 000 hom steps, 5 000 chase atoms). Findings:
 // a CONTAINED verdict that is not vacuous without a witness that
-// IsQueryHomomorphism accepts against the returned chase, the two
-// deciders giving opposite definite verdicts, any assertion failure,
-// sanitizer report, or hang.
+// IsQueryHomomorphism accepts against the returned chase, a NOT_CONTAINED
+// verdict for which the brute-force matcher of tests/reference_matcher.h
+// (no code shared with the kernel) finds a homomorphism from q2 into the
+// same chase, the two deciders giving opposite definite verdicts, any
+// assertion failure, sanitizer report, or hang. The brute-force search
+// runs under a step cap; a pair that reaches it is skipped, and the
+// counts of cross-checked and skipped negatives are printed at exit.
 //
 //   clang++ -fsanitize=fuzzer,address ...   (via -DFLOQ_FUZZ=ON)
 //   mkdir corpus
@@ -16,6 +20,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <optional>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -24,6 +30,7 @@
 #include "containment/engine.h"
 #include "containment/homomorphism.h"
 #include "flogic/parser.h"
+#include "reference_matcher.h"
 #include "term/world.h"
 #include "util/check.h"
 
@@ -33,6 +40,21 @@ bool Opposite(floq::Resolution a, floq::Resolution b) {
   return a != floq::Resolution::kUnknown &&
          b != floq::Resolution::kUnknown && a != b;
 }
+
+// Bindings the brute-force cross-check may try per negative verdict.
+constexpr uint64_t kOracleSteps = 100'000;
+
+struct NegativeCounts {
+  uint64_t cross_checked = 0;
+  uint64_t skipped = 0;
+  ~NegativeCounts() {
+    std::fprintf(stderr,
+                 "fuzz_containment: %llu NOT_CONTAINED verdicts cross-checked "
+                 "by brute force, %llu skipped at the step cap\n",
+                 (unsigned long long)cross_checked,
+                 (unsigned long long)skipped);
+  }
+} negatives;
 
 }  // namespace
 
@@ -64,6 +86,24 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     FLOQ_CHECK(floq::IsQueryHomomorphism(q2, result->chase.conjuncts(),
                                          result->chase.head(),
                                          *result->witness));
+  }
+  // A NOT_CONTAINED means nothing tripped and the search found no
+  // homomorphism from q2 into the chase: the brute-force matcher must
+  // find none either.
+  if (result->resolution == floq::Resolution::kNotContained) {
+    std::vector<floq::Atom> chase;
+    chase.reserve(result->chase.size());
+    for (const floq::Atom& atom : result->chase.conjuncts().atoms()) {
+      chase.push_back(atom);
+    }
+    std::optional<bool> found = floq::reference::HasQueryHomomorphism(
+        q2.RenameApart(world), chase, result->chase.head(), kOracleSteps);
+    if (found.has_value()) {
+      ++negatives.cross_checked;
+      FLOQ_CHECK(!*found) << "NOT_CONTAINED, but q2 maps into the chase";
+    } else {
+      ++negatives.skipped;
+    }
   }
 
   floq::BatchContainmentOptions batch;
