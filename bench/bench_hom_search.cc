@@ -3,27 +3,17 @@
 // random q2 bodies of growing size and join density into the chase of a
 // fixed q1, reporting visited search nodes alongside wall time.
 //
-// Experiment E11 — the compiled homomorphism kernel (DESIGN.md §9). The
-// same searches are run two ways over a generator-corpus grid:
-//
-//   * kernel_plain  — the kernel on the unfrozen index: plain posting
-//                     vectors,
-//   * kernel_frozen — the production path: the same kernel streaming the
-//                     block-compressed frozen tier, as the engine does
-//                     after FreezeConjuncts().
-//
-// Per configuration the report records wall time (best of several
-// passes), backtracking nodes, index probes, and probes per node; the
-// headline number is the geometric-mean wall-time speedup of the frozen
-// tier over plain postings. Both arms run one search, so their node and
-// found counts must agree (verdicts_agree). Everything is written to
-// BENCH_hom_search.json (and echoed to stdout) so the bench trajectory is
-// machine-checkable.
+// Experiment E11 — the compiled homomorphism kernel (DESIGN.md §9) over a
+// generator-corpus grid. Per configuration the report records wall time
+// (best of several passes), backtracking nodes, index probes, probes per
+// node and matches found. Node and match counts are deterministic, so a
+// change to the search shows up in them, not only in the timings.
+// Everything is written to BENCH_hom_search.json (and echoed to stdout)
+// so the bench trajectory is machine-checkable.
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -92,7 +82,7 @@ void PrintSearchTable() {
   std::printf("\n");
 }
 
-// ---- E11: the kernel on plain vs frozen postings ----------------------------
+// ---- E11: the kernel over a corpus grid -------------------------------------
 
 struct CorpusConfig {
   const char* name;
@@ -123,16 +113,16 @@ constexpr CorpusConfig kCorpus[] = {
     {"subquery_wide_all", 96, 14, 7, 0, 0.0, true, true, 12},
     {"subquery_wide_first", 96, 14, 10, 0, 0.0, true, false, 24},
     {"subquery_deep_all", 64, 8, 9, 0, 0.0, true, true, 8},
-    // Wide-KB regime (DESIGN.md §14): a large chase with a small variable
-    // pool and constants, so most pattern atoms have several bound
-    // positions and the kernel scans long frozen lists.
+    // Wide-KB regime: a large chase with a small variable pool and
+    // constants, so most pattern atoms have several bound positions and
+    // the kernel scans long posting lists.
     {"wide_kb_all", 192, 10, 8, 0, 0.25, true, true, 8},
 };
 
 struct RunMetrics {
   double wall_ms = 0;  // best pass
   MatchStats stats;    // of one pass
-  uint64_t found = 0;  // per-probe verdicts, for cross-arm agreement
+  uint64_t found = 0;  // probes embedded (first_match) or matches counted
 };
 
 struct Workload {
@@ -187,9 +177,7 @@ RunMetrics OnePass(const Workload& workload, const CorpusConfig& config) {
   for (const ConjunctiveQuery& probe : workload.probes) {
     if (config.enumerate_all) {
       // Cap per-probe enumeration: embeddings of a subquery into a wide
-      // chase can be combinatorial. Posting lists hold the same ids in the
-      // same order in both tiers, so the capped workload is the exact
-      // same node set for both arms.
+      // chase can be combinatorial.
       constexpr uint64_t kMatchCap = 20000;
       uint64_t matches = 0;
       MatchConjunction(
@@ -224,93 +212,42 @@ RunMetrics TimedRun(const Workload& workload, const CorpusConfig& config) {
   return best;
 }
 
-void AppendRunJson(std::string& out, const char* key,
-                   const RunMetrics& metrics) {
-  char buffer[256];
-  double probes_per_node =
-      metrics.stats.nodes_visited == 0
-          ? 0.0
-          : double(metrics.stats.index_probes) /
-                double(metrics.stats.nodes_visited);
-  std::snprintf(buffer, sizeof(buffer),
-                "      \"%s\": {\"wall_ms\": %.3f, \"nodes\": %llu, "
-                "\"index_probes\": %llu, \"probes_per_node\": %.2f}",
-                key, metrics.wall_ms,
-                (unsigned long long)metrics.stats.nodes_visited,
-                (unsigned long long)metrics.stats.index_probes,
-                probes_per_node);
-  out += buffer;
-}
-
 void WriteKernelReport() {
   std::string json;
   json += "{\n  \"experiment\": \"hom_search_kernel\",\n";
   json += "  \"passes\": 5,\n  \"configs\": [\n";
 
-  double log_speedup_sum = 0;
-  int config_count = 0;
-  bool all_agree = true;
-
   for (const CorpusConfig& config : kCorpus) {
     Workload workload;
     MakeWorkload(config, workload);
-
-    // First on the unfrozen index (plain posting vectors), then the index
-    // is frozen and the same searches stream the block-compressed tier, as
-    // the engine does (containment.cc).
-    RunMetrics plain_run = TimedRun(workload, config);
-    workload.chase.FreezeConjuncts();
-    RunMetrics frozen_run = TimedRun(workload, config);
-    FactIndex::StorageStats storage = workload.chase.conjuncts().Stats();
-    double bytes_per_posting =
-        storage.frozen_postings == 0
+    const RunMetrics run = TimedRun(workload, config);
+    const double probes_per_node =
+        run.stats.nodes_visited == 0
             ? 0.0
-            : double(storage.arena_bytes) / double(storage.frozen_postings);
+            : double(run.stats.index_probes) / double(run.stats.nodes_visited);
 
-    bool agree = plain_run.found == frozen_run.found &&
-                 plain_run.stats.nodes_visited ==
-                     frozen_run.stats.nodes_visited;
-    all_agree = all_agree && agree;
-    double speedup = frozen_run.wall_ms > 0
-                         ? plain_run.wall_ms / frozen_run.wall_ms
-                         : 0.0;
-    log_speedup_sum += std::log(speedup);
-    ++config_count;
-
-    char buffer[512];
+    char buffer[768];
     std::snprintf(buffer, sizeof(buffer),
                   "    {\"name\": \"%s\", \"target_conjuncts\": %u, "
                   "\"probe_atoms\": %d, \"probe_pool\": %d, "
                   "\"constant_probability\": %.2f, \"mode\": \"%s\", "
-                  "\"probes\": %d,\n",
+                  "\"probes\": %d,\n"
+                  "      \"kernel\": {\"wall_ms\": %.3f, \"nodes\": %llu, "
+                  "\"index_probes\": %llu, \"probes_per_node\": %.2f, "
+                  "\"found\": %llu}}",
                   config.name, workload.chase.size(), config.probe_atoms,
                   config.probe_pool, config.constant_probability,
                   config.enumerate_all ? "all_matches" : "first_match",
-                  config.probes);
-    json += buffer;
-    AppendRunJson(json, "kernel_plain", plain_run);
-    json += ",\n";
-    AppendRunJson(json, "kernel_frozen", frozen_run);
-    json += ",\n";
-    std::snprintf(buffer, sizeof(buffer),
-                  "      \"speedup_frozen_vs_plain\": %.3f, "
-                  "\"bytes_per_posting_frozen\": %.3f, "
-                  "\"verdicts_agree\": %s}",
-                  speedup, bytes_per_posting,
-                  agree ? "true" : "false");
+                  config.probes, run.wall_ms,
+                  (unsigned long long)run.stats.nodes_visited,
+                  (unsigned long long)run.stats.index_probes, probes_per_node,
+                  (unsigned long long)run.found);
     json += buffer;
     json += (&config == &kCorpus[std::size(kCorpus) - 1]) ? "\n" : ",\n";
   }
+  json += "  ]\n}\n";
 
-  double geomean = std::exp(log_speedup_sum / config_count);
-  char buffer[256];
-  std::snprintf(buffer, sizeof(buffer),
-                "  ],\n  \"geomean_speedup_frozen_vs_plain\": %.3f,\n"
-                "  \"all_verdicts_agree\": %s\n}\n",
-                geomean, all_agree ? "true" : "false");
-  json += buffer;
-
-  std::printf("== E11: the kernel on plain vs frozen postings ==\n%s\n",
+  std::printf("== E11: the compiled kernel over the corpus grid ==\n%s\n",
               json.c_str());
   std::FILE* file = std::fopen("BENCH_hom_search.json", "w");
   FLOQ_CHECK(file != nullptr);

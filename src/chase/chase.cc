@@ -444,13 +444,13 @@ class ChaseEngine {
 
   // The conjuncts that may match `pattern` (wildcards as in Matches): the
   // shortest posting list among its non-wildcard positions.
-  PostingView Candidates(const Atom& pattern,
-                         std::span<const Term> wildcards) const {
+  std::span<const uint32_t> Candidates(const Atom& pattern,
+                                       std::span<const Term> wildcards) const {
     const FactIndex& idx = result_.conjuncts_;
-    PostingView best = idx.WithPredicate(pattern.predicate());
+    std::span<const uint32_t> best = idx.WithPredicate(pattern.predicate());
     for (int i = 0; i < pattern.arity(); ++i) {
       if (Contains(wildcards, pattern.arg(i))) continue;
-      const PostingView ids =
+      const std::span<const uint32_t> ids =
           idx.WithArgument(pattern.predicate(), i, pattern.arg(i));
       if (ids.size() < best.size()) best = ids;
     }

@@ -117,13 +117,10 @@ class ChaseResult {
   uint32_t size() const { return conjuncts_.size(); }
   const Atom& conjunct(uint32_t id) const { return conjuncts_.at(id); }
 
-  /// Compacts the conjunct posting lists into the block-compressed frozen
-  /// tier (FactIndex::Freeze). Call at the chase/search phase boundary:
-  /// the hom search re-reads the same lists at every backtracking node, so
-  /// it should stream the frozen tier, while outstanding PostingViews are
-  /// invalidated. Further chase rounds still work — inserts append to
-  /// fresh tails.
-  void FreezeConjuncts() { conjuncts_.Freeze(); }
+  /// A no-op: posting lists have one representation, so there is nothing
+  /// to freeze. perfbench/serve_workloads.cc:716 is its only caller; the
+  /// next change to the benchmark deletes both.
+  void FreezeConjuncts() {}
   const ChaseNodeMeta& meta(uint32_t id) const { return meta_[id]; }
   int LevelOf(uint32_t id) const { return meta_[id].level; }
 

@@ -83,11 +83,8 @@ Result<ContainmentResult> Decide(World& world, const ConjunctiveQuery& q1,
   FoldGovernorMetrics(chase_governor);
   result.q1_unsatisfiable = result.chase.failed();
 
-  // The chase is done mutating: compact its posting lists into the
-  // block-compressed frozen tier so the search streams compressed blocks
-  // instead of plain vectors. A chase the deadline or a cancellation
-  // stopped skips the search below: the hom governor shares both.
-  result.chase.FreezeConjuncts();
+  // A chase the deadline or a cancellation stopped skips the search
+  // below: the hom governor shares both.
   ExecGovernor hom_governor(anchored, options.budget.cancel,
                             options.budget.hom_step_budget);
   MatchOptions match;
@@ -249,7 +246,6 @@ Result<std::optional<size_t>> CheckUcqContainment(
   // All disjunct searches draw on one governor: the hom budget spans the
   // whole stage, not each disjunct. An UNKNOWN disjunct does not end the
   // scan, since a later one may still map into the prefix.
-  chase.FreezeConjuncts();
   ExecGovernor hom_governor(anchored, options.budget.cancel,
                             options.budget.hom_step_budget);
   MatchOptions match;

@@ -5,7 +5,6 @@
 #include <type_traits>
 
 #include "datalog/binding_trail.h"
-#include "datalog/posting_block.h"
 #include "util/metrics.h"
 
 namespace floq {
@@ -72,7 +71,7 @@ void CompiledPattern::Compile(std::span<const Atom> pattern,
         // The reject pass proved it nonempty.
         slot_arg.kind = CompiledArg::Kind::kConstant;
         slot_arg.value = initial.Apply(arg);
-        const PostingView ids =
+        const std::span<const uint32_t> ids =
             index.WithArgument(p.predicate(), i, slot_arg.value);
         // <= so ties prefer the argument list: it is a subset of the
         // predicate bucket, so unification rejects fewer candidates.
@@ -98,12 +97,13 @@ namespace {
 struct AtomCache {
   uint64_t version = ~uint64_t{0};  // sentinel: always stale initially
   uint32_t best_size = 0;
-  PostingView best;
+  std::span<const uint32_t> best;
   // Per-slot-position memo, indexed like CompiledAtom::slot_positions:
-  // the view probed for that position and the slot version it was probed
-  // at (pos_has_list marks positions whose slot was unbound then — a
-  // PostingView has no null state, so boundness needs its own flag).
-  std::array<PostingView, kMaxArity> pos_list{};
+  // the list probed for that position and the slot version it was probed
+  // at (pos_has_list marks positions whose slot was unbound then — an
+  // empty span is also what a bound slot with no facts probes, so
+  // boundness needs its own flag).
+  std::array<std::span<const uint32_t>, kMaxArity> pos_list{};
   std::array<bool, kMaxArity> pos_has_list{};
   std::array<uint64_t, kMaxArity> pos_version{};
 };
@@ -112,13 +112,18 @@ struct AtomCache {
 constexpr uint32_t kGovernorBatch = 64;
 
 // One level of the explicit search stack: the atom placed at this depth,
-// where it sat in the remaining list, and the cursor over its candidates.
+// where it sat in the remaining list, and its candidate ids [next, end).
 // `mark` is the trail depth before the current candidate's bindings.
 struct Frame {
   Frame() = default;
-  Frame(const PostingView& candidates, uint32_t atom, uint32_t position)
-      : cursor(candidates), atom_index(atom), remaining_pos(position) {}
-  PostingCursor cursor;
+  Frame(std::span<const uint32_t> candidates, uint32_t atom,
+        uint32_t position)
+      : next(candidates.data()),
+        end(candidates.data() + candidates.size()),
+        atom_index(atom),
+        remaining_pos(position) {}
+  const uint32_t* next = nullptr;
+  const uint32_t* end = nullptr;
   uint32_t atom_index = 0;
   uint32_t remaining_pos = 0;
   uint32_t governor_countdown = kGovernorBatch;
@@ -194,7 +199,7 @@ class CompiledMatcher {
         // The node under this frame's current candidate has settled:
         // undo its bindings and, unless it stopped the search, move on.
         UndoToMark(frame.mark);
-        if (step == Step::kContinue) frame.cursor.Next();
+        if (step == Step::kContinue) ++frame.next;
       }
       if (step != Step::kStop) {
         step = BindNextCandidate(frame);
@@ -225,7 +230,7 @@ class CompiledMatcher {
     const CompiledAtom& atom = pattern_.atoms()[atom_index];
     AtomCache& cache = cache_[atom_index];
     cache.version = version;
-    const PostingView* best = &atom.static_best;
+    const std::span<const uint32_t>* best = &atom.static_best;
     for (uint8_t i = 0; i < atom.num_slot_positions; ++i) {
       auto [position, slot] = atom.slot_positions[i];
       // The zero-initialized memo is already valid: slot version 0 means
@@ -336,7 +341,7 @@ class CompiledMatcher {
     return Step::kDescend;
   }
 
-  // Drives the frame's cursor (its atom's smallest constraining list) to
+  // Advances the frame through its atom's smallest constraining list to
   // the next candidate that unifies, leaving that candidate's bindings on
   // the trail: kDescend. Unify rejects candidates that miss one of the
   // atom's other constants or bound slots. kContinue when the list is
@@ -347,13 +352,13 @@ class CompiledMatcher {
   // kGovernorBatch candidates (still far finer than its clock stride).
   Step BindNextCandidate(Frame& frame) {
     const CompiledAtom& atom = pattern_.atoms()[frame.atom_index];
-    for (; !frame.cursor.AtEnd(); frame.cursor.Next()) {
+    for (; frame.next != frame.end; ++frame.next) {
       if (governor_ != nullptr && --frame.governor_countdown == 0) {
         frame.governor_countdown = kGovernorBatch;
         if (!governor_->TickBatch(kGovernorBatch)) return Step::kStop;
       }
       frame.mark = trail_.Mark();
-      if (Unify(atom, index_.at(frame.cursor.value()), frame.mark)) {
+      if (Unify(atom, index_.at(*frame.next), frame.mark)) {
         return Step::kDescend;
       }
     }

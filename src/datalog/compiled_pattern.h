@@ -56,7 +56,7 @@ struct CompiledAtom {
   /// Smallest of the predicate bucket and the constant-position lists
   /// (resolved at compile time, fixed for the whole search) — the
   /// candidate list before any slot is bound.
-  PostingView static_best;
+  std::span<const uint32_t> static_best;
 };
 
 class CompiledPattern {

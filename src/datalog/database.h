@@ -1,6 +1,7 @@
 #ifndef FLOQ_DATALOG_DATABASE_H_
 #define FLOQ_DATALOG_DATABASE_H_
 
+#include <span>
 #include <vector>
 
 #include "datalog/fact_index.h"
@@ -34,14 +35,14 @@ class Database {
   bool Contains(const Atom& fact) const { return index_.Contains(fact); }
 
   const FactIndex& index() const { return index_; }
-  /// Mutable access for storage maintenance (Freeze, snapshot load); the
-  /// engines only ever read through index().
+  /// Mutable access for snapshot loads; the engines only ever read
+  /// through index().
   FactIndex& mutable_index() { return index_; }
   FactIndex::AtomRange facts() const { return index_.atoms(); }
   uint32_t size() const { return index_.size(); }
 
   /// Facts of one predicate (ids into facts()).
-  PostingView FactsWith(PredicateId pred) const {
+  std::span<const uint32_t> FactsWith(PredicateId pred) const {
     return index_.WithPredicate(pred);
   }
 

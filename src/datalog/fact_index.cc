@@ -1,6 +1,7 @@
 #include "datalog/fact_index.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "util/check.h"
 
@@ -14,9 +15,13 @@ void FactIndex::EnsureIds() const {
   ids_built_ = true;
 }
 
-void FactIndex::AppendPosting(PostingSlot& slot, uint32_t id) {
-  FLOQ_DCHECK(slot.tail.empty() || slot.tail.back() < id);
-  slot.tail.push_back(id);
+void FactIndex::AppendPosting(PostingList& list, uint32_t id) {
+  if (!list.mapped.empty()) {
+    list.ids.assign(list.mapped.begin(), list.mapped.end());
+    list.mapped = {};
+  }
+  FLOQ_DCHECK(list.ids.empty() || list.ids.back() < id);
+  list.ids.push_back(id);
 }
 
 std::pair<uint32_t, bool> FactIndex::Insert(const Atom& atom) {
@@ -33,34 +38,18 @@ std::pair<uint32_t, bool> FactIndex::Insert(const Atom& atom) {
   return {id, true};
 }
 
-PostingView FactIndex::WithPredicate(PredicateId pred) const {
+std::span<const uint32_t> FactIndex::WithPredicate(PredicateId pred) const {
   auto it = by_predicate_.find(pred);
-  return it == by_predicate_.end() ? PostingView() : ViewOf(it->second);
+  return it == by_predicate_.end() ? std::span<const uint32_t>()
+                                   : it->second.view();
 }
 
-PostingView FactIndex::WithArgument(PredicateId pred, int position,
-                                    Term value) const {
+std::span<const uint32_t> FactIndex::WithArgument(PredicateId pred,
+                                                  int position,
+                                                  Term value) const {
   auto it = by_argument_.find(PositionKey(pred, position, value));
-  return it == by_argument_.end() ? PostingView() : ViewOf(it->second);
-}
-
-void FactIndex::Freeze(uint32_t min_list_size) {
-  PostingArena next;
-  std::vector<uint32_t> scratch;
-  auto freeze_slot = [&](PostingSlot& slot) {
-    const size_t total = size_t(slot.frozen_count) + slot.tail.size();
-    // A pure tail below the threshold stays mutable; anything already
-    // frozen must be re-encoded regardless, since the old arena dies.
-    if (slot.frozen_count == 0 && total < min_list_size) return;
-    scratch.clear();
-    ViewOf(slot).Materialize(scratch);
-    slot.frozen_offset = next.EncodeList(scratch);
-    slot.frozen_count = uint32_t(scratch.size());
-    std::vector<uint32_t>().swap(slot.tail);
-  };
-  for (auto& [pred, slot] : by_predicate_) freeze_slot(slot);
-  for (auto& [key, slot] : by_argument_) freeze_slot(slot);
-  arena_ = std::move(next);
+  return it == by_argument_.end() ? std::span<const uint32_t>()
+                                  : it->second.view();
 }
 
 void FactIndex::Clear() {
@@ -70,41 +59,23 @@ void FactIndex::Clear() {
   std::vector<Atom>().swap(atoms_);
   std::unordered_map<Atom, uint32_t, AtomHash>().swap(ids_);
   ids_built_ = true;
-  std::unordered_map<PredicateId, PostingSlot>().swap(by_predicate_);
-  std::unordered_map<uint64_t, PostingSlot>().swap(by_argument_);
-  arena_.Clear();
+  std::unordered_map<PredicateId, PostingList>().swap(by_predicate_);
+  std::unordered_map<uint64_t, PostingList>().swap(by_argument_);
 }
 
 bool FactIndex::PostingListsSorted() const {
-  std::vector<uint32_t> scratch;
-  auto strictly_increasing = [&](const PostingSlot& slot) {
-    scratch.clear();
-    ViewOf(slot).Materialize(scratch);
-    for (size_t i = 1; i < scratch.size(); ++i) {
-      if (scratch[i - 1] >= scratch[i]) return false;
-    }
-    return true;
+  auto strictly_increasing = [](const PostingList& list) {
+    const std::span<const uint32_t> ids = list.view();
+    return std::ranges::adjacent_find(ids, std::greater_equal<>()) ==
+           ids.end();
   };
-  for (const auto& [pred, slot] : by_predicate_) {
-    if (!strictly_increasing(slot)) return false;
+  for (const auto& [pred, list] : by_predicate_) {
+    if (!strictly_increasing(list)) return false;
   }
-  for (const auto& [key, slot] : by_argument_) {
-    if (!strictly_increasing(slot)) return false;
+  for (const auto& [key, list] : by_argument_) {
+    if (!strictly_increasing(list)) return false;
   }
   return true;
-}
-
-FactIndex::StorageStats FactIndex::Stats() const {
-  StorageStats stats;
-  auto fold = [&](const PostingSlot& slot) {
-    stats.postings += slot.frozen_count + slot.tail.size();
-    stats.frozen_postings += slot.frozen_count;
-    stats.tail_bytes += slot.tail.capacity() * sizeof(uint32_t);
-  };
-  for (const auto& [pred, slot] : by_predicate_) fold(slot);
-  for (const auto& [key, slot] : by_argument_) fold(slot);
-  stats.arena_bytes = arena_.size();
-  return stats;
 }
 
 size_t FactIndex::MemoryFootprint() const {
@@ -116,14 +87,13 @@ size_t FactIndex::MemoryFootprint() const {
   bytes += ids_.size() * (sizeof(std::pair<Atom, uint32_t>) + kNodeOverhead);
   auto fold = [&](const auto& map) {
     bytes += map.bucket_count() * sizeof(void*);
-    for (const auto& [key, slot] : map) {
-      bytes += sizeof(key) + sizeof(PostingSlot) + kNodeOverhead;
-      bytes += slot.tail.capacity() * sizeof(uint32_t);
+    for (const auto& [key, list] : map) {
+      bytes += sizeof(key) + sizeof(PostingList) + kNodeOverhead;
+      bytes += list.ids.capacity() * sizeof(uint32_t);
     }
   };
   fold(by_predicate_);
   fold(by_argument_);
-  bytes += arena_.HeapBytes();
   return bytes;
 }
 

@@ -7,7 +7,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "datalog/posting_block.h"
 #include "term/atom.h"
 
 // An append-only, duplicate-free collection of atoms with hash indexes by
@@ -16,30 +15,21 @@
 // of chase_Sigma(q), where query variables are treated as values), and the
 // homomorphism search (candidate lookup).
 //
-// Storage is two-tier (DESIGN.md §14): every posting list is an immutable
-// block-compressed frozen prefix inside one flat PostingArena plus a
-// mutable append tail. Freeze() compacts tails into the frozen tier;
-// lookups hand out PostingView values that consumers stream with
-// PostingCursor, oblivious to the tier split. The frozen tier (and the
-// atom array) can be serialized to a snapshot file and mmap-ed back —
-// see datalog/snapshot.h.
+// Every posting list is one ascending run of fact ids (DESIGN.md §14), and
+// lookups hand it out as a span. The atom array and the posting lists can
+// be written to a snapshot file and mmap-ed back (datalog/snapshot.h); a
+// loaded list reads its run from the mapping until an insert appends to
+// it.
 
 namespace floq {
 
 /// Sentinel id returned by IdOf for absent atoms.
 inline constexpr uint32_t kInvalidFactId = UINT32_MAX;
 
-class SnapshotIO;  // snapshot.cc: serialized access to the private tiers
+class SnapshotIO;  // snapshot.cc: serialized access to the private storage
 
 class FactIndex {
  public:
-  /// Freeze() leaves lists shorter than this as plain tails: below it the
-  /// block header + metadata outweigh the delta savings, and — worse — a
-  /// first-match search that reads two or three ids of a short list would
-  /// pay a whole 128-id block decode for them. Half a block keeps the
-  /// frozen tier to lists whose decodes amortize.
-  static constexpr uint32_t kDefaultFreezeThreshold = 64;
-
   FactIndex() = default;
 
   FactIndex(const FactIndex&) = delete;
@@ -117,17 +107,14 @@ class FactIndex {
 
   AtomRange atoms() const { return AtomRange(this); }
 
-  /// Ids of all atoms with the given predicate.
-  PostingView WithPredicate(PredicateId pred) const;
+  /// Ids of all atoms with the given predicate, ascending. The span is
+  /// invalidated by the next Insert.
+  std::span<const uint32_t> WithPredicate(PredicateId pred) const;
 
-  /// Ids of all atoms with `pred` whose argument `position` equals `value`.
-  PostingView WithArgument(PredicateId pred, int position, Term value) const;
-
-  /// Compacts every posting tail of at least `min_list_size` ids into the
-  /// block-compressed frozen tier (already-frozen prefixes are re-encoded
-  /// together with their tails). Outstanding PostingViews are invalidated;
-  /// callers freeze between searches, never during one.
-  void Freeze(uint32_t min_list_size = kDefaultFreezeThreshold);
+  /// Ids of all atoms with `pred` whose argument `position` equals `value`,
+  /// ascending. The span is invalidated by the next Insert.
+  std::span<const uint32_t> WithArgument(PredicateId pred, int position,
+                                         Term value) const;
 
   /// Removes everything and releases all heap capacity (swap-clear: a
   /// long-lived process that resets its registry must actually return the
@@ -136,34 +123,29 @@ class FactIndex {
 
   /// True iff every WithPredicate/WithArgument posting list is strictly
   /// increasing in fact id. This holds by construction (ids are assigned
-  /// in insertion order and each Insert appends), and the frozen tier's
-  /// delta encoding relies on it; Insert FLOQ_DCHECKs it per append, and
-  /// this full scan backs the unit test.
+  /// in insertion order and each Insert appends), and the kernel's
+  /// candidate order and the snapshot's runs rely on it; Insert
+  /// FLOQ_DCHECKs it per append, and this full scan backs the unit test.
   bool PostingListsSorted() const;
 
-  /// Posting-storage accounting for benches and the snapshot writer.
-  struct StorageStats {
-    uint64_t postings = 0;         // ids across all posting lists
-    uint64_t frozen_postings = 0;  // of which live in the frozen tier
-    uint64_t arena_bytes = 0;      // frozen-tier bytes (heap or mapped)
-    uint64_t tail_bytes = 0;       // capacity bytes of the mutable tails
-  };
-  StorageStats Stats() const;
-
   /// Approximate heap bytes owned by the index (atoms, id map, posting
-  /// slots, arena). Mapped snapshot bytes are excluded — they are shared
-  /// pages, the point of mmap loading.
+  /// lists). Mapped snapshot bytes are excluded — they are shared pages,
+  /// the point of mmap loading.
   size_t MemoryFootprint() const;
 
  private:
   friend class SnapshotIO;
 
-  /// One posting list: immutable frozen prefix (offset into arena_, count
-  /// of ids there) + mutable append tail.
-  struct PostingSlot {
-    uint32_t frozen_offset = 0;
-    uint32_t frozen_count = 0;
-    std::vector<uint32_t> tail;
+  /// One posting list. A list loaded from a snapshot reads its run in
+  /// place from the mapping (`mapped`) until the first append copies it
+  /// to `ids`; every other list lives in `ids` alone.
+  struct PostingList {
+    std::span<const uint32_t> mapped;
+    std::vector<uint32_t> ids;
+
+    std::span<const uint32_t> view() const {
+      return mapped.empty() ? std::span<const uint32_t>(ids) : mapped;
+    }
   };
 
   // Packs (predicate, position, term) into one hash key: term in the low
@@ -177,12 +159,7 @@ class FactIndex {
            uint64_t(value.raw());
   }
 
-  PostingView ViewOf(const PostingSlot& slot) const {
-    return PostingView(arena_.data(), slot.frozen_offset, slot.frozen_count,
-                       slot.tail);
-  }
-
-  void AppendPosting(PostingSlot& slot, uint32_t id);
+  static void AppendPosting(PostingList& list, uint32_t id);
 
   // The atom -> id map is rebuilt lazily after a snapshot load (building
   // it eagerly would touch every mapped page up front, defeating the
@@ -191,7 +168,8 @@ class FactIndex {
   void EnsureIds() const;
 
   // Atoms in id order: an optional mmap-ed prefix (ids [0, mapped_count_))
-  // followed by the in-memory suffix.
+  // followed by the in-memory suffix. `mapped_owner_` keeps the mapping
+  // alive for the mapped atoms and posting runs alike.
   std::span<const Atom> mapped_atoms_;
   uint32_t mapped_count_ = 0;
   std::shared_ptr<const void> mapped_owner_;
@@ -200,9 +178,8 @@ class FactIndex {
   mutable std::unordered_map<Atom, uint32_t, AtomHash> ids_;
   mutable bool ids_built_ = true;
 
-  std::unordered_map<PredicateId, PostingSlot> by_predicate_;
-  std::unordered_map<uint64_t, PostingSlot> by_argument_;
-  PostingArena arena_;
+  std::unordered_map<PredicateId, PostingList> by_predicate_;
+  std::unordered_map<uint64_t, PostingList> by_argument_;
 };
 
 }  // namespace floq

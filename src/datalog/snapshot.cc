@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -20,10 +21,12 @@ namespace {
 // File layout (all offsets from file start, little-endian):
 //   SnapshotHeader
 //   atoms    : Atom[atom_count]              (64-aligned)
-//   arena    : uint8[arena_size]             (64-aligned)
+//   postings : uint32[posting_count]         (64-aligned)
 //   preds    : PredTableEntry[pred_count]    (64-aligned)
 //   args     : ArgTableEntry[arg_count]      (64-aligned)
 //   symbols  : length-prefixed blob          (64-aligned)
+// Every posting list is one ascending run of ids in the postings section;
+// its table entry holds the run's offset (in ids) and length.
 constexpr char kMagic[8] = {'F', 'L', 'O', 'Q', 'S', 'N', 'A', 'P'};
 
 struct SnapshotHeader {
@@ -37,14 +40,14 @@ struct SnapshotHeader {
   // or bit-flipped header before any offset is trusted.
   uint32_t header_crc;
   uint64_t atoms_offset;
-  uint64_t arena_offset;
-  uint64_t arena_size;
+  uint64_t postings_offset;
+  uint64_t posting_count;  // ids in the postings section
   uint64_t preds_offset;
   uint64_t args_offset;
   uint64_t symbols_offset;
   uint64_t symbols_size;
   // CRC-32 of the symbols section (low 32 bits; the section every load
-  // reads eagerly — the mmap-ed atom/arena sections stay lazily faulted
+  // reads eagerly — the mmap-ed atom/posting sections stay lazily faulted
   // and rely on the bounds checks).
   uint64_t symbols_crc;
 };
@@ -53,16 +56,16 @@ static_assert(sizeof(SnapshotHeader) == 96);
 
 struct PredTableEntry {
   uint32_t predicate;
-  uint32_t frozen_offset;
-  uint32_t frozen_count;
+  uint32_t offset;  // in ids, from the start of the postings section
+  uint32_t count;
   uint32_t reserved;
 };
 static_assert(sizeof(PredTableEntry) == 16);
 
 struct ArgTableEntry {
   uint64_t key;
-  uint32_t frozen_offset;
-  uint32_t frozen_count;
+  uint32_t offset;  // in ids, from the start of the postings section
+  uint32_t count;
 };
 static_assert(sizeof(ArgTableEntry) == 16);
 
@@ -70,7 +73,8 @@ static_assert(std::is_trivially_copyable_v<Atom>,
               "atoms are stored as raw bytes");
 
 // Read-only private mapping of a whole file, kept alive by shared_ptr
-// from everything that points into it (FactIndex atom span and arena).
+// from everything that points into it (FactIndex atom span and posting
+// runs).
 struct MappedFile {
   const uint8_t* data = nullptr;
   size_t size = 0;
@@ -179,12 +183,8 @@ class BlobReader {
 // Privileged access to FactIndex storage (friend; see fact_index.h).
 class SnapshotIO {
  public:
-  static Status Write(FactIndex& index, const World& world,
+  static Status Write(const FactIndex& index, const World& world,
                       const std::string& path, uint32_t flags) {
-    // Freeze everything, tails included: the file stores only the frozen
-    // tier, so after this pass every posting list is (offset, count).
-    index.Freeze(/*min_list_size=*/1);
-
     FileWriter out;
     SnapshotHeader header{};
     std::memcpy(header.magic, kMagic, sizeof kMagic);
@@ -203,27 +203,42 @@ class SnapshotIO {
     }
     out.Append(index.atoms_.data(), index.atoms_.size() * sizeof(Atom));
 
+    // Postings first, tables after: each entry needs its run's offset.
     out.Pad();
-    header.arena_offset = out.offset();
-    header.arena_size = index.arena_.size();
-    out.Append(index.arena_.data(), index.arena_.size());
+    header.postings_offset = out.offset();
+    auto append_run = [&](const FactIndex::PostingList& list) {
+      const std::span<const uint32_t> ids = list.view();
+      const uint64_t offset = header.posting_count;
+      header.posting_count += ids.size();
+      out.Append(ids.data(), ids.size_bytes());
+      return offset;
+    };
+    std::vector<PredTableEntry> preds;
+    preds.reserve(index.by_predicate_.size());
+    for (const auto& [pred, list] : index.by_predicate_) {
+      const uint64_t offset = append_run(list);
+      preds.push_back(
+          {pred, uint32_t(offset), uint32_t(list.view().size()), 0});
+    }
+    std::vector<ArgTableEntry> args;
+    args.reserve(index.by_argument_.size());
+    for (const auto& [key, list] : index.by_argument_) {
+      const uint64_t offset = append_run(list);
+      args.push_back({key, uint32_t(offset), uint32_t(list.view().size())});
+    }
+    if (header.posting_count > UINT32_MAX) {
+      return InvalidArgumentError(
+          "index too large for a snapshot (more than 2^32 postings): " +
+          path);
+    }
 
     out.Pad();
     header.preds_offset = out.offset();
-    for (const auto& [pred, slot] : index.by_predicate_) {
-      FLOQ_CHECK(slot.tail.empty());
-      const PredTableEntry entry{pred, slot.frozen_offset, slot.frozen_count,
-                                 0};
-      out.Append(&entry, sizeof entry);
-    }
+    out.Append(preds.data(), preds.size() * sizeof(PredTableEntry));
 
     out.Pad();
     header.args_offset = out.offset();
-    for (const auto& [key, slot] : index.by_argument_) {
-      FLOQ_CHECK(slot.tail.empty());
-      const ArgTableEntry entry{key, slot.frozen_offset, slot.frozen_count};
-      out.Append(&entry, sizeof entry);
-    }
+    out.Append(args.data(), args.size() * sizeof(ArgTableEntry));
 
     out.Pad();
     header.symbols_offset = out.offset();
@@ -290,17 +305,20 @@ class SnapshotIO {
         return InvalidArgumentError("snapshot header CRC mismatch: " + path);
       }
     }
-    auto section_ok = [&](uint64_t offset, uint64_t size) {
-      return offset <= file_size && size <= file_size - offset;
+    // `count` elements of `size` bytes from `offset` fit in the file
+    // (divided rather than multiplied, so no count can overflow).
+    auto section_ok = [&](uint64_t offset, uint64_t count, uint64_t size) {
+      return offset <= file_size && count <= (file_size - offset) / size;
     };
-    if (!section_ok(header.atoms_offset,
-                    uint64_t(header.atom_count) * sizeof(Atom)) ||
-        !section_ok(header.arena_offset, header.arena_size) ||
-        !section_ok(header.preds_offset,
-                    uint64_t(header.pred_count) * sizeof(PredTableEntry)) ||
-        !section_ok(header.args_offset,
-                    uint64_t(header.arg_count) * sizeof(ArgTableEntry)) ||
-        !section_ok(header.symbols_offset, header.symbols_size)) {
+    if (!section_ok(header.atoms_offset, header.atom_count, sizeof(Atom)) ||
+        !section_ok(header.postings_offset, header.posting_count,
+                    sizeof(uint32_t)) ||
+        header.postings_offset % alignof(uint32_t) != 0 ||
+        !section_ok(header.preds_offset, header.pred_count,
+                    sizeof(PredTableEntry)) ||
+        !section_ok(header.args_offset, header.arg_count,
+                    sizeof(ArgTableEntry)) ||
+        !section_ok(header.symbols_offset, header.symbols_size, 1)) {
       return InvalidArgumentError("snapshot sections out of bounds: " + path);
     }
     if (Crc32(base + header.symbols_offset, size_t(header.symbols_size)) !=
@@ -351,45 +369,49 @@ class SnapshotIO {
     world.AdvanceNullCounter(null_count);
 
     // Validate posting tables before mutating the index, so an error
-    // leaves the caller's index untouched.
+    // leaves the caller's index untouched: every run must lie inside the
+    // postings section. The ids in a run are trusted (DESIGN.md §14.3).
+    const auto* postings =
+        reinterpret_cast<const uint32_t*>(base + header.postings_offset);
     const auto* preds =
         reinterpret_cast<const PredTableEntry*>(base + header.preds_offset);
     const auto* args =
         reinterpret_cast<const ArgTableEntry*>(base + header.args_offset);
+    auto run_ok = [&](uint32_t offset, uint32_t count) {
+      return uint64_t(offset) + count <= header.posting_count;
+    };
     for (uint32_t i = 0; i < header.pred_count; ++i) {
-      if (preds[i].frozen_count > 0 &&
-          preds[i].frozen_offset >= header.arena_size) {
-        return InvalidArgumentError("snapshot posting offset out of bounds: " +
+      if (!run_ok(preds[i].offset, preds[i].count)) {
+        return InvalidArgumentError("snapshot posting run out of bounds: " +
                                     path);
       }
     }
     for (uint32_t i = 0; i < header.arg_count; ++i) {
-      if (args[i].frozen_count > 0 &&
-          args[i].frozen_offset >= header.arena_size) {
-        return InvalidArgumentError("snapshot posting offset out of bounds: " +
+      if (!run_ok(args[i].offset, args[i].count)) {
+        return InvalidArgumentError("snapshot posting run out of bounds: " +
                                     path);
       }
     }
 
     // Point the index at the mapping. The id map is rebuilt lazily (see
-    // FactIndex::EnsureIds) so a load touches no atom pages up front.
+    // FactIndex::EnsureIds) so a load touches no atom pages up front, and
+    // each posting list reads its run in place until an insert appends.
     index.Clear();
     index.mapped_atoms_ = std::span<const Atom>(
         reinterpret_cast<const Atom*>(base + header.atoms_offset),
         header.atom_count);
     index.mapped_count_ = header.atom_count;
     index.mapped_owner_ = mapping;
-    index.arena_.AdoptMapped(base + header.arena_offset, header.arena_size,
-                             mapping);
     index.ids_built_ = header.atom_count == 0;
 
     for (uint32_t i = 0; i < header.pred_count; ++i) {
-      index.by_predicate_[preds[i].predicate] = FactIndex::PostingSlot{
-          preds[i].frozen_offset, preds[i].frozen_count, {}};
+      index.by_predicate_[preds[i].predicate].mapped =
+          std::span<const uint32_t>(postings + preds[i].offset,
+                                    preds[i].count);
     }
     for (uint32_t i = 0; i < header.arg_count; ++i) {
-      index.by_argument_[args[i].key] = FactIndex::PostingSlot{
-          args[i].frozen_offset, args[i].frozen_count, {}};
+      index.by_argument_[args[i].key].mapped =
+          std::span<const uint32_t>(postings + args[i].offset, args[i].count);
     }
 
     SnapshotInfo info;
@@ -400,7 +422,7 @@ class SnapshotIO {
   }
 };
 
-Status WriteFactIndexSnapshot(FactIndex& index, const World& world,
+Status WriteFactIndexSnapshot(const FactIndex& index, const World& world,
                               const std::string& path, uint32_t flags) {
   return SnapshotIO::Write(index, world, path, flags);
 }

@@ -282,8 +282,8 @@ Result<std::vector<std::vector<Term>>> KnowledgeBase::Answer(
   return Answer(ConjunctiveQuery("goal", std::move(head), std::move(*atoms)));
 }
 
-Status KnowledgeBase::SaveSnapshot(const std::string& path) {
-  return WriteFactIndexSnapshot(database_.mutable_index(), world_, path,
+Status KnowledgeBase::SaveSnapshot(const std::string& path) const {
+  return WriteFactIndexSnapshot(database_.index(), world_, path,
                                 saturated_ ? kSnapshotFlagSaturated : 0);
 }
 

@@ -99,13 +99,13 @@ class KnowledgeBase {
   /// dump). Round-trips through Load().
   std::string DumpAsProgram() const;
 
-  /// Writes the fact store (frozen, block-compressed) plus the World
-  /// symbols to `path` as a versioned snapshot (datalog/snapshot.h). The
-  /// saturation flag is recorded so LoadSnapshot can skip Saturate().
-  Status SaveSnapshot(const std::string& path);
+  /// Writes the fact store plus the World symbols to `path` as a
+  /// versioned snapshot (datalog/snapshot.h). The saturation flag is
+  /// recorded so LoadSnapshot can skip Saturate().
+  Status SaveSnapshot(const std::string& path) const;
 
   /// Replaces the fact store with the snapshot at `path`, mmap-ing the
-  /// atom array and posting arena in place. The World must be fresh or
+  /// atom array and posting runs in place. The World must be fresh or
   /// already hold exactly the snapshot's symbols. Rules/goals collected by
   /// Load() are untouched; saturation state is restored from the file.
   Status LoadSnapshot(const std::string& path);

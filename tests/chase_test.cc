@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -235,8 +236,8 @@ TEST(ChaseRho5Test, MandatoryInventsValue) {
   ConjunctiveQuery q = Q(world, "q() :- mandatory(A, O).");
   ChaseResult chase = ChaseQuery(world, q, {.max_level = 5});
   EXPECT_EQ(chase.outcome(), ChaseOutcome::kCompleted);
-  const std::vector<uint32_t> data =
-      chase.conjuncts().WithPredicate(pfl::kData).ToVector();
+  const std::span<const uint32_t> data =
+      chase.conjuncts().WithPredicate(pfl::kData);
   ASSERT_EQ(data.size(), 1u);
   const Atom& atom = chase.conjunct(data[0]);
   EXPECT_EQ(atom.arg(0), world.MakeVariable("O"));

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -30,10 +31,10 @@ TEST(FactIndexTest, InsertDeduplicates) {
 }
 
 TEST(FactIndexTest, PostingListsAreStrictlyIncreasing) {
-  // The frozen tier's delta encoding relies on every posting list being
-  // strictly increasing in fact id — which holds by construction (ids
-  // are assigned in insertion order, each Insert appends) and is
-  // FLOQ_DCHECKed per append in debug builds.
+  // The kernel's candidate order and the snapshot's posting runs rely on
+  // every posting list being strictly increasing in fact id — which holds
+  // by construction (ids are assigned in insertion order, each Insert
+  // appends) and is FLOQ_DCHECKed per append in debug builds.
   World world;
   FactIndex index;
   Term a = world.MakeConstant("a");
@@ -46,11 +47,10 @@ TEST(FactIndexTest, PostingListsAreStrictlyIncreasing) {
   index.Insert(Atom::Sub(b, c));  // duplicate: must not re-append
   EXPECT_TRUE(index.PostingListsSorted());
 
-  const std::vector<uint32_t> subs = index.WithPredicate(pfl::kSub).ToVector();
-  EXPECT_EQ(subs, (std::vector<uint32_t>{0, 1, 2}));
-  const std::vector<uint32_t> from_a =
-      index.WithArgument(pfl::kSub, 0, a).ToVector();
-  EXPECT_EQ(from_a, (std::vector<uint32_t>{0, 2}));
+  EXPECT_TRUE(std::ranges::equal(index.WithPredicate(pfl::kSub),
+                                  std::vector<uint32_t>{0, 1, 2}));
+  EXPECT_TRUE(std::ranges::equal(index.WithArgument(pfl::kSub, 0, a),
+                                  std::vector<uint32_t>{0, 2}));
 }
 
 TEST(FactIndexTest, PredicateBuckets) {
@@ -112,15 +112,15 @@ TEST(FactIndexTest, WideArityPositionsDoNotCollide) {
   // Old packing: key(wide_a, 4, v) == key(wide_b, 0, v), so both lookups
   // saw a two-element bucket.
   ASSERT_EQ(index.WithArgument(wide_a, 4, v).size(), 1u);
-  EXPECT_EQ(index.at(index.WithArgument(wide_a, 4, v).ToVector()[0]), a);
+  EXPECT_EQ(index.at(index.WithArgument(wide_a, 4, v)[0]), a);
   ASSERT_EQ(index.WithArgument(wide_b, 0, v).size(), 1u);
-  EXPECT_EQ(index.at(index.WithArgument(wide_b, 0, v).ToVector()[0]), b);
+  EXPECT_EQ(index.at(index.WithArgument(wide_b, 0, v)[0]), b);
 
   // And key(wide_a, 5, w) == key(wide_b, 1, w).
   ASSERT_EQ(index.WithArgument(wide_a, 5, w).size(), 1u);
-  EXPECT_EQ(index.at(index.WithArgument(wide_a, 5, w).ToVector()[0]), a);
+  EXPECT_EQ(index.at(index.WithArgument(wide_a, 5, w)[0]), a);
   ASSERT_EQ(index.WithArgument(wide_b, 1, w).size(), 1u);
-  EXPECT_EQ(index.at(index.WithArgument(wide_b, 1, w).ToVector()[0]), b);
+  EXPECT_EQ(index.at(index.WithArgument(wide_b, 1, w)[0]), b);
 
   EXPECT_TRUE(index.WithArgument(wide_a, 0, v).empty());
   EXPECT_TRUE(index.WithArgument(wide_b, 4, v).empty());

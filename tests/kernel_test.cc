@@ -2,9 +2,9 @@
 // BindingTrail, pattern compilation, and — the load-bearing part —
 // properties asserting that the kernel enumerates exactly the match sets
 // of the brute-force oracle in tests/reference_matcher.h over the src/gen
-// corpus (including targets whose posting lists span several frozen
-// blocks plus a mutable tail), and that CheckContainment's verdicts agree
-// with the oracle's search of the same chase.
+// corpus (including wide targets whose posting lists hold hundreds of
+// ids), and that CheckContainment's verdicts agree with the oracle's
+// search of the same chase.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +20,6 @@
 #include "datalog/binding_trail.h"
 #include "datalog/compiled_pattern.h"
 #include "datalog/match.h"
-#include "datalog/posting_block.h"
 #include "gen/generators.h"
 #include "query/parser.h"
 #include "reference_matcher.h"
@@ -202,11 +201,10 @@ std::set<std::string> OracleMatches(std::span<const Atom> pattern,
 // Seeds below kNarrowSeeds search the level-0 chase of a small random
 // query, whose posting lists are all short. Later seeds use a wide target
 // instead: the body of a large random query over a 13-term universe, dense
-// enough that predicate buckets span many 128-id blocks and argument lists
-// more than one. Two thirds of it is frozen into the compressed tier and
-// the rest appended to the mutable tails afterwards, so candidate scans
-// cross block boundaries and the frozen/tail seam. The small universe keeps
-// every probe's match set enumerable (at most 13^4 assignments).
+// enough that predicate buckets hold at least 4 x 128 ids and the data
+// list of one constant more than 128, so candidate scans run long. The
+// small universe keeps every probe's match set enumerable (at most 13^4
+// assignments).
 constexpr uint64_t kNarrowSeeds = 25;
 constexpr uint64_t kWideSeeds = 8;
 
@@ -241,18 +239,11 @@ TEST_P(KernelEquivalenceProperty, SameMatchSetsOnGenCorpus) {
     target_spec.with_constraints = false;
     ConjunctiveQuery q1 =
         gen::MakeRandomQuery(world, target_spec, "target");
-    const std::vector<Atom>& body = q1.body();
-    const size_t freeze_at = body.size() * 2 / 3;
-    for (size_t i = 0; i < body.size(); ++i) {
-      if (i == freeze_at) wide.Freeze();
-      wide.Insert(body[i]);
-    }
-    const PostingView data = wide.WithPredicate(pfl::kData);
-    ASSERT_GE(data.frozen_count(), 4 * kPostingBlockSize);
-    ASSERT_FALSE(data.tail().empty());
-    ASSERT_GT(wide.WithArgument(pfl::kData, 1, world.MakeConstant("c0"))
-                  .frozen_count(),
-              kPostingBlockSize);
+    for (const Atom& atom : q1.body()) wide.Insert(atom);
+    ASSERT_GE(wide.WithPredicate(pfl::kData).size(), 4 * 128u);
+    ASSERT_GT(
+        wide.WithArgument(pfl::kData, 1, world.MakeConstant("c0")).size(),
+        128u);
   }
   const FactIndex& target = seed < kNarrowSeeds ? chase.conjuncts() : wide;
   ASSERT_TRUE(target.PostingListsSorted());
@@ -335,7 +326,7 @@ TEST_P(KernelContainmentProperty, SameVerdictsThroughCheckContainment) {
 INSTANTIATE_TEST_SUITE_P(Seeds, KernelContainmentProperty,
                          ::testing::Range(uint64_t(0), uint64_t(30)));
 
-// ---- sortedness invariant the frozen-tier encoding relies on ----------------
+// ---- posting lists are sorted, as the kernel's candidate order relies on ----
 
 TEST(FactIndexInvariant, PostingListsSortedOnChasedCorpus) {
   for (uint64_t seed = 0; seed < 10; ++seed) {

@@ -82,7 +82,7 @@
 //                      (one mmap — parsing is skipped, and saturation
 //                      too if the snapshot recorded a saturated store);
 //                      otherwise build the KB from <kb.fl> as usual and
-//                      write F afterwards. See DESIGN.md §14.3.
+//                      write F afterwards. See DESIGN.md §14.2.
 
 #include <sys/socket.h>
 #include <sys/un.h>
