@@ -48,9 +48,11 @@ Result<QueryTaxonomy> ClassifyQueries(
     }
   }
   const BatchStats& stats = engine.stats();
-  return TaxonomyFromContainment(
-      contained, int(stats.pairs_checked - stats.pruned_pairs),
-      unknown_checks, int(stats.pruned_pairs));
+  QueryTaxonomy taxonomy =
+      TaxonomyFromContainment(contained, int(stats.chase_requests),
+                              unknown_checks, int(stats.pruned_pairs));
+  taxonomy.shared_pairs = int(stats.shared_pairs);
+  return taxonomy;
 }
 
 void ContainmentRelation::Reserve(size_t rows, size_t edges) {

@@ -49,9 +49,14 @@ struct QueryTaxonomy {
   int unknown_checks = 0;
 
   /// Pairs discharged as definite kNotContained by the signature
-  /// prefilter (signature.h) without running the pipeline. checks +
-  /// pruned_checks covers every ordered pair the classification needed.
+  /// prefilter (signature.h) without running the pipeline.
   int pruned_checks = 0;
+
+  /// Pairs whose verdict was shared within a shape class
+  /// (BatchStats::shared_pairs) without running the pipeline. checks +
+  /// pruned_checks + shared_pairs covers every ordered pair the
+  /// classification needed.
+  int shared_pairs = 0;
 };
 
 /// A containment relation over n queries numbered 0..n-1, stored sparse:

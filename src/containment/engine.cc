@@ -5,6 +5,7 @@
 #include <numeric>
 #include <optional>
 
+#include "query/shape_key.h"
 #include "util/metrics.h"
 #include "util/parallel_for.h"
 #include "util/request_context.h"
@@ -143,6 +144,7 @@ void BatchStats::Accumulate(const BatchStats& other) {
   chase_deepenings += other.chase_deepenings;
   pairs_checked += other.pairs_checked;
   pruned_pairs += other.pruned_pairs;
+  shared_pairs += other.shared_pairs;
   signature_us += other.signature_us;
   unknown_pairs += other.unknown_pairs;
   timed_out_pairs += other.timed_out_pairs;
@@ -248,29 +250,113 @@ void RecordPair(const PairVerdict& verdict, const PairCost& cost,
   }
 }
 
-// CheckAll's rows: row i is query i against every other id, ascending, in
-// the cells of matrix row i.
+// CheckAll's rows: row r is the representative reps[r] of a shape class
+// against every other representative, ascending, in the cells of its
+// matrix row. Once its searches are done, the row settles the rest of its
+// class (Finish): rows of different classes touch disjoint cells, so the
+// copies run on the row's worker like its searches.
 class MatrixRows {
  public:
   static constexpr bool kComplete = true;
 
-  explicit MatrixRows(std::vector<std::vector<PairVerdict>>& matrix)
-      : matrix_(matrix) {}
+  // rep_of[i] is the representative of i's class; class_level[r] the
+  // level bound of a pair within representative r's class.
+  MatrixRows(std::vector<std::vector<PairVerdict>>& matrix,
+             const std::vector<size_t>& rep_of,
+             const std::vector<int>& class_level)
+      : matrix_(matrix), rep_of_(rep_of), class_level_(class_level) {
+    // A representative is its class's lowest id, so its row exists by the
+    // time a member names it.
+    std::vector<size_t> row_of(rep_of.size());
+    for (size_t i = 0; i < rep_of.size(); ++i) {
+      if (rep_of[i] == i) {
+        row_of[i] = reps_.size();
+        reps_.push_back(i);
+        class_members_.emplace_back();
+      } else {
+        members_.push_back(i);
+        class_members_[row_of[rep_of[i]]].push_back(i);
+      }
+    }
+    undecided_.resize(reps_.size());
+  }
 
-  size_t size() const { return matrix_.size(); }
-  size_t lhs(size_t r) const { return r; }
-  size_t pair_count(size_t) const { return matrix_.size() - 1; }
-  PairVerdict& cell(size_t r, size_t rhs) const { return matrix_[r][rhs]; }
+  size_t size() const { return reps_.size(); }
+  size_t lhs(size_t r) const { return reps_[r]; }
+  size_t pair_count(size_t) const { return reps_.size() - 1; }
+  // Whether row r decides the pair with `rhs`: another representative.
+  bool includes(size_t r, size_t rhs) const {
+    return rhs != reps_[r] && rep_of_[rhs] == rhs;
+  }
+  PairVerdict& cell(size_t r, size_t rhs) const {
+    return matrix_[reps_[r]][rhs];
+  }
   template <class Visit>
   void ForEach(size_t r, Visit&& visit) const {
-    std::vector<PairVerdict>& row = matrix_[r];
-    for (size_t rhs = 0; rhs < row.size(); ++rhs) {
-      if (rhs != r) visit(rhs, row[rhs]);
+    std::vector<PairVerdict>& row = matrix_[reps_[r]];
+    for (size_t rhs : reps_) {
+      if (rhs != reps_[r]) visit(rhs, row[rhs]);
     }
+  }
+
+  // Row r's copy pass, after its searches. Each member column of the row
+  // takes the cell of its own representative, and a member of the row's
+  // class reads kContained (the renaming is the homomorphism). Each
+  // member of the class then takes the completed row with the diagonal
+  // and the (member, representative) cell swapped. A copied UNKNOWN is
+  // set aside for Undecided instead of counted.
+  void Finish(size_t r, BatchStats& stats) const {
+    const size_t lhs = reps_[r];
+    std::vector<PairVerdict>& row = matrix_[lhs];
+    std::vector<std::pair<size_t, size_t>>& undecided = undecided_[r];
+    auto settle = [&](size_t from, size_t rhs, const PairVerdict& cell) {
+      if (cell.resolution == Resolution::kUnknown) {
+        undecided.emplace_back(from, rhs);
+        return;
+      }
+      ++stats.pairs_checked;
+      ++(cell.pruned ? stats.pruned_pairs : stats.shared_pairs);
+    };
+    for (size_t j : members_) {
+      if (rep_of_[j] == lhs) {
+        row[j] = PairVerdict();
+        Record(row[j], Resolution::kContained, TripReason::kNone);
+        row[j].level_bound = class_level_[lhs];
+      } else {
+        row[j] = row[rep_of_[j]];
+      }
+      settle(lhs, j, row[j]);
+    }
+    for (size_t i : class_members_[r]) {
+      std::vector<PairVerdict>& copy = matrix_[i];
+      copy = row;
+      std::swap(copy[i], copy[lhs]);
+      for (size_t j = 0; j < copy.size(); ++j) {
+        if (j != i) settle(i, j, copy[j]);
+      }
+    }
+  }
+
+  // The cells whose representative cell is UNKNOWN, by lhs in row order.
+  std::vector<std::pair<size_t, size_t>> Undecided() const {
+    std::vector<std::pair<size_t, size_t>> all;
+    for (const auto& row : undecided_) {
+      all.insert(all.end(), row.begin(), row.end());
+    }
+    return all;
   }
 
  private:
   std::vector<std::vector<PairVerdict>>& matrix_;
+  const std::vector<size_t>& rep_of_;
+  const std::vector<int>& class_level_;
+  std::vector<size_t> reps_;
+  // Ids that are not representatives, ascending.
+  std::vector<size_t> members_;
+  // Per row: the other members of its class, ascending.
+  std::vector<std::vector<size_t>> class_members_;
+  // Per row: the pairs its Finish set aside. Each row writes its own.
+  mutable std::vector<std::vector<std::pair<size_t, size_t>>> undecided_;
 };
 
 // CheckPairs' rows: the requested pairs grouped by lhs, in request order
@@ -345,8 +431,8 @@ template <class Rows>
 void ContainmentEngine::CheckPairsCore(size_t pair_count, const Rows& rows) {
   const ContainmentOptions& copts = options_.containment;
   const ResourceBudget& budget = copts.budget;
-  // Snapshot the token once: worker threads copy it concurrently below,
-  // and ResetCancel (which swaps the shared flag) is only legal between
+  // Snapshot the token once: every governor below borrows its flag, and
+  // ResetCancel (which swaps the shared flag) is only legal between
   // batches.
   const CancellationToken engine_token = cancel_source_.token();
 
@@ -409,7 +495,7 @@ void ContainmentEngine::CheckPairsCore(size_t pair_count, const Rows& rows) {
       };
       if constexpr (Rows::kComplete) {
         ForEachCandidate(*signature, [&](size_t rhs) {
-          if (rhs != lhs) test(rhs, rows.cell(r, rhs));
+          if (rows.includes(r, rhs)) test(rhs, rows.cell(r, rhs));
         });
         std::sort(survivors.begin(), survivors.end());
       } else {
@@ -524,6 +610,7 @@ void ContainmentEngine::CheckPairsCore(size_t pair_count, const Rows& rows) {
       }
       RecordPair(verdict, cost, metrics, stats);
     }
+    if constexpr (Rows::kComplete) rows.Finish(r, stats);
   };
   ParallelFor(options_.jobs == 0 ? DefaultThreads() : size_t(options_.jobs),
               rows.size(), run_row);
@@ -535,6 +622,7 @@ void ContainmentEngine::CheckPairsCore(size_t pair_count, const Rows& rows) {
     MetricsRegistry& registry = MetricsRegistry::Get();
     static Counter& pairs_checked = registry.counter("engine.pairs_checked");
     static Counter& pruned_pairs = registry.counter("engine.pruned_pairs");
+    static Counter& shared_pairs = registry.counter("engine.shared_pairs");
     static Counter& unknown = registry.counter("engine.unknown_pairs");
     static Counter& requests = registry.counter("engine.chase_requests");
     static Counter& cache_hits = registry.counter("engine.chase_cache_hits");
@@ -542,6 +630,7 @@ void ContainmentEngine::CheckPairsCore(size_t pair_count, const Rows& rows) {
     static Counter& deepenings = registry.counter("engine.chase_deepenings");
     pairs_checked.Add(batch.pairs_checked);
     pruned_pairs.Add(batch.pruned_pairs);
+    shared_pairs.Add(batch.shared_pairs);
     unknown.Add(batch.unknown_pairs);
     if (copts.use_signature_index && pair_count > 0) {
       static Histogram& sig_us =
@@ -565,6 +654,47 @@ Result<std::vector<PairVerdict>> ContainmentEngine::CheckPairs(
   return verdicts;
 }
 
+std::vector<size_t> ContainmentEngine::ShapeRepresentatives() const {
+  const size_t n = entries_.size();
+  std::vector<size_t> rep_of(n);
+  std::iota(rep_of.begin(), rep_of.end(), size_t{0});
+  // At the Theorem 12 bound a verdict is the true containment answer, and
+  // level 0 runs the terminating Sigma_FL^- chase to its end: neither
+  // tells two queries of one shape apart. A cap in between cuts the
+  // rho_5 chase part way, where the order of a query's atoms may matter.
+  if (options_.containment.level_override > 0) return rep_of;
+  TraceSpan span("engine.shape_keys");
+  AnnotateWithRequest(span);
+  // Queries of one shape share their digest: only a run of equal digests
+  // needs keys, sorted by key within the run. Ids stay ascending within a
+  // run of equal keys, so its first is the lowest and represents the rest.
+  std::vector<uint64_t> digests(n);
+  for (size_t i = 0; i < n; ++i) digests[i] = ShapeDigest(entries_[i]->query);
+  std::vector<size_t> order(n);
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return digests[a] < digests[b];
+  });
+  std::vector<std::optional<std::vector<uint32_t>>> keys(n);
+  for (size_t begin = 0, end = 0; begin < n; begin = end) {
+    while (end < n && digests[order[end]] == digests[order[begin]]) ++end;
+    if (end - begin < 2) continue;
+    std::vector<size_t> keyed;
+    for (size_t k = begin; k < end; ++k) {
+      keys[order[k]] = ShapeKey(entries_[order[k]]->query);
+      if (keys[order[k]].has_value()) keyed.push_back(order[k]);
+    }
+    std::stable_sort(keyed.begin(), keyed.end(),
+                     [&](size_t a, size_t b) { return *keys[a] < *keys[b]; });
+    for (size_t k = 1; k < keyed.size(); ++k) {
+      if (*keys[keyed[k]] == *keys[keyed[k - 1]]) {
+        rep_of[keyed[k]] = rep_of[keyed[k - 1]];
+      }
+    }
+  }
+  return rep_of;
+}
+
 Result<std::vector<std::vector<PairVerdict>>> ContainmentEngine::CheckAll() {
   const size_t n = entries_.size();
   // Row 0 names every id, and a full scan in pair order would meet its
@@ -572,11 +702,29 @@ Result<std::vector<std::vector<PairVerdict>>> ContainmentEngine::CheckAll() {
   // j reports the same error in O(n).
   for (size_t j = 1; j < n; ++j) FLOQ_RETURN_IF_ERROR(ValidatePair(0, j));
   // Verdicts land directly in their matrix cells: no pair list, no flat
-  // intermediate vector, no n^2 copy. The diagonal stays defaulted.
+  // intermediate vector. The diagonal stays defaulted.
   std::vector<std::vector<PairVerdict>> matrix(
       n, std::vector<PairVerdict>(n, UncheckedVerdict()));
   for (size_t i = 0; i < n; ++i) matrix[i][i] = PairVerdict();
-  CheckPairsCore(n * (n - 1), MatrixRows(matrix));
+  const std::vector<size_t> rep_of = ShapeRepresentatives();
+  // Queries of one shape have one size, so a pair within a class has the
+  // bound of its representative against itself.
+  std::vector<int> class_level(n);
+  for (size_t i = 0; i < n; ++i) {
+    class_level[i] = options_.containment.level_override >= 0
+                         ? options_.containment.level_override
+                         : PaperLevelBound(query(i), query(i));
+  }
+  const MatrixRows rows(matrix, rep_of, class_level);
+  CheckPairsCore(rows.size() * (rows.size() - 1), rows);
+  const std::vector<std::pair<size_t, size_t>> undecided = rows.Undecided();
+  if (!undecided.empty()) {
+    std::vector<PairVerdict> verdicts(undecided.size(), UncheckedVerdict());
+    CheckPairsCore(undecided.size(), PairRows(undecided, verdicts));
+    for (size_t k = 0; k < undecided.size(); ++k) {
+      matrix[undecided[k].first][undecided[k].second] = verdicts[k];
+    }
+  }
   return matrix;
 }
 

@@ -33,6 +33,11 @@
 // majority of a dense N^2 matrix (DESIGN.md §13). A full row of CheckAll
 // tests only the queries its postings enumerate.
 //
+// CheckAll decides each query shape once where verdicts are exact (no
+// level cap, or cap 0): queries equal up to renaming (query/shape_key.h)
+// share one representative row and column, which the row's worker copies
+// to the rest of their class (DESIGN.md §8).
+//
 // Concurrency model (see DESIGN.md §8): a batch is a row per left-hand
 // side, and `jobs` workers claim rows one at a time. A row task runs
 // stage 0, deepens its own entry's chase and searches each surviving
@@ -102,9 +107,16 @@ struct BatchStats {
   uint64_t pairs_checked = 0;
   /// Pairs discharged by the stage-0 signature filter: definite
   /// kNotContained with zero chase or hom work (never counted in
-  /// chase_requests). pruned_pairs + chase_requests == pairs checked
-  /// whenever the filter is on.
+  /// chase_requests), including the cells CheckAll copies from a pruned
+  /// representative cell. pruned_pairs + chase_requests + shared_pairs ==
+  /// pairs_checked.
   uint64_t pruned_pairs = 0;
+  /// CheckAll cells settled without running the pipeline because their
+  /// queries have the shape of another pair's (query/shape_key.h): a
+  /// definite unpruned verdict copied from the representative pair, or a
+  /// pair of two queries of one shape, CONTAINED by the renaming. Zero
+  /// for CheckPairs.
+  uint64_t shared_pairs = 0;
   /// Cumulative microseconds spent in the stage-0 signature subset tests,
   /// summed over the rows that ran them (registration-time probe chases
   /// are accounted to chases_run).
@@ -133,7 +145,10 @@ struct BatchStats {
   void Accumulate(const BatchStats& other);
 };
 
-/// Verdict for one ordered pair lhs ⊆ rhs.
+/// Verdict for one ordered pair lhs ⊆ rhs. A CheckAll cell copied from
+/// its shape class's representative pair carries that pair's verdict
+/// whole; a cell whose two queries have one shape reads kContained with
+/// the pair's level_bound and no flag set.
 struct PairVerdict {
   /// Always equals (resolution == Resolution::kContained).
   bool contained = false;
@@ -144,17 +159,17 @@ struct PairVerdict {
   TripReason unknown_reason = TripReason::kNone;
   /// The stage-0 signature filter discharged this pair (a sound definite
   /// kNotContained; see signature.h): no chase or hom stage ran.
-  bool pruned = false;
+  bool pruned : 1 = false;
   /// Containment holds vacuously: chase(lhs) failed (rho_4 equated two
   /// distinct constants), so lhs is unsatisfiable under Sigma_FL.
-  bool lhs_unsatisfiable = false;
+  bool lhs_unsatisfiable : 1 = false;
   /// Level cap the pair was searched at: level_override, or the pair's
   /// Theorem 12 bound (-1 when its chase stage never ran).
   int level_bound = -1;
 };
 // The verdict alone: a cell of CheckAll's n x n matrix. Per-pair effort and
 // stage times are folded into BatchStats instead of stored per cell.
-static_assert(sizeof(PairVerdict) <= 12);
+static_assert(sizeof(PairVerdict) == 8);
 
 class ContainmentEngine {
  public:
@@ -197,6 +212,15 @@ class ContainmentEngine {
   /// The full matrix: verdicts[i][j] answers query(i) ⊆ query(j) for all
   /// i != j (the diagonal is left defaulted — containment is reflexive).
   /// Fails once any query has been removed.
+  ///
+  /// Where verdicts are exact (level_override < 0, or 0), they depend on
+  /// the queries only up to renaming, so each query shape is decided
+  /// once: the batch runs only the representative of each shape class
+  /// (ShapeKey; its lowest id), as a row and as a right-hand side, then
+  /// every other member takes its representative's row and column. Two
+  /// queries of one shape are kContained without a search. An UNKNOWN
+  /// cell is never copied: its member pairs are decided one by one. At a
+  /// cap >= 1 every pair is decided on its own, as in CheckPairs.
   Result<std::vector<std::vector<PairVerdict>>> CheckAll();
 
   /// The materialized chase of a query, if one was built (nullptr before
@@ -243,6 +267,12 @@ class ContainmentEngine {
   /// on, since stage 0 discharges most pairs without visiting them.
   PairVerdict UncheckedVerdict() const;
 
+  /// For each id, the lowest id of its shape class: every id is its own
+  /// when verdicts are not exact (a level cap >= 1), and so is a query
+  /// ShapeKey gives no key. Only queries whose ShapeDigest another query
+  /// shares get a key.
+  std::vector<size_t> ShapeRepresentatives() const;
+
   /// Calls fn(id) for each id CandidatesOf enumerates for a prunable
   /// `lhs`: the constant-free ids, then the ids filed under each of its
   /// closure constants. Each id comes once (it is filed once), unsorted.
@@ -256,7 +286,8 @@ class ContainmentEngine {
   /// visit(rhs, verdict), each with its output slot. Every slot arrives
   /// pruned when the signature index is on; stage 0 clears the flag of
   /// each pair it keeps. Rows run in parallel, the pairs of a row in the
-  /// order visited. Instantiated only in engine.cc.
+  /// order visited; a complete row then runs rows.Finish, CheckAll's copy
+  /// pass for the row's shape class. Instantiated only in engine.cc.
   template <class Rows>
   void CheckPairsCore(size_t pair_count, const Rows& rows);
 

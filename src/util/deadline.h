@@ -59,6 +59,7 @@ class CancellationToken {
 
  private:
   friend class CancellationSource;
+  friend class ExecGovernor;
   explicit CancellationToken(std::shared_ptr<std::atomic<bool>> flag)
       : flag_(std::move(flag)) {}
 
@@ -106,7 +107,9 @@ inline const char* TripReasonName(TripReason reason) {
 
 /// Amortized budget enforcement for one logical computation (one hom
 /// search, one chase run). Not thread-safe: each worker owns its
-/// governor; only the CancellationTokens are shared across threads.
+/// governor; only the cancellation flags are shared across threads. A
+/// governor borrows its tokens' flags rather than sharing their
+/// ownership, so building one per pair touches no reference count.
 class ExecGovernor {
  public:
   /// How many Tick() calls share one clock read / flag load. At ~1ns per
@@ -114,17 +117,21 @@ class ExecGovernor {
   static constexpr uint32_t kStride = 1024;
 
   ExecGovernor() = default;
+  /// Borrows `cancel` as AddCancellation does.
   explicit ExecGovernor(Deadline deadline,
-                        CancellationToken cancel = CancellationToken(),
+                        const CancellationToken& cancel = CancellationToken(),
                         uint64_t step_budget = 0)
       : deadline_(deadline),
-        cancel_(std::move(cancel)),
+        cancel_(cancel.flag_.get()),
         step_budget_(step_budget) {}
 
   /// A second token slot, so an engine-wide Cancel() composes with a
-  /// caller-provided token without allocating a merged source.
-  void AddCancellation(CancellationToken token) {
-    extra_cancel_ = std::move(token);
+  /// caller-provided token without allocating a merged source. The
+  /// governor keeps a pointer to the token's flag, not a share of it: an
+  /// owner of the flag (this token, a copy of it, or the source that
+  /// handed it out, not Reset since) must outlive the governor.
+  void AddCancellation(const CancellationToken& token) {
+    extra_cancel_ = token.flag_.get();
   }
 
   /// Counts one unit of work. Returns true to continue, false once any
@@ -175,7 +182,7 @@ class ExecGovernor {
     until_check_ = kStride;
     if (step_budget_ != 0 && steps_ >= step_budget_) {
       trip_ = TripReason::kHomStepBudget;
-    } else if (cancel_.cancelled() || extra_cancel_.cancelled()) {
+    } else if (Cancelled(cancel_) || Cancelled(extra_cancel_)) {
       trip_ = TripReason::kCancelled;
     } else if (deadline_.Expired()) {
       trip_ = TripReason::kDeadlineExceeded;
@@ -183,9 +190,14 @@ class ExecGovernor {
     return trip_ == TripReason::kNone;
   }
 
+  static bool Cancelled(const std::atomic<bool>* flag) {
+    return flag != nullptr && flag->load(std::memory_order_relaxed);
+  }
+
   Deadline deadline_;
-  CancellationToken cancel_;
-  CancellationToken extra_cancel_;
+  // Borrowed cancellation flags (null: none).
+  const std::atomic<bool>* cancel_ = nullptr;
+  const std::atomic<bool>* extra_cancel_ = nullptr;
   uint64_t step_budget_ = 0;  // 0 = unlimited
   uint64_t steps_ = 0;
   uint32_t until_check_ = kStride;

@@ -19,6 +19,7 @@
 #include "term/term.h"
 #include "term/world.h"
 #include "util/request_context.h"
+#include "util/rng.h"
 #include "util/trace.h"
 
 namespace floq {
@@ -155,7 +156,10 @@ TEST(ContainmentEngineTest, EachQueryChasedExactlyOnce) {
   const BatchStats& stats = engine.stats();
   EXPECT_EQ(stats.pairs_checked, n * (n - 1));
   EXPECT_GT(stats.pruned_pairs, 0u);
-  EXPECT_EQ(stats.pruned_pairs + stats.chase_requests, n * (n - 1));
+  // No two of the six queries have one shape: nothing is shared.
+  EXPECT_EQ(stats.shared_pairs, 0u);
+  EXPECT_EQ(stats.pruned_pairs + stats.chase_requests + stats.shared_pairs,
+            n * (n - 1));
   EXPECT_EQ(stats.chases_run, n);  // one chase per query, not per pair
   EXPECT_EQ(stats.chase_cache_hits, stats.chase_requests);
   for (size_t i = 0; i < n; ++i) {
@@ -181,6 +185,7 @@ TEST(ContainmentEngineTest, EachQueryChasedExactlyOnceWithoutIndex) {
   const BatchStats& stats = engine.stats();
   EXPECT_EQ(stats.pairs_checked, n * (n - 1));
   EXPECT_EQ(stats.pruned_pairs, 0u);
+  EXPECT_EQ(stats.shared_pairs, 0u);
   EXPECT_EQ(stats.chase_requests, n * (n - 1));
   EXPECT_EQ(stats.chases_run, n);
   EXPECT_EQ(stats.chase_cache_hits, n * (n - 1) - n);
@@ -389,6 +394,7 @@ TEST(ContainmentEngineTest, CheckAllIsIndependentOfJobs) {
         const BatchStats& p = stats[run];
         EXPECT_EQ(s.pairs_checked, p.pairs_checked);
         EXPECT_EQ(s.pruned_pairs, p.pruned_pairs);
+        EXPECT_EQ(s.shared_pairs, p.shared_pairs);
         EXPECT_EQ(s.chase_requests, p.chase_requests);
         EXPECT_EQ(s.chase_cache_hits, p.chase_cache_hits);
         EXPECT_EQ(s.chases_run, p.chases_run);
@@ -406,12 +412,217 @@ TEST(ContainmentEngineTest, CheckAllIsIndependentOfJobs) {
       const BatchStats& s = stats[0];
       EXPECT_EQ(s.pairs_checked, n * (n - 1));
       EXPECT_EQ(s.pruned_pairs > 0, use_index);
-      EXPECT_EQ(s.pruned_pairs + s.chase_requests, s.pairs_checked);
+      EXPECT_EQ(s.pruned_pairs + s.chase_requests + s.shared_pairs,
+                s.pairs_checked);
+      // Each family's r query is its b query renamed: where verdicts are
+      // exact, their rows and columns are copied, not searched.
+      EXPECT_EQ(s.shared_pairs > 0, level_override <= 0);
       EXPECT_EQ(s.unknown_pairs, 0u);
       EXPECT_GT(s.hom.nodes_visited, 0u);
       // Without a fixed cap, the cycles' rows deepen their chases.
       if (level_override < 0) {
         EXPECT_GT(s.chase_deepenings, 0u);
+      }
+    }
+  }
+}
+
+// ---- one decision per query shape ----------------------------------------
+
+// `q` with fresh variables and its body atoms shuffled by `seed`: the same
+// shape (query/shape_key.h) under another name.
+ConjunctiveQuery ShuffledCopy(World& world, const ConjunctiveQuery& q,
+                              uint64_t seed) {
+  ConjunctiveQuery copy = q.RenameApart(world);
+  std::vector<Atom>& body = copy.mutable_body();
+  Rng rng(seed);
+  for (size_t i = body.size(); i > 1; --i) {
+    std::swap(body[i - 1], body[rng.Below(i)]);
+  }
+  return copy;
+}
+
+TEST(ContainmentEngineTest, CheckAllDecidesEachShapeOnce) {
+  World world;
+  std::vector<ConjunctiveQuery> queries;
+  queries.push_back(Q(world, "a() :- member(X, c), data(X, p, Y), sub(c, d)."));
+  queries.push_back(Q(world, "b() :- member(X, d)."));
+  queries.push_back(ShuffledCopy(world, queries[0], 1));
+  queries.push_back(ShuffledCopy(world, queries[1], 2));
+  queries.push_back(ShuffledCopy(world, queries[0], 3));
+  const size_t n = queries.size();
+  for (bool use_index : {true, false}) {
+    SCOPED_TRACE(use_index ? "index on" : "index off");
+    BatchContainmentOptions options;
+    options.jobs = 1;
+    options.containment.use_signature_index = use_index;
+    ContainmentEngine engine(world, options);
+    for (const ConjunctiveQuery& q : queries) {
+      ASSERT_TRUE(engine.AddQuery(q).ok());
+    }
+    Result<std::vector<std::vector<PairVerdict>>> matrix = engine.CheckAll();
+    ASSERT_TRUE(matrix.ok()) << matrix.status().ToString();
+    // Classes {0, 2, 4} and {1, 3}: a ⊆ b through rho_3, b ⊄ a.
+    const int shape[] = {0, 1, 0, 1, 0};
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j < n; ++j) {
+        if (i == j) continue;
+        const PairVerdict& cell = (*matrix)[i][j];
+        const Resolution expected = shape[i] == 0 || shape[j] == 1
+                                        ? Resolution::kContained
+                                        : Resolution::kNotContained;
+        EXPECT_EQ(cell.resolution, expected) << i << " ⊆ " << j;
+        EXPECT_EQ(cell.contained, expected == Resolution::kContained);
+        if (!cell.pruned) {
+          EXPECT_EQ(cell.level_bound,
+                    PaperLevelBound(queries[i], queries[j]))
+              << i << " ⊆ " << j;
+        }
+      }
+    }
+    // Only (0, 1) and (1, 0) run the pipeline; the other 18 cells are
+    // copies or pairs within a class.
+    const BatchStats& stats = engine.stats();
+    EXPECT_EQ(stats.pairs_checked, n * (n - 1));
+    EXPECT_EQ(stats.pruned_pairs + stats.chase_requests + stats.shared_pairs,
+              stats.pairs_checked);
+    if (use_index) {
+      // Stage 0 prunes (1, 0): b's closure lacks a's constants c and p.
+      // Its six copies keep the flag and count as pruned.
+      EXPECT_EQ(stats.chase_requests, 1u);
+      EXPECT_EQ(stats.pruned_pairs, 6u);
+      EXPECT_TRUE((*matrix)[3][4].pruned);
+    } else {
+      // Nothing is pruned, and the members' chases never run.
+      EXPECT_EQ(stats.chase_requests, 2u);
+      EXPECT_EQ(stats.shared_pairs, n * (n - 1) - 2);
+      EXPECT_EQ(stats.chases_run, 2u);
+      EXPECT_EQ(engine.chase_of(2), nullptr);
+    }
+  }
+}
+
+// MixedCorpus with a renamed, atom-shuffled copy of every third query
+// appended, so that a class's members sit far from its representative.
+std::vector<ConjunctiveQuery> PlantedCorpus(World& world, uint64_t seed) {
+  std::vector<ConjunctiveQuery> queries = MixedCorpus(world, seed);
+  const size_t n = queries.size();
+  for (size_t i = seed % 3; i < n; i += 3) {
+    queries.push_back(ShuffledCopy(world, queries[i], seed * 1000 + i));
+  }
+  return queries;
+}
+
+// k3: the triangle; w7: a hub joined to every node of a 7-cycle, which no
+// 3-colouring admits. So k3 ⊆ w7 fails, but only after a search over the
+// colourings of the rim, which a small hom step budget cuts off.
+std::vector<ConjunctiveQuery> ColouringQueries(World& world) {
+  auto edges = [](const std::vector<std::pair<std::string, std::string>>&
+                      pairs) {
+    std::string body;
+    for (const auto& [u, v] : pairs) {
+      if (!body.empty()) body += ", ";
+      body += "data(" + u + ", e, " + v + "), data(" + v + ", e, " + u + ")";
+    }
+    return body;
+  };
+  std::vector<std::pair<std::string, std::string>> wheel;
+  for (int i = 0; i < 7; ++i) {
+    const std::string rim = "R" + std::to_string(i);
+    wheel.emplace_back("H", rim);
+    wheel.emplace_back(rim, "R" + std::to_string((i + 1) % 7));
+  }
+  const std::string k3 =
+      "k3() :- " + edges({{"A", "B"}, {"B", "C"}, {"C", "A"}}) + ".";
+  const std::string w7 = "w7() :- " + edges(wheel) + ".";
+  std::vector<ConjunctiveQuery> queries;
+  queries.push_back(Q(world, k3.c_str()));
+  queries.push_back(Q(world, w7.c_str()));
+  return queries;
+}
+
+// The differential property of the shared matrix: every cell CheckAll
+// settles by a copy, inside a class, or one by one after an UNKNOWN
+// representative cell reads what CheckPairs reads for that pair when it
+// is asked for every ordered pair. At caps -1 and 0 the matrix shares; at
+// cap 1 it does not. The counters must not depend on `jobs`.
+TEST(ContainmentEngineTest, SharedMatrixMatchesCheckPairs) {
+  struct Case {
+    uint64_t seed;
+    bool coloured;  // adds k3, w7 and their copies under a step budget
+  };
+  for (const Case& c : {Case{2, false}, Case{5, false}, Case{7, true}}) {
+    for (int level_override : {-1, 0, 1}) {
+      SCOPED_TRACE("seed " + std::to_string(c.seed) + ", level_override " +
+                   std::to_string(level_override));
+      World world;
+      std::vector<ConjunctiveQuery> queries = PlantedCorpus(world, c.seed);
+      BatchContainmentOptions options;
+      options.containment.level_override = level_override;
+      if (c.coloured) {
+        for (const ConjunctiveQuery& q : ColouringQueries(world)) {
+          queries.push_back(q);
+          queries.push_back(ShuffledCopy(world, q, queries.size()));
+        }
+        options.containment.budget.hom_step_budget = 200;
+      }
+      const size_t n = queries.size();
+
+      options.jobs = 1;
+      ContainmentEngine reference(world, options);
+      for (const ConjunctiveQuery& q : queries) {
+        ASSERT_TRUE(reference.AddQuery(q).ok());
+      }
+      std::vector<std::pair<size_t, size_t>> pairs;
+      for (size_t i = 0; i < n; ++i) {
+        for (size_t j = 0; j < n; ++j) {
+          if (i != j) pairs.emplace_back(i, j);
+        }
+      }
+      Result<std::vector<PairVerdict>> expected = reference.CheckPairs(pairs);
+      ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+      size_t unknown = 0;
+      for (const PairVerdict& v : *expected) {
+        unknown += v.resolution == Resolution::kUnknown ? 1 : 0;
+      }
+      // k3 and its copy against w7 and its copy, at every cap: their
+      // chases are complete at level 0.
+      EXPECT_EQ(unknown, c.coloured ? 4u : 0u);
+
+      std::vector<BatchStats> stats;
+      for (int jobs : {1, 2, 4}) {
+        options.jobs = jobs;
+        ContainmentEngine engine(world, options);
+        for (const ConjunctiveQuery& q : queries) {
+          ASSERT_TRUE(engine.AddQuery(q).ok());
+        }
+        Result<std::vector<std::vector<PairVerdict>>> matrix =
+            engine.CheckAll();
+        ASSERT_TRUE(matrix.ok()) << matrix.status().ToString();
+        for (size_t k = 0; k < pairs.size(); ++k) {
+          const auto [i, j] = pairs[k];
+          const PairVerdict& got = (*matrix)[i][j];
+          const std::string cell = queries[i].name() + " ⊆ " +
+                                   queries[j].name() + ", jobs " +
+                                   std::to_string(jobs);
+          EXPECT_EQ(got.resolution, (*expected)[k].resolution) << cell;
+          EXPECT_EQ(got.level_bound, (*expected)[k].level_bound) << cell;
+        }
+        stats.push_back(engine.stats());
+      }
+      const BatchStats& s = stats[0];
+      EXPECT_EQ(s.pairs_checked, n * (n - 1));
+      EXPECT_EQ(s.pruned_pairs + s.chase_requests + s.shared_pairs,
+                s.pairs_checked);
+      EXPECT_EQ(s.shared_pairs > 0, level_override <= 0);
+      for (const BatchStats& p : stats) {
+        EXPECT_EQ(s.pairs_checked, p.pairs_checked);
+        EXPECT_EQ(s.pruned_pairs, p.pruned_pairs);
+        EXPECT_EQ(s.shared_pairs, p.shared_pairs);
+        EXPECT_EQ(s.chase_requests, p.chase_requests);
+        EXPECT_EQ(s.chase_deepenings, p.chase_deepenings);
+        EXPECT_EQ(s.unknown_pairs, p.unknown_pairs);
+        EXPECT_EQ(s.hom.nodes_visited, p.hom.nodes_visited);
       }
     }
   }

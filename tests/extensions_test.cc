@@ -85,6 +85,35 @@ TEST(ClassifierTest, TaxonomyRendering) {
   EXPECT_NE(rendered.find("wide\n  narrow"), std::string::npos) << rendered;
 }
 
+// Renamed copies share their original's verdicts, so they add pairs to
+// the classification but no checks: checks + pruned + shared still counts
+// every ordered pair.
+TEST(ClassifierTest, CountersCoverEveryPairWithSharedShapes) {
+  World world;
+  std::vector<ConjunctiveQuery> queries = {
+      Q(world, "a(O) :- member(O, C), sub(C, D)."),
+      Q(world, "b(O) :- member(O, C)."),
+      Q(world, "a2(P) :- sub(E, F), member(P, E)."),
+      Q(world, "b2(P) :- member(P, E)."),
+  };
+  for (bool prune : {true, false}) {
+    BatchContainmentOptions options;
+    options.containment.use_signature_index = prune;
+    Result<QueryTaxonomy> taxonomy = ClassifyQueries(world, queries, options);
+    ASSERT_TRUE(taxonomy.ok()) << taxonomy.status().ToString();
+    // a ≡ a2 ⊂ b ≡ b2.
+    EXPECT_EQ(taxonomy->classes.size(), 2u);
+    EXPECT_EQ(taxonomy->checks + taxonomy->pruned_checks +
+                  taxonomy->shared_pairs,
+              12);
+    // Only a ⊆ b and b ⊆ a are decided; stage 0 prunes b ⊆ a (b's
+    // closure has no sub), and its three copies count as pruned too.
+    EXPECT_EQ(taxonomy->checks, prune ? 1 : 2);
+    EXPECT_EQ(taxonomy->pruned_checks, prune ? 4 : 0);
+    EXPECT_EQ(taxonomy->shared_pairs, prune ? 7 : 10);
+  }
+}
+
 TEST(ClassifierTest, ArityMismatchIsError) {
   World world;
   std::vector<ConjunctiveQuery> queries = {

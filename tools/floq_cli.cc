@@ -277,11 +277,16 @@ int CmdClassify(const std::string& path, int jobs,
   if (!taxonomy.ok()) return Fail(taxonomy.status().ToString());
   std::printf("%zu queries, %zu equivalence classes, %d checks\n",
               rules->size(), taxonomy->classes.size(), taxonomy->checks);
-  const int pairs = taxonomy->checks + taxonomy->pruned_checks;
+  const int pairs = taxonomy->checks + taxonomy->pruned_checks +
+                    taxonomy->shared_pairs;
   if (pairs > 0) {
     std::printf("signature index: %d of %d pairs pruned (ratio %.3f)\n",
                 taxonomy->pruned_checks, pairs,
                 double(taxonomy->pruned_checks) / double(pairs));
+  }
+  if (taxonomy->shared_pairs > 0) {
+    std::printf("query shapes: %d of %d pairs shared from renamed queries\n",
+                taxonomy->shared_pairs, pairs);
   }
   if (taxonomy->unknown_checks > 0) {
     std::printf("%d check(s) returned UNKNOWN (resource budget tripped); "
