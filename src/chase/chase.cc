@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <limits>
 #include <set>
 #include <span>
 #include <unordered_set>
@@ -795,15 +796,25 @@ ResumableChase& ResumableChase::operator=(ResumableChase&&) noexcept = default;
 const ChaseResult& ResumableChase::EnsureLevel(int level,
                                                ExecGovernor* governor) {
   if (!started_) {
-    ChaseOptions run_options = options_;
-    run_options.max_level = level;
-    engine_ =
-        std::make_unique<ChaseEngine>(*world_, *dependencies_, run_options);
-    engine_->Run(query_.body(), query_.head(), governor);
+    engine_ = RunFresh(level, governor);
     started_ = true;
+    NoteCompleteLevel();
     return engine_->result();
   }
   ChaseOutcome outcome = engine_->result().outcome();
+  if (outcome == ChaseOutcome::kBudgetExceeded && level > complete_level_ &&
+      level < engine_->level_cap()) {
+    // A deeper run ran out of atoms before this level was complete. A
+    // chase to this level alone may fit the budget: keep it if it does.
+    std::unique_ptr<ChaseEngine> fresh = RunFresh(level, governor);
+    const ChaseOutcome fresh_outcome = fresh->result().outcome();
+    if (fresh_outcome == ChaseOutcome::kLevelCapped ||
+        fresh_outcome == ChaseOutcome::kCompleted) {
+      engine_ = std::move(fresh);
+      NoteCompleteLevel();
+    }
+    return engine_->result();
+  }
   if (outcome != ChaseOutcome::kInterrupted &&
       (level <= engine_->level_cap() ||
        outcome != ChaseOutcome::kLevelCapped)) {
@@ -815,7 +826,31 @@ const ChaseResult& ResumableChase::EnsureLevel(int level,
   }
   engine_->Deepen(level, governor);
   ++deepen_count_;
+  NoteCompleteLevel();
   return engine_->result();
+}
+
+std::unique_ptr<ChaseEngine> ResumableChase::RunFresh(
+    int level, ExecGovernor* governor) const {
+  ChaseOptions run_options = options_;
+  run_options.max_level = level;
+  auto engine =
+      std::make_unique<ChaseEngine>(*world_, *dependencies_, run_options);
+  engine->Run(query_.body(), query_.head(), governor);
+  return engine;
+}
+
+void ResumableChase::NoteCompleteLevel() {
+  switch (engine_->result().outcome()) {
+    case ChaseOutcome::kCompleted:
+      complete_level_ = std::numeric_limits<int>::max();
+      break;
+    case ChaseOutcome::kLevelCapped:
+      complete_level_ = engine_->level_cap();
+      break;
+    default:
+      break;  // a later, deeper run stopped: the earlier prefix stands
+  }
 }
 
 const ChaseResult& ResumableChase::result() const {

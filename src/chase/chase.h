@@ -204,10 +204,13 @@ class ResumableChase {
 
   /// Materializes conjuncts at least up to `level` (the first call runs
   /// phases A and B from scratch; later calls resume phase B). A chase
-  /// that already completed, failed, or exhausted its budget is returned
-  /// unchanged; an interrupted chase (a previous governor tripped) is
-  /// always resumed, even at the same level. `governor`, when non-null,
-  /// bounds this call only. Returns result().
+  /// that already completed or failed is returned unchanged, and so is one
+  /// that exhausted its atom budget, except that a level above
+  /// complete_level() and below the level cap of the run that ran out is
+  /// chased again from scratch, and that chase replaces this one when it
+  /// completes the level. An interrupted chase (a previous governor
+  /// tripped) is always resumed, even at the same level. `governor`, when
+  /// non-null, bounds this call only. Returns result().
   const ChaseResult& EnsureLevel(int level, ExecGovernor* governor = nullptr);
 
   /// The materialized prefix. Valid only after the first EnsureLevel.
@@ -220,6 +223,13 @@ class ResumableChase {
   /// after the first EnsureLevel).
   int level_cap() const;
 
+  /// The deepest level materialized completely: the cap of the last
+  /// kLevelCapped run, INT_MAX once the chase completed, -1 before either.
+  /// It survives a later, deeper run that exhausted the atom budget or was
+  /// interrupted, since result() still holds the image of that complete
+  /// prefix under the rho_4 merges applied since (DESIGN.md §11).
+  int complete_level() const { return complete_level_; }
+
   /// Number of times EnsureLevel actually resumed phase B on an existing
   /// materialization (cache-friendly deepenings, excluding the first run).
   uint64_t deepen_count() const { return deepen_count_; }
@@ -230,8 +240,15 @@ class ResumableChase {
   const DependencySet* dependencies_;
   ChaseOptions options_;
   std::unique_ptr<ChaseEngine> engine_;
+  // A new engine chased from scratch to `level`.
+  std::unique_ptr<ChaseEngine> RunFresh(int level,
+                                        ExecGovernor* governor) const;
+  // Records the level a run that just ended left complete.
+  void NoteCompleteLevel();
+
   bool started_ = false;
   uint64_t deepen_count_ = 0;
+  int complete_level_ = -1;
 };
 
 /// The preliminary chase only (Sigma_FL^-): terminating, everything at

@@ -577,8 +577,11 @@ void ContainmentEngine::CheckPairsCore(size_t pair_count, const Rows& rows) {
           // A truncated prefix (atom budget, or this pair's chase
           // deadline) is still worth searching: a homomorphism into it is
           // a sound positive, and the hom stage anchors its own fresh
-          // timeout slice.
-          chase_trip = ChaseTripReason(chase.outcome(), chase_governor);
+          // timeout slice. A pair within the row's complete prefix has a
+          // definite verdict, whatever stopped a later, deeper run.
+          chase_trip = level <= l.chase->complete_level()
+                           ? TripReason::kNone
+                           : ChaseTripReason(chase.outcome(), chase_governor);
         }
       }
 

@@ -5,7 +5,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <span>
@@ -13,6 +12,7 @@
 #include <vector>
 
 #include "util/crc32.h"
+#include "util/file.h"
 
 namespace floq {
 
@@ -114,39 +114,10 @@ class FileWriter {
     std::memcpy(bytes_.data(), &header, sizeof header);
   }
 
-  Status WriteTo(const std::string& path) {
-    const std::string tmp = path + ".tmp";
-    std::FILE* f = std::fopen(tmp.c_str(), "wb");
-    if (f == nullptr) {
-      return InvalidArgumentError("cannot open snapshot file for writing: " +
-                                  tmp);
-    }
-    // fsync before close *and* rename: a crash between rename and the
-    // data reaching disk would otherwise leave a live snapshot full of
-    // zero pages — exactly the torn state the CRCs exist to catch, but
-    // better never to create it.
-    const size_t written = std::fwrite(bytes_.data(), 1, bytes_.size(), f);
-    bool flushed = written == bytes_.size() && std::fflush(f) == 0 &&
-                   ::fsync(fileno(f)) == 0;
-    flushed = std::fclose(f) == 0 && flushed;
-    if (!flushed || std::rename(tmp.c_str(), path.c_str()) != 0) {
-      std::remove(tmp.c_str());
-      return InternalError("short write while saving snapshot: " + path);
-    }
-    // Make the rename itself durable: fsync the parent directory.
-    size_t slash = path.rfind('/');
-    std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
-    if (dir.empty()) dir = "/";
-    const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-    if (dfd < 0) {
-      return InternalError("cannot open snapshot directory for fsync: " + dir);
-    }
-    const bool dir_synced = ::fsync(dfd) == 0;
-    ::close(dfd);
-    if (!dir_synced) {
-      return InternalError("fsync failed on snapshot directory: " + dir);
-    }
-    return Status::Ok();
+  Status WriteTo(const std::string& path) const {
+    return ReplaceFile(
+        path, std::string_view(reinterpret_cast<const char*>(bytes_.data()),
+                               bytes_.size()));
   }
 
   std::vector<uint8_t> bytes_;

@@ -41,8 +41,8 @@ struct SnapshotInfo {
   uint32_t atom_count = 0;
 };
 
-/// Writes `index` plus the `world` symbols to `path`, atomically (tmp file
-/// + rename).
+/// Writes `index` plus the `world` symbols to `path`, atomically and
+/// durably (ReplaceFile, util/file.h).
 Status WriteFactIndexSnapshot(const FactIndex& index, const World& world,
                               const std::string& path, uint32_t flags = 0);
 

@@ -14,7 +14,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -28,6 +27,7 @@
 #include "flogic/parser.h"
 #include "server/protocol.h"
 #include "util/fault.h"
+#include "util/file.h"
 #include "util/log.h"
 #include "util/metrics.h"
 #include "util/request_context.h"
@@ -52,7 +52,7 @@ void OnDrainSignal(int /*sig*/) {
 Status InstallSignalHandlers() {
   if (g_signal_pipe[0] < 0) {
     if (::pipe(g_signal_pipe) != 0) {
-      return InternalError(std::string("pipe: ") + std::strerror(errno));
+      return ErrnoError("pipe");
     }
     ::fcntl(g_signal_pipe[0], F_SETFL, O_NONBLOCK);
     ::fcntl(g_signal_pipe[1], F_SETFL, O_NONBLOCK);
@@ -63,7 +63,7 @@ Status InstallSignalHandlers() {
   ::sigemptyset(&sa.sa_mask);
   if (::sigaction(SIGTERM, &sa, nullptr) != 0 ||
       ::sigaction(SIGINT, &sa, nullptr) != 0) {
-    return InternalError(std::string("sigaction: ") + std::strerror(errno));
+    return ErrnoError("sigaction");
   }
   ::signal(SIGPIPE, SIG_IGN);
   return Status::Ok();
@@ -223,7 +223,7 @@ class Daemon {
     }
     listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
     if (listen_fd_ < 0) {
-      return InternalError(std::string("socket: ") + std::strerror(errno));
+      return ErrnoError("socket");
     }
     // A stale socket file from a crashed daemon would make bind fail;
     // remove it (exclusive ownership of the registry dir is assumed —
@@ -235,11 +235,10 @@ class Daemon {
                  sizeof(addr.sun_path) - 1);
     if (::bind(listen_fd_, reinterpret_cast<struct sockaddr*>(&addr),
                sizeof(addr)) != 0) {
-      return InternalError("bind(" + options_.socket_path +
-                           "): " + std::strerror(errno));
+      return ErrnoError("bind(" + options_.socket_path + ")");
     }
     if (::listen(listen_fd_, 64) != 0) {
-      return InternalError(std::string("listen: ") + std::strerror(errno));
+      return ErrnoError("listen");
     }
     return Status::Ok();
   }
@@ -263,8 +262,7 @@ class Daemon {
       trace_dir_ = options_.trace_dir.empty() ? options_.dir + "/traces"
                                               : options_.trace_dir;
       if (::mkdir(trace_dir_.c_str(), 0755) != 0 && errno != EEXIST) {
-        return InternalError("mkdir(" + trace_dir_ +
-                             "): " + std::strerror(errno));
+        return ErrnoError("mkdir(" + trace_dir_ + ")");
       }
       trace_session_ = std::make_unique<TraceSession>();
     }
@@ -280,15 +278,12 @@ class Daemon {
     if (trace_session_ == nullptr || trace_session_->size() == 0) return;
     std::string path =
         StrCat(trace_dir_, "/floq-trace-", trace_file_seq_++, ".json");
-    std::string json = trace_session_->ToJson();
-    FILE* file = std::fopen(path.c_str(), "w");
-    if (file == nullptr) {
+    if (Status written = WriteFile(path, trace_session_->ToJson());
+        !written.ok()) {
       FLOQ_LOG(Warn, "trace.rotate_failed")
           .Str("path", path)
-          .Str("error", std::strerror(errno));
+          .Str("error", written.ToString());
     } else {
-      std::fwrite(json.data(), 1, json.size(), file);
-      std::fclose(file);
       FLOQ_LOG(Info, "trace.rotated")
           .Str("path", path)
           .Num("events", int64_t(trace_session_->size()))
@@ -309,8 +304,7 @@ class Daemon {
     if (options_.http_metrics_port <= 0) return Status::Ok();
     http_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     if (http_fd_ < 0) {
-      return InternalError(std::string("socket(http): ") +
-                           std::strerror(errno));
+      return ErrnoError("socket(http)");
     }
     int one = 1;
     ::setsockopt(http_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -322,9 +316,8 @@ class Daemon {
     if (::bind(http_fd_, reinterpret_cast<struct sockaddr*>(&addr),
                sizeof(addr)) != 0 ||
         ::listen(http_fd_, 16) != 0) {
-      Status st = InternalError(
-          StrCat("bind(http 127.0.0.1:", options_.http_metrics_port,
-                 "): ", std::strerror(errno)));
+      Status st = ErrnoError(
+          StrCat("bind(http 127.0.0.1:", options_.http_metrics_port, ")"));
       ::close(http_fd_);
       http_fd_ = -1;
       return st;
@@ -500,18 +493,6 @@ class Daemon {
       // The WAL already holds every acked mutation; a failed final
       // checkpoint costs recovery time, not data.
       FLOQ_LOG(Error, "checkpoint.final_failed").Str("error", st.ToString());
-    }
-    if (!options_.metrics_out.empty()) {
-      std::string snapshot = MetricsRegistry::Get().ToJson() + "\n";
-      FILE* file = std::fopen(options_.metrics_out.c_str(), "w");
-      if (file == nullptr) {
-        FLOQ_LOG(Error, "metrics.write_failed")
-            .Str("path", options_.metrics_out)
-            .Str("error", std::strerror(errno));
-      } else {
-        std::fwrite(snapshot.data(), 1, snapshot.size(), file);
-        std::fclose(file);
-      }
     }
     FLOQ_LOG(Info, "serve.drained")
         .Num("requests", int64_t(requests_served_.load(

@@ -66,8 +66,6 @@ struct DaemonOptions {
   // Requests slower than this log a warn-level "request.slow" line with
   // the request id; <= 0 disables the slow-request log.
   int64_t slow_request_ms = 1'000;
-  // Final metrics snapshot written here on graceful drain; empty = none.
-  std::string metrics_out;
   // Sampled tracing: keep every Nth request's span tree in a long-lived
   // trace session, rolled to Chrome-trace files in `trace_dir` at
   // quiescent moments. 0 disables tracing entirely.

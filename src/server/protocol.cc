@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "util/file.h"
 #include "util/json.h"
 
 namespace floq::server {
@@ -467,14 +468,14 @@ Result<std::string> ReadFrame(int fd, FrameDecoder& decoder,
     int rc = ::poll(&pfd, 1, PollTimeoutMs(deadline));
     if (rc < 0) {
       if (errno == EINTR) continue;
-      return InternalError(std::string("poll: ") + std::strerror(errno));
+      return ErrnoError("poll");
     }
     if (rc == 0) continue;  // slice elapsed; re-check the deadline
     char buf[4096];
     ssize_t n = ::read(fd, buf, sizeof(buf));
     if (n < 0) {
       if (errno == EINTR || errno == EAGAIN) continue;
-      return InternalError(std::string("read: ") + std::strerror(errno));
+      return ErrnoError("read");
     }
     if (n == 0) {
       if (decoder.pending_bytes() > 0 || got_bytes_this_call) {
@@ -498,13 +499,13 @@ Status WriteFrame(int fd, std::string_view payload, Deadline deadline) {
     int rc = ::poll(&pfd, 1, PollTimeoutMs(deadline));
     if (rc < 0) {
       if (errno == EINTR) continue;
-      return InternalError(std::string("poll: ") + std::strerror(errno));
+      return ErrnoError("poll");
     }
     if (rc == 0) continue;
     ssize_t n = ::write(fd, frame.data() + off, frame.size() - off);
     if (n < 0) {
       if (errno == EINTR || errno == EAGAIN) continue;
-      return InternalError(std::string("write: ") + std::strerror(errno));
+      return ErrnoError("write");
     }
     off += size_t(n);
   }

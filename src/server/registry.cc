@@ -1,33 +1,20 @@
 #include "server/registry.h"
 
-#include <errno.h>
-#include <fcntl.h>
-#include <stdio.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
-#include <cstring>
+#include <limits>
 #include <utility>
 
 #include "flogic/parser.h"
 #include "server/protocol.h"
-#include "util/crc32.h"
 #include "util/fault.h"
+#include "util/file.h"
 #include "util/log.h"
 #include "util/metrics.h"
 
 namespace floq::server {
 
 namespace {
-
-constexpr char kCheckpointMagic[8] = {'F', 'L', 'O', 'Q',
-                                      'R', 'E', 'G', '1'};
-
-Status Errno(const char* op) {
-  return InternalError(std::string(op) + ": " + std::strerror(errno));
-}
 
 Status ValidateName(const std::string& name) {
   if (name.empty() || name.size() > 256) {
@@ -42,23 +29,22 @@ Status ValidateName(const std::string& name) {
   return Status::Ok();
 }
 
-Status SyncParentDir(const std::string& path) {
-  size_t slash = path.rfind('/');
-  std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
-  if (dir.empty()) dir = "/";
-  int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dfd < 0) return Errno("open(dir)");
-  int rc = ::fsync(dfd);
-  int saved = errno;
-  ::close(dfd);
-  if (rc != 0) {
-    errno = saved;
-    return Errno("fsync(dir)");
-  }
-  return Status::Ok();
-}
-
 }  // namespace
+
+Result<std::string_view> DecodeCheckpoint(std::string_view bytes) {
+  const std::string_view magic(kCheckpointMagic, sizeof(kCheckpointMagic));
+  if (!bytes.starts_with(magic)) {
+    return InvalidArgumentError("registry checkpoint corrupt (header)");
+  }
+  bytes.remove_prefix(magic.size());
+  std::optional<std::string_view> payload =
+      DecodeRecord(bytes, std::numeric_limits<uint32_t>::max());
+  if (!payload.has_value() ||
+      kRecordFrameBytes + payload->size() != bytes.size()) {
+    return InvalidArgumentError("registry checkpoint corrupt (record)");
+  }
+  return *payload;
+}
 
 QueryRegistry::QueryRegistry(RegistryOptions options)
     : options_(std::move(options)),
@@ -110,56 +96,19 @@ Status QueryRegistry::LoadCheckpoint(std::vector<RegistryEntryView>* entries,
                                      uint64_t* epoch, bool* found) {
   *found = false;
   *epoch = 0;
-  int fd = ::open(checkpoint_path_.c_str(), O_RDONLY);
-  if (fd < 0) {
-    if (errno == ENOENT) return Status::Ok();
-    return Errno("open(checkpoint)");
+  Result<std::string> bytes = ReadFile(checkpoint_path_);
+  if (!bytes.ok()) {
+    return bytes.status().code() == StatusCode::kNotFound ? Status::Ok()
+                                                          : bytes.status();
   }
-  struct stat sb;
-  if (::fstat(fd, &sb) != 0) {
-    Status st = Errno("fstat(checkpoint)");
-    ::close(fd);
-    return st;
-  }
-  std::string bytes(size_t(sb.st_size), '\0');
-  size_t off = 0;
-  while (off < bytes.size()) {
-    ssize_t n = ::pread(fd, bytes.data() + off, bytes.size() - off,
-                        off_t(off));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      Status st = Errno("pread(checkpoint)");
-      ::close(fd);
-      return st;
-    }
-    if (n == 0) break;
-    off += size_t(n);
-  }
-  ::close(fd);
-  bytes.resize(off);
-
   // The checkpoint only becomes live via rename, so a torn or corrupt
   // live checkpoint is real corruption, never an interrupted write.
-  if (bytes.size() < sizeof(kCheckpointMagic) + 8 ||
-      std::memcmp(bytes.data(), kCheckpointMagic,
-                  sizeof(kCheckpointMagic)) != 0) {
-    return InvalidArgumentError("registry checkpoint corrupt (header): " +
+  Result<std::string_view> payload = DecodeCheckpoint(*bytes);
+  if (!payload.ok()) {
+    return InvalidArgumentError(payload.status().message() + ": " +
                                 checkpoint_path_);
   }
-  uint32_t len = 0;
-  uint32_t crc = 0;
-  std::memcpy(&len, bytes.data() + 8, 4);
-  std::memcpy(&crc, bytes.data() + 12, 4);
-  if (bytes.size() != 16 + size_t(len)) {
-    return InvalidArgumentError("registry checkpoint corrupt (size): " +
-                                checkpoint_path_);
-  }
-  std::string_view payload(bytes.data() + 16, len);
-  if (Crc32(payload) != crc) {
-    return InvalidArgumentError("registry checkpoint corrupt (CRC): " +
-                                checkpoint_path_);
-  }
-  Result<Json> doc = ParseJson(payload);
+  Result<Json> doc = ParseJson(*payload);
   if (!doc.ok()) {
     return InvalidArgumentError("registry checkpoint corrupt (JSON): " +
                                 doc.status().message());
@@ -385,54 +334,13 @@ Status QueryRegistry::CheckpointLocked() {
   }
   doc.Set("epoch", Json::Number(double(epoch_)));
   doc.Set("entries", std::move(entries));
-  std::string payload = doc.Serialize();
-
-  uint32_t len = uint32_t(payload.size());
-  uint32_t crc = Crc32(payload);
   std::string bytes(kCheckpointMagic, sizeof(kCheckpointMagic));
-  bytes.append(reinterpret_cast<const char*>(&len), 4);
-  bytes.append(reinterpret_cast<const char*>(&crc), 4);
-  bytes.append(payload);
-
-  const std::string tmp = checkpoint_path_ + ".tmp";
-  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return Errno("open(checkpoint.tmp)");
-  if (fault::Armed("checkpoint.tmp.torn_write")) {
-    // Half a checkpoint in the tmp file, then death: the live checkpoint
-    // and WAL are untouched, so recovery must not even notice.
-    (void)!::write(fd, bytes.data(), bytes.size() / 2);
-    (void)::fsync(fd);
-    _exit(fault::kCrashExitCode);
-  }
-  size_t off = 0;
-  while (off < bytes.size()) {
-    ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      Status st = Errno("write(checkpoint.tmp)");
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return st;
-    }
-    off += size_t(n);
-  }
-  if (::fsync(fd) != 0) {
-    Status st = Errno("fsync(checkpoint.tmp)");
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return st;
-  }
-  ::close(fd);
-
-  fault::MaybeCrash("checkpoint.before_rename");
-  if (::rename(tmp.c_str(), checkpoint_path_.c_str()) != 0) {
-    Status st = Errno("rename(checkpoint)");
-    ::unlink(tmp.c_str());
-    return st;
-  }
-  // Make the rename itself durable before truncating the WAL — reversing
-  // the order could lose the registry to a crash between the two.
-  FLOQ_RETURN_IF_ERROR(SyncParentDir(checkpoint_path_));
+  AppendRecord(doc.Serialize(), &bytes);
+  // The rename is durable before the WAL is truncated — reversing the
+  // order could lose the registry to a crash between the two.
+  FLOQ_RETURN_IF_ERROR(ReplaceFile(
+      checkpoint_path_, bytes,
+      {"checkpoint.tmp.torn_write", "checkpoint.before_rename"}));
   fault::MaybeCrash("checkpoint.after_rename");
   FLOQ_RETURN_IF_ERROR(wal_.Reset());
   dirty_ = 0;

@@ -22,11 +22,12 @@
 // State = a World + ContainmentIndex (the in-memory containment lattice)
 // plus two files under the registry directory:
 //
-//   registry.floqreg   checkpoint: magic "FLOQREG1" + one CRC-framed JSON
-//                      record {"entries":[{"name":..,"query":..},...]}
-//                      in registration order, written tmp + fsync +
-//                      rename + fsync(parent) (the FLOQSNAP discipline,
-//                      hardened per DESIGN.md §16)
+//   registry.floqreg   checkpoint: magic "FLOQREG1" + exactly one WAL
+//                      record (wal.h) holding the JSON
+//                      {"epoch":..,"entries":[{"name":..,"query":..},...]}
+//                      in registration order — a one-record log under
+//                      its own magic — replaced durably by ReplaceFile
+//                      (util/file.h), the same path FLOQSNAP writes take
 //   registry.wal       append-only CRC-framed log of mutations since the
 //                      checkpoint (see wal.h)
 //
@@ -51,6 +52,14 @@
 // epoch is released after `mu_` is.
 
 namespace floq::server {
+
+inline constexpr char kCheckpointMagic[8] = {'F', 'L', 'O', 'Q',
+                                             'R', 'E', 'G', '1'};
+
+// The payload of a checkpoint file: fails with InvalidArgument unless
+// `bytes` are exactly kCheckpointMagic followed by one whole record. A
+// checkpoint has no length cap. A function of the bytes alone.
+Result<std::string_view> DecodeCheckpoint(std::string_view bytes);
 
 struct RegistryOptions {
   std::string dir;

@@ -1,8 +1,6 @@
 #include "server/wal.h"
 
-#include <errno.h>
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -10,48 +8,63 @@
 
 #include "util/crc32.h"
 #include "util/fault.h"
+#include "util/file.h"
 #include "util/metrics.h"
 
 namespace floq::server {
 
-namespace {
-
-Status Errno(const char* op) {
-  return InternalError(std::string(op) + ": " + std::strerror(errno));
+void AppendRecord(std::string_view payload, std::string* out) {
+  const uint32_t len = uint32_t(payload.size());
+  const uint32_t crc = Crc32(payload);
+  out->append(reinterpret_cast<const char*>(&len), 4);
+  out->append(reinterpret_cast<const char*>(&crc), 4);
+  out->append(payload);
 }
 
-Status WriteAll(int fd, const char* data, size_t size) {
-  size_t off = 0;
-  while (off < size) {
-    ssize_t n = ::write(fd, data + off, size - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Errno("write");
+std::optional<std::string_view> DecodeRecord(std::string_view bytes,
+                                             uint32_t max_payload) {
+  if (bytes.size() < kRecordFrameBytes) return std::nullopt;
+  uint32_t len = 0;
+  uint32_t crc = 0;
+  std::memcpy(&len, bytes.data(), 4);
+  std::memcpy(&crc, bytes.data() + 4, 4);
+  if (len > max_payload || bytes.size() - kRecordFrameBytes < len) {
+    return std::nullopt;
+  }
+  std::string_view payload = bytes.substr(kRecordFrameBytes, len);
+  if (Crc32(payload) != crc) return std::nullopt;
+  return payload;
+}
+
+Result<WalScan> ScanWal(std::string_view bytes) {
+  const std::string_view magic(kWalMagic, sizeof(kWalMagic));
+  WalScan scan;
+  // Creation died before the header's fsync: nothing was ever acked.
+  if (bytes.size() < magic.size() && magic.starts_with(bytes)) return scan;
+  if (!bytes.starts_with(magic)) {
+    return InvalidArgumentError("WAL header missing or corrupt");
+  }
+  // One pass: a record at the end of the valid prefix extends it; a record
+  // anywhere past a bad byte means the bad record was not the final one,
+  // so tail repair would drop acked records.
+  size_t valid = magic.size();
+  for (size_t at = valid; at + kRecordFrameBytes <= bytes.size();) {
+    std::optional<std::string_view> payload =
+        DecodeRecord(bytes.substr(at), kMaxWalRecordBytes);
+    if (!payload.has_value()) {
+      ++at;
+      continue;
     }
-    off += size_t(n);
+    if (at != valid) {
+      return InvalidArgumentError(
+          "WAL corrupt mid-log (valid record follows a bad one)");
+    }
+    scan.records.push_back(*payload);
+    valid = at = at + kRecordFrameBytes + payload->size();
   }
-  return Status::Ok();
+  scan.valid_bytes = valid;
+  return scan;
 }
-
-// fsync the directory containing `path` so a freshly created or renamed
-// entry survives a crash of the directory inode itself.
-Status SyncParentDir(const std::string& path) {
-  size_t slash = path.rfind('/');
-  std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
-  if (dir.empty()) dir = "/";
-  int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dfd < 0) return Errno("open(dir)");
-  int rc = ::fsync(dfd);
-  int saved = errno;
-  ::close(dfd);
-  if (rc != 0) {
-    errno = saved;
-    return Errno("fsync(dir)");
-  }
-  return Status::Ok();
-}
-
-}  // namespace
 
 Wal::~Wal() { Close(); }
 
@@ -64,117 +77,52 @@ void Wal::Close() {
 
 Status Wal::Open(const std::string& path, WalReplay* replay) {
   Close();
-  replay->records.clear();
-  replay->valid_bytes = 0;
-  replay->truncated_tail = false;
-
-  bool existed = ::access(path.c_str(), F_OK) == 0;
-  int fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
-  if (fd < 0) return Errno("open(wal)");
-  fd_ = fd;
+  *replay = WalReplay();
+  fd_ = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
+  if (fd_ < 0) return ErrnoError("open(" + path + ")");
   path_ = path;
+  Status replayed = Replay(replay);
+  if (!replayed.ok()) Close();
+  return replayed;
+}
 
-  if (!existed) {
-    Status st = WriteAll(fd_, kWalMagic, sizeof(kWalMagic));
-    if (st.ok() && ::fsync(fd_) != 0) st = Errno("fsync(wal)");
-    if (st.ok()) st = SyncParentDir(path_);
-    if (!st.ok()) {
-      Close();
-      return st;
-    }
+Status Wal::Replay(WalReplay* replay) {
+  if (fault::Armed("wal.replay.io_error")) {
+    return InternalError("injected: wal.replay.io_error");
+  }
+  // Read the whole log (registration logs are small; checkpoints keep
+  // them so). The offset ends at the end of the file.
+  Result<std::string> bytes = ReadAll(fd_, path_);
+  if (!bytes.ok()) return bytes.status();
+  Result<WalScan> scan = ScanWal(*bytes);
+  if (!scan.ok()) {
+    return InvalidArgumentError(scan.status().message() + ": " + path_);
+  }
+  replay->records.assign(scan->records.begin(), scan->records.end());
+  replay->truncated_tail = scan->valid_bytes < bytes->size();
+  replay->valid_bytes = scan->valid_bytes;
+  if (scan->valid_bytes == 0) {
+    // A new log, or a header torn before its fsync: write it whole.
     replay->valid_bytes = sizeof(kWalMagic);
-    return Status::Ok();
+    if (::lseek(fd_, 0, SEEK_SET) < 0) {
+      return ErrnoError("lseek(" + path_ + ")");
+    }
+    FLOQ_RETURN_IF_ERROR(WriteAll(
+        fd_, std::string_view(kWalMagic, sizeof(kWalMagic)), path_));
+    if (::fsync(fd_) != 0) return ErrnoError("fsync(" + path_ + ")");
+    return SyncParentDir(path_);
   }
+  if (replay->truncated_tail) return TruncateTo(scan->valid_bytes);
+  return Status::Ok();
+}
 
-  // Replay. Read the whole log (registration logs are small; checkpoints
-  // keep them so).
-  struct stat sb;
-  if (::fstat(fd_, &sb) != 0) {
-    Status st = Errno("fstat(wal)");
-    Close();
-    return st;
+Status Wal::TruncateTo(uint64_t size) {
+  if (::ftruncate(fd_, off_t(size)) != 0) {
+    return ErrnoError("ftruncate(" + path_ + ")");
   }
-  std::string bytes(size_t(sb.st_size), '\0');
-  size_t off = 0;
-  while (off < bytes.size()) {
-    if (fault::Armed("wal.replay.io_error")) {
-      Close();
-      return InternalError("injected: wal.replay.io_error");
-    }
-    ssize_t n = ::pread(fd_, bytes.data() + off, bytes.size() - off,
-                        off_t(off));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      Status st = Errno("pread(wal)");
-      Close();
-      return st;
-    }
-    if (n == 0) break;
-    off += size_t(n);
-  }
-  bytes.resize(off);
-
-  if (bytes.size() < sizeof(kWalMagic) ||
-      std::memcmp(bytes.data(), kWalMagic, sizeof(kWalMagic)) != 0) {
-    Close();
-    return InvalidArgumentError("WAL header missing or corrupt: " + path);
-  }
-
-  uint64_t pos = sizeof(kWalMagic);
-  while (pos < bytes.size()) {
-    if (bytes.size() - pos < 8) break;  // torn header
-    uint32_t len = 0;
-    uint32_t crc = 0;
-    std::memcpy(&len, bytes.data() + pos, 4);
-    std::memcpy(&crc, bytes.data() + pos + 4, 4);
-    if (len > kMaxWalRecordBytes) {
-      // A garbage length is indistinguishable from a torn header write;
-      // treat it as the tail only if nothing follows that parses.
-      break;
-    }
-    if (bytes.size() - pos - 8 < len) break;  // torn payload
-    std::string_view payload(bytes.data() + pos + 8, len);
-    if (Crc32(payload) != crc) break;  // torn or corrupt record
-    replay->records.emplace_back(payload);
-    pos += 8 + len;
-  }
-
-  if (pos < bytes.size()) {
-    // Tail repair is only sound for the *final* record: any valid record
-    // after the mismatch would mean mid-log corruption. Scan forward for
-    // a parseable record; finding one fails recovery.
-    uint64_t probe = pos + 1;
-    while (probe + 8 <= bytes.size()) {
-      uint32_t len = 0;
-      uint32_t crc = 0;
-      std::memcpy(&len, bytes.data() + probe, 4);
-      std::memcpy(&crc, bytes.data() + probe + 4, 4);
-      if (len <= kMaxWalRecordBytes && bytes.size() - probe - 8 >= len &&
-          Crc32(std::string_view(bytes.data() + probe + 8, len)) == crc) {
-        Close();
-        return InvalidArgumentError(
-            "WAL corrupt mid-log (valid record follows a bad one): " + path);
-      }
-      ++probe;
-    }
-    if (::ftruncate(fd_, off_t(pos)) != 0) {
-      Status st = Errno("ftruncate(wal)");
-      Close();
-      return st;
-    }
-    if (::fsync(fd_) != 0) {
-      Status st = Errno("fsync(wal)");
-      Close();
-      return st;
-    }
-    replay->truncated_tail = true;
-  }
-  replay->valid_bytes = pos;
-
-  if (::lseek(fd_, off_t(pos), SEEK_SET) < 0) {
-    Status st = Errno("lseek(wal)");
-    Close();
-    return st;
+  if (::fsync(fd_) != 0) return ErrnoError("fsync(" + path_ + ")");
+  if (::lseek(fd_, off_t(size), SEEK_SET) < 0) {
+    return ErrnoError("lseek(" + path_ + ")");
   }
   return Status::Ok();
 }
@@ -190,75 +138,55 @@ Status Wal::Append(std::string_view payload) {
     return InternalError("injected: wal.append.io_error");
   }
 
-  uint32_t len = uint32_t(payload.size());
-  uint32_t crc = Crc32(payload);
-  std::string record(8, '\0');
-  std::memcpy(record.data(), &len, 4);
-  std::memcpy(record.data() + 4, &crc, 4);
-  record.append(payload);
+  std::string record;
+  AppendRecord(payload, &record);
 
   if (fault::Armed("wal.append.torn_write")) {
     // Persist half the record — header plus a payload prefix — and die.
     // Recovery must truncate this tail and match a run where the append
     // never happened (it was never acked).
-    size_t half = record.size() / 2;
-    (void)WriteAll(fd_, record.data(), half);
+    (void)WriteAll(fd_, std::string_view(record).substr(0, record.size() / 2),
+                   path_);
     (void)::fsync(fd_);
     _exit(fault::kCrashExitCode);
   }
 
-  Status st = WriteAll(fd_, record.data(), record.size());
+  Status st = WriteAll(fd_, record, path_);
   if (!st.ok()) {
     Close();
     return st;
   }
   fault::MaybeCrash("wal.append.before_fsync");
-  if (MetricsRegistry::enabled()) {
-    auto t0 = std::chrono::steady_clock::now();
-    int rc = ::fsync(fd_);
-    auto t1 = std::chrono::steady_clock::now();
+  const bool metered = MetricsRegistry::enabled();
+  const auto fsync_start = metered ? std::chrono::steady_clock::now()
+                                   : std::chrono::steady_clock::time_point();
+  if (::fsync(fd_) != 0) {
+    st = ErrnoError("fsync(" + path_ + ")");
+    Close();
+    return st;
+  }
+  if (metered) {
     static Histogram& fsync_us =
         MetricsRegistry::Get().histogram("serve.wal.fsync_us");
-    fsync_us.Record(uint64_t(
-        std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0)
-            .count()));
-    if (rc != 0) {
-      st = Errno("fsync(wal)");
-      Close();
-      return st;
-    }
     static Counter& bytes =
         MetricsRegistry::Get().counter("serve.wal.append.bytes");
     static Counter& records =
         MetricsRegistry::Get().counter("serve.wal.append.records");
+    fsync_us.Record(uint64_t(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - fsync_start)
+            .count()));
     bytes.Add(record.size());
     records.Add(1);
-  } else if (::fsync(fd_) != 0) {
-    st = Errno("fsync(wal)");
-    Close();
-    return st;
   }
   return Status::Ok();
 }
 
 Status Wal::Reset() {
   if (fd_ < 0) return FailedPreconditionError("WAL not open");
-  if (::ftruncate(fd_, off_t(sizeof(kWalMagic))) != 0) {
-    Status st = Errno("ftruncate(wal)");
-    Close();
-    return st;
-  }
-  if (::fsync(fd_) != 0) {
-    Status st = Errno("fsync(wal)");
-    Close();
-    return st;
-  }
-  if (::lseek(fd_, off_t(sizeof(kWalMagic)), SEEK_SET) < 0) {
-    Status st = Errno("lseek(wal)");
-    Close();
-    return st;
-  }
-  return Status::Ok();
+  Status reset = TruncateTo(sizeof(kWalMagic));
+  if (!reset.ok()) Close();
+  return reset;
 }
 
 }  // namespace floq::server

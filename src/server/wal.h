@@ -1,7 +1,9 @@
 #ifndef FLOQ_SERVER_WAL_H_
 #define FLOQ_SERVER_WAL_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -15,14 +17,17 @@
 //   header  := "FLOQWAL1" (8 bytes)
 //   record  := u32-LE payload-length, u32-LE CRC-32(payload), payload
 //
-// Records are appended with write(2) + fsync(2) before the registry
-// acknowledges the mutation, so an acked register/unregister survives
-// kill -9 at any later instant. Recovery replays records in order and
-// repairs a torn tail: a final record whose bytes are incomplete or
-// whose CRC mismatches is truncated away (it was never acked — the
-// crash interrupted the append before the fsync ack fence), while a
-// CRC mismatch *followed by* more valid bytes is real corruption and
-// fails recovery loudly.
+// The record frame is shared with the registry checkpoint, which is a
+// one-record log under its own magic (registry.h). Records are appended
+// with write(2) + fsync(2) before the registry acknowledges the mutation,
+// so an acked register/unregister survives kill -9 at any later instant.
+// Recovery replays records in order and repairs a torn tail: a final
+// record whose bytes are incomplete or whose CRC mismatches is truncated
+// away (it was never acked — the crash interrupted the append before the
+// fsync ack fence), while a CRC mismatch *followed by* more valid bytes
+// is real corruption and fails recovery loudly. A file shorter than the
+// header whose bytes are a prefix of it is a creation that died before
+// its fsync: it opens as an empty log.
 //
 // Fault points (util/fault.h) are threaded through Append so the
 // crash-recovery suite can kill the process before the write, between a
@@ -33,6 +38,30 @@ namespace floq::server {
 
 inline constexpr char kWalMagic[8] = {'F', 'L', 'O', 'Q', 'W', 'A', 'L', '1'};
 inline constexpr uint32_t kMaxWalRecordBytes = 1u << 20;
+// Bytes of a record's frame: its length and its CRC-32.
+inline constexpr size_t kRecordFrameBytes = 8;
+
+// Appends `payload`, framed as one record, to `out`.
+void AppendRecord(std::string_view payload, std::string* out);
+
+// The payload of the record at the start of `bytes`, or nullopt unless its
+// length is at most `max_payload`, that many bytes follow the frame and
+// their CRC-32 matches.
+std::optional<std::string_view> DecodeRecord(std::string_view bytes,
+                                             uint32_t max_payload);
+
+// What the bytes of a WAL file hold; a function of the bytes alone.
+struct WalScan {
+  // Payloads of the valid prefix, in order, viewing the scanned bytes.
+  std::vector<std::string_view> records;
+  // Offset just past the last valid record: anything beyond is a torn
+  // tail. 0 when the header itself is torn or absent (the log is empty).
+  uint64_t valid_bytes = 0;
+};
+
+// Scans a whole WAL file. Fails with InvalidArgument on a wrong header or
+// on a valid record anywhere after an invalid one (mid-log corruption).
+Result<WalScan> ScanWal(std::string_view bytes);
 
 struct WalReplay {
   std::vector<std::string> records;
@@ -66,6 +95,11 @@ class Wal {
   bool open() const { return fd_ >= 0; }
 
  private:
+  // Reads, scans and repairs the freshly opened log.
+  Status Replay(WalReplay* replay);
+  // Cuts the log to `size` bytes, fsyncs, and moves the offset there.
+  Status TruncateTo(uint64_t size);
+
   int fd_ = -1;
   std::string path_;
 };

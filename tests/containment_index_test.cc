@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "containment/classifier.h"
+#include "containment/containment.h"
 #include "containment/engine.h"
 #include "containment/signature.h"
 #include "gen/generators.h"
@@ -341,6 +342,34 @@ TEST(ContainmentIndexTest, CrossArityPairsAreIncomparable) {
   EXPECT_FALSE(index.Contains(0, 1));
   EXPECT_FALSE(index.Contains(1, 0));
   EXPECT_TRUE(index.Contains(0, 0));  // reflexive diagonal
+}
+
+// The index keeps each query's chase across inserts: a deep pair that
+// exhausts the 2-cycle's atom budget must not turn a later, shallower
+// negative with the cycle on the left into UNKNOWN (engine_test's
+// RowBudgetTest has the same row inside one batch).
+TEST(ContainmentIndexTest, DeepPairBudgetTripDoesNotLeakIntoLaterInserts) {
+  World world;
+  const ConjunctiveQuery cycle = gen::MakeMandatoryCycleQuery(world, 2, "q");
+  const ConjunctiveQuery shallow = Q(world, "s() :- type(X, q_a2, X).");
+  ContainmentOptions one_shot;
+  one_shot.max_chase_atoms = 60;
+  Result<ContainmentResult> alone =
+      CheckContainment(world, cycle, shallow, one_shot);
+  ASSERT_TRUE(alone.ok()) << alone.status().ToString();
+  ASSERT_EQ(alone->resolution, Resolution::kNotContained);
+
+  BatchContainmentOptions options;
+  options.jobs = 1;
+  options.containment.max_chase_atoms = 60;
+  ContainmentIndex index(world, options);
+  Result<size_t> cycle_id = index.Insert(cycle);
+  Result<size_t> deep_id = index.Insert(gen::MakeDataChainProbe(world, 6));
+  Result<size_t> shallow_id = index.Insert(shallow);
+  ASSERT_TRUE(cycle_id.ok() && deep_id.ok() && shallow_id.ok());
+  EXPECT_EQ(index.ResolutionOf(*cycle_id, *deep_id), Resolution::kUnknown);
+  EXPECT_EQ(index.ResolutionOf(*cycle_id, *shallow_id),
+            Resolution::kNotContained);
 }
 
 // Removing queries leaves exactly the relation a fresh batch computes

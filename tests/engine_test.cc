@@ -1350,6 +1350,107 @@ TEST(GovernedEngineTest, SignatureStageDeadlineDegradesToUnknown) {
   EXPECT_EQ(engine.stats().timed_out_pairs, 1u);
 }
 
+// ---- a deeper pair's atom-budget trip stays with that pair ------------------
+
+// One row, a 2-cycle's, at 60 chase atoms: (cycle, shallow) needs level 8,
+// which fits the budget, and (cycle, deep) needs level 48, which does not.
+// The row's chase keeps its complete level-8 prefix after the deep pair's
+// deepening runs out of atoms, so the shallow pair is a definite
+// NOT_CONTAINED in either order, as a one-shot CheckContainment says.
+constexpr uint64_t kRowAtomBudget = 60;
+constexpr const char* kShallowCycleProbe = "s() :- type(X, q_a2, X).";
+
+void ExpectShallowPairStaysDefinite(bool signature_index, bool deep_first) {
+  World world;
+  const ConjunctiveQuery cycle = gen::MakeMandatoryCycleQuery(world, 2, "q");
+  const ConjunctiveQuery shallow = Q(world, kShallowCycleProbe);
+  const ConjunctiveQuery deep = gen::MakeDataChainProbe(world, 6);
+  ContainmentOptions one_shot;
+  one_shot.max_chase_atoms = kRowAtomBudget;
+  Result<ContainmentResult> alone =
+      CheckContainment(world, cycle, shallow, one_shot);
+  ASSERT_TRUE(alone.ok()) << alone.status().ToString();
+  ASSERT_EQ(alone->resolution, Resolution::kNotContained);
+
+  BatchContainmentOptions options;
+  options.jobs = 1;
+  options.containment.max_chase_atoms = kRowAtomBudget;
+  options.containment.use_signature_index = signature_index;
+  ContainmentEngine engine(world, options);
+  Result<size_t> cycle_id = engine.AddQuery(cycle);
+  Result<size_t> shallow_id = engine.AddQuery(shallow);
+  Result<size_t> deep_id = engine.AddQuery(deep);
+  ASSERT_TRUE(cycle_id.ok() && shallow_id.ok() && deep_id.ok());
+  std::vector<std::pair<size_t, size_t>> pairs = {{*cycle_id, *shallow_id},
+                                                  {*cycle_id, *deep_id}};
+  if (deep_first) std::swap(pairs[0], pairs[1]);
+  Result<std::vector<PairVerdict>> verdicts = engine.CheckPairs(pairs);
+  ASSERT_TRUE(verdicts.ok()) << verdicts.status().ToString();
+  const PairVerdict& to_shallow = (*verdicts)[deep_first ? 1 : 0];
+  const PairVerdict& to_deep = (*verdicts)[deep_first ? 0 : 1];
+
+  EXPECT_EQ(to_deep.level_bound, 48);
+  EXPECT_EQ(to_deep.resolution, Resolution::kUnknown);
+  EXPECT_EQ(to_deep.unknown_reason, TripReason::kChaseAtomBudget);
+  EXPECT_EQ(to_shallow.level_bound, 8);
+  EXPECT_EQ(to_shallow.resolution, Resolution::kNotContained)
+      << "unknown_reason " << TripReasonName(to_shallow.unknown_reason);
+}
+
+TEST(RowBudgetTest, ShallowPairBeforeDeepPairIsDefinite) {
+  ExpectShallowPairStaysDefinite(/*signature_index=*/false,
+                                 /*deep_first=*/false);
+  ExpectShallowPairStaysDefinite(/*signature_index=*/true,
+                                 /*deep_first=*/false);
+}
+
+TEST(RowBudgetTest, ShallowPairAfterDeepPairIsDefinite) {
+  ExpectShallowPairStaysDefinite(/*signature_index=*/false,
+                                 /*deep_first=*/true);
+  ExpectShallowPairStaysDefinite(/*signature_index=*/true,
+                                 /*deep_first=*/true);
+}
+
+// The handle itself: a deepening that runs out of atoms keeps the level
+// its last capped run completed.
+TEST(ResumableChaseTest, CompleteLevelSurvivesABudgetTrip) {
+  World world;
+  DependencySet sigma = MakeSigmaFLDependencies(world);
+  ChaseOptions options;
+  options.max_atoms = kRowAtomBudget;
+  ResumableChase resumable(
+      world, gen::MakeMandatoryCycleQuery(world, 2, "q"), sigma, options);
+  resumable.EnsureLevel(8);
+  ASSERT_EQ(resumable.result().outcome(), ChaseOutcome::kLevelCapped);
+  EXPECT_EQ(resumable.complete_level(), 8);
+  resumable.EnsureLevel(48);
+  ASSERT_EQ(resumable.result().outcome(), ChaseOutcome::kBudgetExceeded);
+  EXPECT_EQ(resumable.complete_level(), 8);
+}
+
+// A handle whose first run ran out of atoms chases a shallower level
+// again from scratch, and keeps that chase when it completes the level.
+TEST(ResumableChaseTest, ShallowerLevelAfterABudgetTripIsChasedAgain) {
+  World world;
+  DependencySet sigma = MakeSigmaFLDependencies(world);
+  ChaseOptions options;
+  options.max_atoms = kRowAtomBudget;
+  ResumableChase resumable(
+      world, gen::MakeMandatoryCycleQuery(world, 2, "q"), sigma, options);
+  resumable.EnsureLevel(48);
+  ASSERT_EQ(resumable.result().outcome(), ChaseOutcome::kBudgetExceeded);
+  EXPECT_EQ(resumable.complete_level(), -1);
+  resumable.EnsureLevel(8);
+  EXPECT_EQ(resumable.result().outcome(), ChaseOutcome::kLevelCapped);
+  EXPECT_EQ(resumable.complete_level(), 8);
+  EXPECT_EQ(resumable.deepen_count(), 0u);
+  // Past the cap of the run that ran out, a fresh chase would run out too.
+  resumable.EnsureLevel(48);
+  resumable.EnsureLevel(60);
+  EXPECT_EQ(resumable.result().outcome(), ChaseOutcome::kBudgetExceeded);
+  EXPECT_EQ(resumable.complete_level(), 8);
+}
+
 // ---- a chase stopped while it seeds q1's body ------------------------------
 
 // With max_chase_atoms = 1 the chase of q1 stops while it inserts q1's two

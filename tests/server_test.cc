@@ -41,6 +41,7 @@
 #include "util/crc32.h"
 #include "util/deadline.h"
 #include "util/fault.h"
+#include "util/file.h"
 #include "util/rng.h"
 
 namespace floq::server {
@@ -113,14 +114,20 @@ struct DaemonProc {
 
 // fork + execv(/proc/self/exe --daemon-child ...): a real process whose
 // fault-point _exit(42) is indistinguishable from kill -9 for the files
-// on disk. `fault` arms FLOQ_FAULT in the child only.
+// on disk. `fault` arms FLOQ_FAULT in the child only; a non-empty
+// `stderr_path` receives the child's stderr.
 DaemonProc SpawnDaemon(const std::string& dir, const std::string& fault = "",
-                       std::vector<std::string> extra = {}) {
+                       std::vector<std::string> extra = {},
+                       const std::string& stderr_path = "") {
   DaemonProc daemon;
   daemon.dir = dir;
   daemon.socket_path = dir + "/floq.sock";
   pid_t pid = fork();
   if (pid == 0) {
+    if (!stderr_path.empty()) {
+      int fd = open(stderr_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+      if (fd >= 0) dup2(fd, STDERR_FILENO);
+    }
     if (fault.empty()) {
       unsetenv("FLOQ_FAULT");
     } else {
@@ -387,6 +394,61 @@ TEST(WalTest, MidLogCorruptionFailsLoudly) {
   Wal wal;
   WalReplay replay;
   EXPECT_FALSE(wal.Open(path, &replay).ok());
+}
+
+// A kill -9 between the creating open(O_CREAT) and the header's fsync
+// leaves a file shorter than the header that holds a prefix of it. No
+// record can be acked before that fsync, so the file opens as an empty
+// log with its header written whole.
+void ExpectTornHeaderOpensAsAnEmptyLog(size_t torn) {
+  const std::string magic(kWalMagic, sizeof(kWalMagic));
+  std::string dir = MakeTempDir();
+  std::string path = dir + "/test.wal";
+  ASSERT_TRUE(WriteFile(path, magic.substr(0, torn)).ok());
+  {
+    Wal wal;
+    WalReplay replay;
+    Status opened = wal.Open(path, &replay);
+    ASSERT_TRUE(opened.ok()) << opened.ToString();
+    EXPECT_TRUE(replay.records.empty());
+    EXPECT_EQ(replay.valid_bytes, sizeof(kWalMagic));
+    EXPECT_EQ(replay.truncated_tail, torn > 0);
+    EXPECT_EQ(ReadFile(path).value(), magic);
+    ASSERT_TRUE(wal.Append("after-repair").ok());
+  }
+  Wal wal;
+  WalReplay replay;
+  ASSERT_TRUE(wal.Open(path, &replay).ok());
+  ASSERT_EQ(replay.records.size(), 1u);
+  EXPECT_EQ(replay.records[0], "after-repair");
+}
+
+TEST(WalTest, EmptyFileOpensAsAnEmptyLog) {
+  ExpectTornHeaderOpensAsAnEmptyLog(0);
+}
+
+TEST(WalTest, ThreeByteTornHeaderOpensAsAnEmptyLog) {
+  ExpectTornHeaderOpensAsAnEmptyLog(3);
+}
+
+TEST(WalTest, SevenByteTornHeaderOpensAsAnEmptyLog) {
+  ExpectTornHeaderOpensAsAnEmptyLog(7);
+}
+
+// Only a prefix of the magic is a torn header: any other short file, and
+// a file of eight or more bytes with the wrong magic, is not a WAL.
+TEST(WalTest, WrongMagicFailsAndIsLeftAlone) {
+  for (const std::string bytes : {"FLOQWAL2", "XYZ"}) {
+    std::string dir = MakeTempDir();
+    std::string path = dir + "/test.wal";
+    ASSERT_TRUE(WriteFile(path, bytes).ok());
+    Wal wal;
+    WalReplay replay;
+    Status opened = wal.Open(path, &replay);
+    EXPECT_EQ(opened.code(), StatusCode::kInvalidArgument)
+        << bytes << ": " << opened.ToString();
+    EXPECT_EQ(ReadFile(path).value(), bytes);
+  }
 }
 
 // --- registry unit tests --------------------------------------------------
@@ -704,6 +766,58 @@ TEST(RegistryTest, CheckpointWithoutEpochLoadsAsZero) {
       registry.Register("b", "q(X) :- X : person.");
   ASSERT_TRUE(next.ok());
   EXPECT_EQ(next->epoch, 1u);
+}
+
+// A checkpoint only goes live by rename, so a damaged live checkpoint is
+// corruption, not an interrupted write: Open fails with InvalidArgument
+// and leaves both files as they are.
+TEST(RegistryTest, DamagedCheckpointIsRejectedAndLeftAlone) {
+  std::string dir = MakeTempDir();
+  {
+    // Five registrations at checkpoint_every=2: a checkpoint of four
+    // entries and a WAL holding the fifth.
+    QueryRegistry registry(TestRegistryOptions(dir, /*checkpoint_every=*/2));
+    ASSERT_TRUE(registry.Open().ok());
+    for (const auto& [name, text] : Workload()) {
+      ASSERT_TRUE(registry.Register(name, text).ok()) << name;
+    }
+  }
+  const std::string checkpoint_path = dir + "/registry.floqreg";
+  const std::string wal_path = dir + "/registry.wal";
+  Result<std::string> good = ReadFile(checkpoint_path);
+  Result<std::string> wal = ReadFile(wal_path);
+  ASSERT_TRUE(good.ok() && wal.ok());
+  ASSERT_GT(wal->size(), sizeof(kWalMagic));
+
+  auto framed = [](std::string_view payload) {
+    std::string bytes(kCheckpointMagic, sizeof(kCheckpointMagic));
+    AppendRecord(payload, &bytes);
+    return bytes;
+  };
+  std::string flipped = *good;
+  flipped[flipped.size() - 2] ^= 0x01;
+  const std::vector<std::pair<std::string, std::string>> damaged = {
+      {"wrong magic", "FLOQREG2" + good->substr(sizeof(kCheckpointMagic))},
+      {"one byte short", good->substr(0, good->size() - 1)},
+      {"one trailing byte", *good + " "},
+      {"flipped payload byte", flipped},
+      {"non-JSON payload", framed("not json")},
+      {"no entries", framed(R"({"epoch": 4})")},
+  };
+  for (const auto& [what, bytes] : damaged) {
+    ASSERT_TRUE(WriteFile(checkpoint_path, bytes).ok());
+    QueryRegistry registry(TestRegistryOptions(dir));
+    Status opened = registry.Open();
+    EXPECT_EQ(opened.code(), StatusCode::kInvalidArgument)
+        << what << ": " << opened.ToString();
+    EXPECT_EQ(ReadFile(checkpoint_path).value(), bytes) << what;
+    EXPECT_EQ(ReadFile(wal_path).value(), *wal) << what;
+  }
+
+  ASSERT_TRUE(WriteFile(checkpoint_path, *good).ok());
+  QueryRegistry registry(TestRegistryOptions(dir));
+  ASSERT_TRUE(registry.Open().ok());
+  EXPECT_EQ(registry.Snapshot()->entries.size(), Workload().size());
 }
 
 TEST(RegistryTest, RejectsInvalidNames) {
@@ -1109,31 +1223,6 @@ std::string ReadFileOrEmpty(const std::string& path) {
   return content;
 }
 
-TEST(ObservabilityTest, MetricsOutWrittenOnSigtermDrain) {
-  std::string dir = MakeTempDir();
-  std::string metrics_path = dir + "/final-metrics.json";
-  DaemonProc daemon = SpawnDaemon(dir, "", {"metrics_out=" + metrics_path});
-  DaemonReaper daemon_reaper(daemon);
-  ASSERT_TRUE(WaitForDaemon(daemon));
-  ASSERT_TRUE(Request(daemon.socket_path,
-                      RegisterRequest("students", "q(X) :- X : student."))
-                  .ok());
-
-  kill(daemon.pid, SIGTERM);
-  EXPECT_EQ(WaitForExit(daemon), 0);
-
-  // The drain path wrote a final snapshot: canonical JSON with the serve
-  // counters armed by the daemon itself.
-  std::string snapshot = ReadFileOrEmpty(metrics_path);
-  ASSERT_FALSE(snapshot.empty()) << metrics_path << " missing";
-  EXPECT_NE(snapshot.find("\"counters\""), std::string::npos);
-  EXPECT_NE(snapshot.find("\"gauges\""), std::string::npos);
-  EXPECT_NE(snapshot.find("\"serve.requests\""), std::string::npos);
-  EXPECT_NE(snapshot.find("\"serve.wal.append.records\": 1"),
-            std::string::npos)
-      << snapshot;
-}
-
 TEST(ObservabilityTest, RepliesCarryRequestIdsAndClientTraceIds) {
   std::string dir = MakeTempDir();
   DaemonProc daemon = SpawnDaemon(dir);
@@ -1345,6 +1434,57 @@ TEST(FaultTest, CheckpointIoErrorKeepsWalAuthoritative) {
   EXPECT_EQ(*status->GetInt("queries"),
             static_cast<int64_t>(Workload().size()));
   EXPECT_EQ(ShutdownDaemon(recovered), 0);
+}
+
+// A read error during recovery: startup fails with the typed error and
+// changes no file, and the next clean start recovers every acked entry.
+void ExpectRecoveryReadErrorIsTyped(const std::string& point) {
+  std::string dir = MakeTempDir();
+  // checkpoint_every=2 puts four acked entries in the checkpoint and the
+  // fifth in the WAL; SIGKILL skips the drain's final checkpoint.
+  DaemonProc daemon = SpawnDaemon(dir, "", {"checkpoint_every=2"});
+  DaemonReaper daemon_reaper(daemon);
+  ASSERT_TRUE(WaitForDaemon(daemon));
+  for (const auto& [name, text] : Workload()) {
+    Result<Json> reply =
+        Request(daemon.socket_path, RegisterRequest(name, text));
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    ASSERT_TRUE(*reply->GetBool("ok")) << reply->Serialize();
+  }
+  kill(daemon.pid, SIGKILL);
+  WaitForExit(daemon);
+  Result<std::string> checkpoint = ReadFile(dir + "/registry.floqreg");
+  Result<std::string> wal = ReadFile(dir + "/registry.wal");
+  ASSERT_TRUE(checkpoint.ok() && wal.ok());
+  ASSERT_GT(wal->size(), sizeof(kWalMagic));
+
+  const std::string stderr_path = dir + "/startup.err";
+  DaemonProc failed = SpawnDaemon(dir, point, {}, stderr_path);
+  DaemonReaper failed_reaper(failed);
+  EXPECT_EQ(WaitForExit(failed), 4) << point;
+  Result<std::string> error = ReadFile(stderr_path);
+  ASSERT_TRUE(error.ok());
+  EXPECT_NE(error->find("INTERNAL: injected: " + point), std::string::npos)
+      << *error;
+  EXPECT_EQ(ReadFile(dir + "/registry.floqreg").value(), *checkpoint);
+  EXPECT_EQ(ReadFile(dir + "/registry.wal").value(), *wal);
+
+  DaemonProc recovered = SpawnDaemon(dir);
+  DaemonReaper recovered_reaper(recovered);
+  ASSERT_TRUE(WaitForDaemon(recovered)) << point;
+  Result<Json> status = Request(recovered.socket_path, MakeRequest("status"));
+  ASSERT_TRUE(status.ok());
+  EXPECT_EQ(*status->GetInt("queries"),
+            static_cast<int64_t>(Workload().size()));
+  EXPECT_EQ(ShutdownDaemon(recovered), 0);
+}
+
+TEST(FaultTest, WalReplayIoErrorFailsStartupAndLosesNothing) {
+  ExpectRecoveryReadErrorIsTyped("wal.replay.io_error");
+}
+
+TEST(FaultTest, RegistryLoadIoErrorFailsStartupAndLosesNothing) {
+  ExpectRecoveryReadErrorIsTyped("registry.load.io_error");
 }
 
 TEST(FaultTest, UnknownFaultPointRefusesToStart) {
@@ -1597,7 +1737,6 @@ int DaemonChildMain(int argc, char** argv) {
     else if (key == "http_metrics_port") options.http_metrics_port = int(value);
     else if (key == "log_out") options.log_out = text;
     else if (key == "log_level") options.log_level = text;
-    else if (key == "metrics_out") options.metrics_out = text;
     else if (key == "trace_dir") options.trace_dir = text;
   }
   floq::Status status = floq::server::RunDaemon(options);

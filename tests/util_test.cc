@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
+#include <filesystem>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -9,6 +13,7 @@
 #include <vector>
 
 #include "util/epoch.h"
+#include "util/file.h"
 #include "util/function_ref.h"
 #include "util/interner.h"
 #include "util/json.h"
@@ -19,6 +24,84 @@
 
 namespace floq {
 namespace {
+
+// ---- file layer ----------------------------------------------------------
+
+class FileTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    char buffer[] = "/tmp/floqfileXXXXXX";
+    ASSERT_NE(::mkdtemp(buffer), nullptr);
+    dir_ = buffer;
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  bool Exists(const std::string& path) {
+    return ::access(path.c_str(), F_OK) == 0;
+  }
+
+  std::string dir_;
+};
+
+TEST_F(FileTest, ReadFileOfAMissingPathIsNotFound) {
+  Result<std::string> bytes = ReadFile(dir_ + "/missing");
+  ASSERT_FALSE(bytes.ok());
+  EXPECT_EQ(bytes.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(bytes.status().message().find(dir_ + "/missing"),
+            std::string::npos);
+}
+
+TEST_F(FileTest, WriteFileThenReadFileRoundTrips) {
+  // Empty, and larger than one read of a regular file's size hint needs.
+  for (const std::string& content :
+       {std::string(), std::string(300'000, 'x') + "end"}) {
+    ASSERT_TRUE(WriteFile(dir_ + "/file", content).ok());
+    EXPECT_EQ(ReadFile(dir_ + "/file").value(), content);
+  }
+  // A file whose size stat does not know still reads to its end.
+  Result<std::string> proc = ReadFile("/proc/self/status");
+  ASSERT_TRUE(proc.ok()) << proc.status().ToString();
+  EXPECT_NE(proc->find("Name:"), std::string::npos);
+}
+
+TEST_F(FileTest, WriteFileReportsAFullDevice) {
+  Status written = WriteFile("/dev/full", "bytes a full device refuses");
+  EXPECT_FALSE(written.ok());
+  EXPECT_EQ(written.code(), StatusCode::kInternal);
+}
+
+TEST_F(FileTest, ReplaceFileThatFailsLeavesNoTmpFile) {
+  const std::string missing = dir_ + "/missing/file";
+  EXPECT_EQ(ReplaceFile(missing, "bytes").code(), StatusCode::kNotFound);
+  EXPECT_FALSE(Exists(missing + ".tmp"));
+  // The rename fails (the target is a non-empty directory) after the tmp
+  // file was written and synced: it is removed again.
+  const std::string taken = dir_ + "/taken";
+  ASSERT_EQ(::mkdir(taken.c_str(), 0755), 0);
+  ASSERT_TRUE(WriteFile(taken + "/child", "x").ok());
+  EXPECT_FALSE(ReplaceFile(taken, "bytes").ok());
+  EXPECT_FALSE(Exists(taken + ".tmp"));
+  EXPECT_EQ(ReadFile(taken + "/child").value(), "x");
+}
+
+TEST_F(FileTest, ReplaceFileReplacesAnExistingFileWhole) {
+  const std::string path = dir_ + "/file";
+  ASSERT_TRUE(WriteFile(path, std::string(10'000, 'a')).ok());
+  ASSERT_TRUE(ReplaceFile(path, "short").ok());
+  EXPECT_EQ(ReadFile(path).value(), "short");
+  EXPECT_FALSE(Exists(path + ".tmp"));
+  ASSERT_TRUE(ReplaceFile(path, "").ok());
+  EXPECT_EQ(ReadFile(path).value(), "");
+}
+
+TEST_F(FileTest, ErrnoErrorNamesTheCallAndMapsEnoent) {
+  errno = ENOENT;
+  Status missing = ErrnoError("open(x)");
+  EXPECT_EQ(missing.code(), StatusCode::kNotFound);
+  EXPECT_EQ(missing.message().rfind("open(x): ", 0), 0u) << missing.message();
+  errno = EIO;
+  EXPECT_EQ(ErrnoError("fsync(x)").code(), StatusCode::kInternal);
+}
 
 // ---- Status / Result --------------------------------------------------
 

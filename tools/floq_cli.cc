@@ -96,8 +96,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -120,6 +118,7 @@
 #include "kb/knowledge_base.h"
 #include "server/daemon.h"
 #include "server/protocol.h"
+#include "util/file.h"
 #include "util/metrics.h"
 #include "util/json.h"
 #include "util/strings.h"
@@ -150,29 +149,11 @@ int Fail(const std::string& message) {
   return kExitIo;
 }
 
-bool ReadFile(const std::string& path, std::string& out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  out = buffer.str();
-  return true;
-}
-
-bool WriteFile(const std::string& path, const std::string& content) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << content;
-  return bool(out);
-}
-
 Result<std::vector<ConjunctiveQuery>> LoadRules(World& world,
                                                 const std::string& path) {
-  std::string text;
-  if (!ReadFile(path, text)) {
-    return InvalidArgumentError("cannot read " + path);
-  }
-  Result<flogic::Program> program = flogic::ParseProgram(world, text);
+  Result<std::string> text = ReadFile(path);
+  if (!text.ok()) return text.status();
+  Result<flogic::Program> program = flogic::ParseProgram(world, *text);
   if (!program.ok()) return program.status();
   std::vector<ConjunctiveQuery> rules = std::move(program->rules);
   for (ConjunctiveQuery& goal : program->goals) {
@@ -253,10 +234,9 @@ int CmdExplain(const std::string& path, const ResourceBudget& budget,
     DotOptions dot_options;
     dot_options.max_level = std::max(result->chase.max_level(), 0);
     dot_options.title = "chase of " + q1.ToString(world);
-    if (!WriteFile(chase_dot,
-                   ChaseGraphToDot(result->chase, world, dot_options))) {
-      return Fail("cannot write " + chase_dot);
-    }
+    Status written = WriteFile(
+        chase_dot, ChaseGraphToDot(result->chase, world, dot_options));
+    if (!written.ok()) return Fail(written.ToString());
     std::printf("chase graph written to %s\n", chase_dot.c_str());
   }
 
@@ -343,11 +323,9 @@ int CmdMinimize(const std::string& path) {
 int CmdCheckUnder(const std::string& deps_path, const std::string& path,
                   const ResourceBudget& budget) {
   World world;
-  std::string deps_text;
-  if (!ReadFile(deps_path, deps_text)) {
-    return Fail("cannot read " + deps_path);
-  }
-  Result<DependencySet> deps = ParseDependencies(world, deps_text);
+  Result<std::string> deps_text = ReadFile(deps_path);
+  if (!deps_text.ok()) return Fail(deps_text.status().ToString());
+  Result<DependencySet> deps = ParseDependencies(world, *deps_text);
   if (!deps.ok()) return Fail(deps.status().ToString());
 
   Result<std::vector<ConjunctiveQuery>> rules = LoadRules(world, path);
@@ -419,18 +397,13 @@ int CmdViews(const std::string& path, bool no_prune) {
   return 0;
 }
 
-bool FileExists(const std::string& path) {
-  std::ifstream in(path);
-  return bool(in);
-}
-
 // Restores `kb` from `snapshot_path` when the file exists (returning true),
 // otherwise parses `kb_path` into it (returning false). Fail()s inline on
 // errors via the returned optional being empty.
 std::optional<bool> LoadKbOrSnapshot(KnowledgeBase& kb,
                                      const std::string& kb_path,
                                      const std::string& snapshot_path) {
-  if (!snapshot_path.empty() && FileExists(snapshot_path)) {
+  if (!snapshot_path.empty() && ::access(snapshot_path.c_str(), F_OK) == 0) {
     Status loaded = kb.LoadSnapshot(snapshot_path);
     if (!loaded.ok()) {
       Fail(loaded.ToString());
@@ -441,12 +414,12 @@ std::optional<bool> LoadKbOrSnapshot(KnowledgeBase& kb,
                  kb.saturated() ? " (saturated)" : "");
     return true;
   }
-  std::string text;
-  if (!ReadFile(kb_path, text)) {
-    Fail("cannot read " + kb_path);
+  Result<std::string> text = ReadFile(kb_path);
+  if (!text.ok()) {
+    Fail(text.status().ToString());
     return std::nullopt;
   }
-  Status loaded = kb.Load(text);
+  Status loaded = kb.Load(*text);
   if (!loaded.ok()) {
     Fail(loaded.ToString());
     return std::nullopt;
@@ -530,9 +503,9 @@ int CmdRepl(const std::string& kb_path) {
   World world;
   KnowledgeBase kb(world);
   if (!kb_path.empty()) {
-    std::string text;
-    if (!ReadFile(kb_path, text)) return Fail("cannot read " + kb_path);
-    Status loaded = kb.Load(text);
+    Result<std::string> text = ReadFile(kb_path);
+    if (!text.ok()) return Fail(text.status().ToString());
+    Status loaded = kb.Load(*text);
     if (!loaded.ok()) return Fail(loaded.ToString());
     std::printf("loaded %u facts from %s\n", kb.size(), kb_path.c_str());
   }
@@ -669,16 +642,16 @@ int CmdLint(const std::string& path, const std::string& deps_path,
     int save_failed = SaveKbSnapshot(*kb, snapshot_path, *from_snapshot);
     if (save_failed != 0) return save_failed;
   } else if (!path.empty()) {
-    std::string text;
-    if (!ReadFile(path, text)) return Fail("cannot read " + path);
+    Result<std::string> text = ReadFile(path);
+    if (!text.ok()) return Fail(text.status().ToString());
     groups.push_back(
-        {path, analysis::AnalyzeProgramText(world, text, options)});
+        {path, analysis::AnalyzeProgramText(world, *text, options)});
   }
   if (!deps_path.empty()) {
-    std::string text;
-    if (!ReadFile(deps_path, text)) return Fail("cannot read " + deps_path);
+    Result<std::string> text = ReadFile(deps_path);
+    if (!text.ok()) return Fail(text.status().ToString());
     groups.push_back(
-        {deps_path, analysis::AnalyzeDependencyText(world, text)});
+        {deps_path, analysis::AnalyzeDependencyText(world, *text)});
   }
 
   size_t total = 0;
@@ -759,9 +732,9 @@ int CmdAnalyze(const std::string& path, const std::string& deps_path,
   size_t fact_count = 0;
 
   if (!path.empty()) {
-    std::string text;
-    if (!ReadFile(path, text)) return Fail("cannot read " + path);
-    Result<flogic::Program> program = flogic::ParseProgram(world, text);
+    Result<std::string> text = ReadFile(path);
+    if (!text.ok()) return Fail(text.status().ToString());
+    Result<flogic::Program> program = flogic::ParseProgram(world, *text);
     if (!program.ok()) return Fail(program.status().ToString());
     queries = program->rules;
     queries.insert(queries.end(), program->goals.begin(),
@@ -785,9 +758,9 @@ int CmdAnalyze(const std::string& path, const std::string& deps_path,
   std::optional<analysis::BoundednessReport> deps_report;
   std::optional<DependencySet> deps;
   if (!deps_path.empty()) {
-    std::string text;
-    if (!ReadFile(deps_path, text)) return Fail("cannot read " + deps_path);
-    Result<DependencySet> parsed = ParseDependencies(world, text);
+    Result<std::string> text = ReadFile(deps_path);
+    if (!text.ok()) return Fail(text.status().ToString());
+    Result<DependencySet> parsed = ParseDependencies(world, *text);
     if (!parsed.ok()) return Fail(parsed.status().ToString());
     deps = std::move(*parsed);
     deps_report = analysis::AnalyzeBoundedness(*deps, world);
@@ -901,11 +874,8 @@ int Usage();  // forward: the daemon commands share the usage epilogue.
 // raise the budget). Exits 0 after a graceful drain, 4 on startup or
 // fatal I/O failure.
 int CmdServe(std::vector<std::string>& args, int jobs,
-             const ResourceBudget& budget, const std::string& metrics_out) {
+             const ResourceBudget& budget) {
   server::DaemonOptions options;
-  // The global --metrics-out flag doubles as the daemon's final-snapshot
-  // path: the drain path writes it before RunDaemon returns.
-  options.metrics_out = metrics_out;
   bool bad = false;
   for (size_t i = 1; i < args.size(); ++i) {
     auto int_flag = [&](const char* name, auto* slot) -> bool {
@@ -1271,9 +1241,9 @@ int CmdClient(std::vector<std::string>& args, const ResourceBudget& budget) {
       request.Set("timeout_ms", Json::Number(double(budget.timeout_ms)));
     }
   } else if (sub == "lint" && rest.size() == 2) {
-    std::string text;
-    if (!ReadFile(rest[1], text)) return Fail("cannot read " + rest[1]);
-    request.Set("program", Json::String(text));
+    Result<std::string> text = ReadFile(rest[1]);
+    if (!text.ok()) return Fail(text.status().ToString());
+    request.Set("program", Json::String(*text));
   } else if (sub == "metrics" && rest.size() == 1) {
     // `--format prometheus` asks the daemon for text exposition instead
     // of the embedded JSON snapshot.
@@ -1398,8 +1368,7 @@ int Usage() {
 
 int RunCommand(const std::string& command, std::vector<std::string>& args,
                int jobs, const ResourceBudget& budget, bool no_prune,
-               const std::string& kb_snapshot,
-               const std::string& metrics_out) {
+               const std::string& kb_snapshot) {
   if (command == "check" && args.size() == 2) {
     return CmdCheck(args[1], budget);
   }
@@ -1479,7 +1448,7 @@ int RunCommand(const std::string& command, std::vector<std::string>& args,
   if (command == "repl" && args.size() <= 2) {
     return CmdRepl(args.size() == 2 ? args[1] : std::string());
   }
-  if (command == "serve") return CmdServe(args, jobs, budget, metrics_out);
+  if (command == "serve") return CmdServe(args, jobs, budget);
   if (command == "client") return CmdClient(args, budget);
   if (command == "top") {
     std::string socket_path;
@@ -1559,11 +1528,11 @@ int main(int argc, char** argv) {
   if (!trace_out.empty()) trace_session.emplace();
 
   int exit_code = RunCommand(command, args, jobs, budget, no_prune,
-                             kb_snapshot, metrics_out);
+                             kb_snapshot);
 
-  if (!metrics_out.empty() &&
-      !WriteFile(metrics_out, MetricsRegistry::Get().ToJson())) {
-    return Fail("cannot write " + metrics_out);
+  if (!metrics_out.empty()) {
+    Status written = WriteFile(metrics_out, MetricsRegistry::Get().ToJson());
+    if (!written.ok()) return Fail(written.ToString());
   }
   if (trace_session.has_value()) {
     if (trace_session->dropped() > 0) {
@@ -1572,9 +1541,8 @@ int main(int argc, char** argv) {
                    "dropped\n",
                    static_cast<unsigned long long>(trace_session->dropped()));
     }
-    if (!WriteFile(trace_out, trace_session->ToJson())) {
-      return Fail("cannot write " + trace_out);
-    }
+    Status written = WriteFile(trace_out, trace_session->ToJson());
+    if (!written.ok()) return Fail(written.ToString());
   }
   return exit_code;
 }
