@@ -1223,6 +1223,55 @@ std::string ReadFileOrEmpty(const std::string& path) {
   return content;
 }
 
+// fork + execv of the real CLI: `floq serve <dir> --socket <dir>/floq.sock
+// [extra...]`, for what the CLI itself does around RunDaemon.
+DaemonProc SpawnCliServe(const std::string& dir,
+                         std::vector<std::string> extra) {
+  DaemonProc daemon;
+  daemon.dir = dir;
+  daemon.socket_path = dir + "/floq.sock";
+  pid_t pid = fork();
+  if (pid == 0) {
+    unsetenv("FLOQ_FAULT");
+    std::vector<std::string> args = {FLOQ_CLI_PATH, "serve", dir, "--socket",
+                                     daemon.socket_path};
+    for (std::string& e : extra) args.push_back(std::move(e));
+    std::vector<char*> argv;
+    argv.reserve(args.size() + 1);
+    for (std::string& a : args) argv.push_back(a.data());
+    argv.push_back(nullptr);
+    execv(FLOQ_CLI_PATH, argv.data());
+    _exit(127);
+  }
+  daemon.pid = pid;
+  return daemon;
+}
+
+TEST(ObservabilityTest, MetricsOutWrittenOnSigtermDrain) {
+  std::string dir = MakeTempDir();
+  std::string metrics_path = dir + "/final-metrics.json";
+  DaemonProc daemon = SpawnCliServe(dir, {"--metrics-out", metrics_path});
+  DaemonReaper daemon_reaper(daemon);
+  ASSERT_TRUE(WaitForDaemon(daemon));
+  ASSERT_TRUE(Request(daemon.socket_path,
+                      RegisterRequest("students", "q(X) :- X : student."))
+                  .ok());
+
+  kill(daemon.pid, SIGTERM);
+  EXPECT_EQ(WaitForExit(daemon), 0);
+
+  // The drain returned and the CLI wrote a final snapshot: canonical JSON
+  // with the serve counters armed by the daemon itself.
+  std::string snapshot = ReadFileOrEmpty(metrics_path);
+  ASSERT_FALSE(snapshot.empty()) << metrics_path << " missing";
+  EXPECT_NE(snapshot.find("\"counters\""), std::string::npos);
+  EXPECT_NE(snapshot.find("\"gauges\""), std::string::npos);
+  EXPECT_NE(snapshot.find("\"serve.requests\""), std::string::npos);
+  EXPECT_NE(snapshot.find("\"serve.wal.append.records\": 1"),
+            std::string::npos)
+      << snapshot;
+}
+
 TEST(ObservabilityTest, RepliesCarryRequestIdsAndClientTraceIds) {
   std::string dir = MakeTempDir();
   DaemonProc daemon = SpawnDaemon(dir);
