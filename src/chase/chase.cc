@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <limits>
 #include <set>
 #include <span>
 #include <unordered_set>
@@ -272,6 +271,12 @@ class ChaseEngine {
     delta_.clear();
     Advance();
     Finish(span, before);
+  }
+
+  /// Marks a kLevelCapped chase as out of atoms without running it, when
+  /// a deeper chase of the same query already ran out.
+  void MarkBudgetExceeded() {
+    result_.outcome_ = ChaseOutcome::kBudgetExceeded;
   }
 
   const ChaseResult& result() const { return result_; }
@@ -795,72 +800,69 @@ ResumableChase& ResumableChase::operator=(ResumableChase&&) noexcept = default;
 
 const ChaseResult& ResumableChase::EnsureLevel(int level,
                                                ExecGovernor* governor) {
-  if (!started_) {
+  if (engine_ == nullptr) {
     engine_ = RunFresh(level, governor);
-    started_ = true;
-    NoteCompleteLevel();
     return engine_->result();
   }
-  ChaseOutcome outcome = engine_->result().outcome();
-  if (outcome == ChaseOutcome::kBudgetExceeded && level > complete_level_ &&
-      level < engine_->level_cap()) {
-    // A deeper run ran out of atoms before this level was complete. A
-    // chase to this level alone may fit the budget: keep it if it does.
-    std::unique_ptr<ChaseEngine> fresh = RunFresh(level, governor);
-    const ChaseOutcome fresh_outcome = fresh->result().outcome();
-    if (fresh_outcome == ChaseOutcome::kLevelCapped ||
-        fresh_outcome == ChaseOutcome::kCompleted) {
-      engine_ = std::move(fresh);
-      NoteCompleteLevel();
-    }
-    return engine_->result();
-  }
-  if (outcome != ChaseOutcome::kInterrupted &&
-      (level <= engine_->level_cap() ||
-       outcome != ChaseOutcome::kLevelCapped)) {
-    // Already materialized deep enough, or nothing deeper exists
-    // (completed) or can be computed (failed / budget). An interrupted
-    // chase never takes this path — its materialization is incomplete
-    // even at the current cap, so it always resumes.
-    return engine_->result();
+  switch (engine_->result().outcome()) {
+    case ChaseOutcome::kCompleted:
+    case ChaseOutcome::kFailed:
+      return engine_->result();  // nothing deeper exists or can be computed
+    case ChaseOutcome::kLevelCapped:
+      if (level <= engine_->level_cap()) return engine_->result();
+      if (level >= exhausted_level_) {
+        // A chase this deep ran out of atoms before, and would again.
+        engine_->MarkBudgetExceeded();
+        return engine_->result();
+      }
+      break;
+    case ChaseOutcome::kBudgetExceeded:
+      // A deeper run ran out of atoms before this level was complete. A
+      // chase to this level alone may fit the budget: keep it if it does.
+      if (level > complete_level_ && level < exhausted_level_) {
+        std::unique_ptr<ChaseEngine> fresh = RunFresh(level, governor);
+        const ChaseOutcome outcome = fresh->result().outcome();
+        if (outcome != ChaseOutcome::kBudgetExceeded &&
+            outcome != ChaseOutcome::kInterrupted) {
+          engine_ = std::move(fresh);
+        }
+      }
+      return engine_->result();
+    case ChaseOutcome::kInterrupted:
+      break;  // incomplete even at its cap: always resume
   }
   engine_->Deepen(level, governor);
   ++deepen_count_;
-  NoteCompleteLevel();
+  NoteLevels(*engine_);
   return engine_->result();
 }
 
-std::unique_ptr<ChaseEngine> ResumableChase::RunFresh(
-    int level, ExecGovernor* governor) const {
+std::unique_ptr<ChaseEngine> ResumableChase::RunFresh(int level,
+                                                      ExecGovernor* governor) {
   ChaseOptions run_options = options_;
   run_options.max_level = level;
   auto engine =
       std::make_unique<ChaseEngine>(*world_, *dependencies_, run_options);
   engine->Run(query_.body(), query_.head(), governor);
+  ++run_count_;
+  NoteLevels(*engine);
   return engine;
 }
 
-void ResumableChase::NoteCompleteLevel() {
-  switch (engine_->result().outcome()) {
-    case ChaseOutcome::kCompleted:
-      complete_level_ = std::numeric_limits<int>::max();
-      break;
-    case ChaseOutcome::kLevelCapped:
-      complete_level_ = engine_->level_cap();
-      break;
-    default:
-      break;  // a later, deeper run stopped: the earlier prefix stands
+void ResumableChase::NoteLevels(const ChaseEngine& engine) {
+  const ChaseOutcome outcome = engine.result().outcome();
+  if (outcome == ChaseOutcome::kCompleted) {
+    complete_level_ = std::numeric_limits<int>::max();
+  } else if (outcome == ChaseOutcome::kLevelCapped) {
+    complete_level_ = engine.level_cap();
+  } else if (outcome == ChaseOutcome::kBudgetExceeded) {
+    exhausted_level_ = std::min(exhausted_level_, engine.level_cap());
   }
 }
 
 const ChaseResult& ResumableChase::result() const {
-  FLOQ_CHECK(started_);
+  FLOQ_CHECK(started());
   return engine_->result();
-}
-
-int ResumableChase::level_cap() const {
-  FLOQ_CHECK(started_);
-  return engine_->level_cap();
 }
 
 }  // namespace floq

@@ -204,24 +204,22 @@ class ResumableChase {
 
   /// Materializes conjuncts at least up to `level` (the first call runs
   /// phases A and B from scratch; later calls resume phase B). A chase
-  /// that already completed or failed is returned unchanged, and so is one
-  /// that exhausted its atom budget, except that a level above
-  /// complete_level() and below the level cap of the run that ran out is
-  /// chased again from scratch, and that chase replaces this one when it
-  /// completes the level. An interrupted chase (a previous governor
-  /// tripped) is always resumed, even at the same level. `governor`, when
-  /// non-null, bounds this call only. Returns result().
+  /// that completed or failed is returned unchanged. A level at or above
+  /// the lowest level cap at which a run exhausted the atom budget runs
+  /// nothing, since a deeper chase grows from a shallower one (a
+  /// kLevelCapped chase is marked kBudgetExceeded). Below it, a chase
+  /// whose budget ran out chases a level above complete_level() again
+  /// from scratch and keeps that chase if it completes the level. An
+  /// interrupted chase (a previous governor tripped) is always resumed,
+  /// even at the same level. `governor`, when non-null, bounds this call
+  /// only. Returns result().
   const ChaseResult& EnsureLevel(int level, ExecGovernor* governor = nullptr);
 
   /// The materialized prefix. Valid only after the first EnsureLevel.
   const ChaseResult& result() const;
 
   /// True once EnsureLevel has run the initial chase.
-  bool started() const { return started_; }
-
-  /// The level cap the engine has materialized to so far (meaningful only
-  /// after the first EnsureLevel).
-  int level_cap() const;
+  bool started() const { return engine_ != nullptr; }
 
   /// The deepest level materialized completely: the cap of the last
   /// kLevelCapped run, INT_MAX once the chase completed, -1 before either.
@@ -234,21 +232,25 @@ class ResumableChase {
   /// materialization (cache-friendly deepenings, excluding the first run).
   uint64_t deepen_count() const { return deepen_count_; }
 
+  /// Number of chases run from scratch, the first one included.
+  uint64_t run_count() const { return run_count_; }
+
  private:
+  // A new engine chased from scratch to `level`, its levels noted.
+  std::unique_ptr<ChaseEngine> RunFresh(int level, ExecGovernor* governor);
+  // Records the level a run that just ended completed or exhausted.
+  void NoteLevels(const ChaseEngine& engine);
+
   World* world_;
   ConjunctiveQuery query_;
   const DependencySet* dependencies_;
   ChaseOptions options_;
   std::unique_ptr<ChaseEngine> engine_;
-  // A new engine chased from scratch to `level`.
-  std::unique_ptr<ChaseEngine> RunFresh(int level,
-                                        ExecGovernor* governor) const;
-  // Records the level a run that just ended left complete.
-  void NoteCompleteLevel();
-
-  bool started_ = false;
   uint64_t deepen_count_ = 0;
+  uint64_t run_count_ = 0;
   int complete_level_ = -1;
+  // The lowest level cap at which a run exhausted the atom budget.
+  int exhausted_level_ = std::numeric_limits<int>::max();
 };
 
 /// The preliminary chase only (Sigma_FL^-): terminating, everything at

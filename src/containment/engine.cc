@@ -556,14 +556,15 @@ void ContainmentEngine::CheckPairsCore(size_t pair_count, const Rows& rows) {
                                                   entries_[rhs]->query);
           verdict.level_bound = level;
           if (!l.chase.has_value()) {
-            ++stats.chases_run;
             l.chase.emplace(world_, l.query, sigma_, chase_options);
           } else {
             ++stats.chase_cache_hits;
           }
+          const uint64_t runs_before = l.chase->run_count();
           const uint64_t deepenings_before = l.chase->deepen_count();
           const ChaseResult& chase =
               l.chase->EnsureLevel(level, &chase_governor);
+          stats.chases_run += l.chase->run_count() - runs_before;
           stats.chase_deepenings += l.chase->deepen_count() - deepenings_before;
           FoldGovernorMetrics(chase_governor);
           if (span.active()) {

@@ -100,7 +100,9 @@ struct BatchStats {
   uint64_t chase_requests = 0;
   /// Requests served by a handle built for an earlier pair.
   uint64_t chase_cache_hits = 0;
-  /// Distinct queries chased (cache misses; each query is chased once).
+  /// Chases run from scratch: one per query chased (a cache miss), plus
+  /// one per shallower level chased again after its handle's deeper run
+  /// exhausted the atom budget (ResumableChase::run_count).
   uint64_t chases_run = 0;
   /// Times an existing handle had to resume its chase to a deeper level.
   uint64_t chase_deepenings = 0;

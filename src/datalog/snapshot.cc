@@ -92,22 +92,20 @@ constexpr uint64_t kSectionAlign = 64;
 class FileWriter {
  public:
   void Pad() {
-    while (bytes_.size() % kSectionAlign != 0) bytes_.push_back(0);
+    bytes_.resize((bytes_.size() + kSectionAlign - 1) & ~(kSectionAlign - 1));
   }
 
   uint64_t offset() const { return bytes_.size(); }
 
   void Append(const void* data, size_t size) {
-    if (size == 0) return;
-    const uint8_t* p = static_cast<const uint8_t*>(data);
-    bytes_.insert(bytes_.end(), p, p + size);
+    bytes_.append(static_cast<const char*>(data), size);
   }
 
   void AppendU32(uint32_t v) { Append(&v, sizeof v); }
 
   void AppendString(const std::string& s) {
     AppendU32(uint32_t(s.size()));
-    Append(s.data(), s.size());
+    bytes_ += s;
   }
 
   void PatchHeader(const SnapshotHeader& header) {
@@ -115,12 +113,10 @@ class FileWriter {
   }
 
   Status WriteTo(const std::string& path) const {
-    return ReplaceFile(
-        path, std::string_view(reinterpret_cast<const char*>(bytes_.data()),
-                               bytes_.size()));
+    return ReplaceFile(path, bytes_);
   }
 
-  std::vector<uint8_t> bytes_;
+  std::string bytes_;
 };
 
 // Bounds-checked reader over the symbol blob of a mapped snapshot.

@@ -64,9 +64,7 @@ Status QueryRegistry::Open() {
   }
 
   std::vector<RegistryEntryView> checkpointed;
-  bool have_checkpoint = false;
-  FLOQ_RETURN_IF_ERROR(
-      LoadCheckpoint(&checkpointed, &epoch_, &have_checkpoint));
+  FLOQ_RETURN_IF_ERROR(LoadCheckpoint(&checkpointed, &epoch_));
   for (const RegistryEntryView& entry : checkpointed) {
     bool applied = false;
     Status st = ApplyRegister(entry.name, entry.text, &applied);
@@ -93,8 +91,7 @@ Status QueryRegistry::Open() {
 }
 
 Status QueryRegistry::LoadCheckpoint(std::vector<RegistryEntryView>* entries,
-                                     uint64_t* epoch, bool* found) {
-  *found = false;
+                                     uint64_t* epoch) {
   *epoch = 0;
   Result<std::string> bytes = ReadFile(checkpoint_path_);
   if (!bytes.ok()) {
@@ -133,12 +130,8 @@ Status QueryRegistry::LoadCheckpoint(std::vector<RegistryEntryView>* entries,
     if (!name.ok() || !text.ok()) {
       return InvalidArgumentError("registry checkpoint corrupt (entry)");
     }
-    RegistryEntryView entry;
-    entry.name = *name;
-    entry.text = *text;
-    entries->push_back(std::move(entry));
+    entries->push_back({*name, *text});
   }
-  *found = true;
   return Status::Ok();
 }
 

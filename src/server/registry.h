@@ -208,7 +208,7 @@ class QueryRegistry {
   Status InsertLocked(const std::string& name, const std::string& text,
                       const ConjunctiveQuery& query);
   Status LoadCheckpoint(std::vector<RegistryEntryView>* entries,
-                        uint64_t* epoch, bool* found);
+                        uint64_t* epoch);
   Status CheckpointLocked();
   // Cadence checkpoint after a mutation: a failure here is reported, not
   // returned — the mutation is already durable in the WAL.

@@ -36,9 +36,10 @@ std::optional<std::string_view> DecodeRecord(std::string_view bytes,
   return payload;
 }
 
-Result<WalScan> ScanWal(std::string_view bytes) {
+Result<WalReplay> ScanWal(std::string_view bytes) {
   const std::string_view magic(kWalMagic, sizeof(kWalMagic));
-  WalScan scan;
+  WalReplay scan;
+  scan.truncated_tail = !bytes.empty();
   // Creation died before the header's fsync: nothing was ever acked.
   if (bytes.size() < magic.size() && magic.starts_with(bytes)) return scan;
   if (!bytes.starts_with(magic)) {
@@ -59,10 +60,11 @@ Result<WalScan> ScanWal(std::string_view bytes) {
       return InvalidArgumentError(
           "WAL corrupt mid-log (valid record follows a bad one)");
     }
-    scan.records.push_back(*payload);
+    scan.records.emplace_back(*payload);
     valid = at = at + kRecordFrameBytes + payload->size();
   }
   scan.valid_bytes = valid;
+  scan.truncated_tail = valid < bytes.size();
   return scan;
 }
 
@@ -94,14 +96,12 @@ Status Wal::Replay(WalReplay* replay) {
   // them so). The offset ends at the end of the file.
   Result<std::string> bytes = ReadAll(fd_, path_);
   if (!bytes.ok()) return bytes.status();
-  Result<WalScan> scan = ScanWal(*bytes);
+  Result<WalReplay> scan = ScanWal(*bytes);
   if (!scan.ok()) {
     return InvalidArgumentError(scan.status().message() + ": " + path_);
   }
-  replay->records.assign(scan->records.begin(), scan->records.end());
-  replay->truncated_tail = scan->valid_bytes < bytes->size();
-  replay->valid_bytes = scan->valid_bytes;
-  if (scan->valid_bytes == 0) {
+  *replay = std::move(*scan);
+  if (replay->valid_bytes == 0) {
     // A new log, or a header torn before its fsync: write it whole.
     replay->valid_bytes = sizeof(kWalMagic);
     if (::lseek(fd_, 0, SEEK_SET) < 0) {
@@ -112,7 +112,7 @@ Status Wal::Replay(WalReplay* replay) {
     if (::fsync(fd_) != 0) return ErrnoError("fsync(" + path_ + ")");
     return SyncParentDir(path_);
   }
-  if (replay->truncated_tail) return TruncateTo(scan->valid_bytes);
+  if (replay->truncated_tail) return TruncateTo(replay->valid_bytes);
   return Status::Ok();
 }
 

@@ -51,25 +51,18 @@ std::optional<std::string_view> DecodeRecord(std::string_view bytes,
                                              uint32_t max_payload);
 
 // What the bytes of a WAL file hold; a function of the bytes alone.
-struct WalScan {
-  // Payloads of the valid prefix, in order, viewing the scanned bytes.
-  std::vector<std::string_view> records;
+struct WalReplay {
+  std::vector<std::string> records;
   // Offset just past the last valid record: anything beyond is a torn
   // tail. 0 when the header itself is torn or absent (the log is empty).
   uint64_t valid_bytes = 0;
+  // Bytes follow valid_bytes; Open truncates them away.
+  bool truncated_tail = false;
 };
 
 // Scans a whole WAL file. Fails with InvalidArgument on a wrong header or
 // on a valid record anywhere after an invalid one (mid-log corruption).
-Result<WalScan> ScanWal(std::string_view bytes);
-
-struct WalReplay {
-  std::vector<std::string> records;
-  // Offset just past the last valid record; anything beyond was a torn
-  // tail that Open truncated away.
-  uint64_t valid_bytes = 0;
-  bool truncated_tail = false;
-};
+Result<WalReplay> ScanWal(std::string_view bytes);
 
 class Wal {
  public:
@@ -80,7 +73,8 @@ class Wal {
 
   // Opens (creating if absent) the log at `path`, replays every valid
   // record into `replay`, and truncates any torn tail so the next
-  // Append lands on a clean boundary.
+  // Append lands on a clean boundary; `replay->valid_bytes` is then the
+  // log's size.
   Status Open(const std::string& path, WalReplay* replay);
 
   // Durably appends one record: write, fsync, then return. An error

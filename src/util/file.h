@@ -6,27 +6,26 @@
 
 #include "util/status.h"
 
-// The one file layer: every file floq reads whole or writes goes through
-// these helpers — the serve WAL and registry checkpoint, FLOQSNAP
-// snapshots, and the CLI's input and output files (DESIGN.md §16.2). A
-// failed system call becomes a Status naming the call, the path and
-// strerror(errno); nothing here drops a write error.
+// The one file layer (DESIGN.md §16.2): the serve WAL and checkpoint,
+// FLOQSNAP snapshots and the CLI's input and output files are read and
+// written only through these helpers. A failed system call becomes a
+// Status naming the call, the path and strerror(errno); no write error is
+// dropped.
 
 namespace floq {
 
 /// The Status for the system call `what` (e.g. "open(/d/registry.wal)")
-/// that just failed, built from errno: NotFound for ENOENT, Internal
-/// otherwise.
+/// that just failed: NotFound for ENOENT, Internal otherwise.
 Status ErrnoError(std::string_view what);
 
-/// Reads `fd` from its current offset to end of file. `name` labels errors.
+/// Reads `fd` from its offset to end of file; `name` labels errors.
 Result<std::string> ReadAll(int fd, std::string_view name);
 
 /// Reads the whole of `path`; NotFound when it does not exist.
 Result<std::string> ReadFile(const std::string& path);
 
-/// Writes all of `data` at `fd`'s current offset, resuming after short
-/// writes and EINTR. `name` labels errors.
+/// Writes all of `data` at `fd`'s offset, resuming after short writes and
+/// EINTR; `name` labels errors.
 Status WriteAll(int fd, std::string_view data, std::string_view name);
 
 /// Creates or truncates `path` and writes `data`, reporting open, write and
@@ -35,10 +34,8 @@ Status WriteFile(const std::string& path, std::string_view data);
 
 /// Crash points (util/fault.h) a durable replace passes; null skips one.
 struct ReplaceFaults {
-  // Half of the bytes reach the tmp file, then the process dies.
-  const char* torn_write = nullptr;
-  // The tmp file is complete and fsync'd but not yet renamed into place.
-  const char* before_rename = nullptr;
+  const char* torn_write = nullptr;     // half the tmp file written, then death
+  const char* before_rename = nullptr;  // the tmp file whole and fsync'd
 };
 
 /// Atomically and durably replaces `path` with `data`: writes `path`.tmp,
@@ -49,7 +46,7 @@ Status ReplaceFile(const std::string& path, std::string_view data,
                    const ReplaceFaults& faults = {});
 
 /// fsyncs the directory holding `path`, so that a created or renamed
-/// entry survives a crash of the directory itself.
+/// entry survives a crash.
 Status SyncParentDir(const std::string& path);
 
 }  // namespace floq

@@ -1395,6 +1395,10 @@ void ExpectShallowPairStaysDefinite(bool signature_index, bool deep_first) {
   EXPECT_EQ(to_shallow.level_bound, 8);
   EXPECT_EQ(to_shallow.resolution, Resolution::kNotContained)
       << "unknown_reason " << TripReasonName(to_shallow.unknown_reason);
+  // The signature index probes all three queries. Deep first, the shallow
+  // pair's chase from scratch is one more run.
+  EXPECT_EQ(engine.stats().chases_run,
+            (signature_index ? 3u : 1u) + (deep_first ? 1u : 0u));
 }
 
 TEST(RowBudgetTest, ShallowPairBeforeDeepPairIsDefinite) {
@@ -1443,12 +1447,57 @@ TEST(ResumableChaseTest, ShallowerLevelAfterABudgetTripIsChasedAgain) {
   resumable.EnsureLevel(8);
   EXPECT_EQ(resumable.result().outcome(), ChaseOutcome::kLevelCapped);
   EXPECT_EQ(resumable.complete_level(), 8);
+  EXPECT_EQ(resumable.run_count(), 2u);
   EXPECT_EQ(resumable.deepen_count(), 0u);
-  // Past the cap of the run that ran out, a fresh chase would run out too.
+  // At or past the cap of the run that ran out, a chase would run out too:
+  // the level-8 chase is marked out of atoms without running.
   resumable.EnsureLevel(48);
   resumable.EnsureLevel(60);
   EXPECT_EQ(resumable.result().outcome(), ChaseOutcome::kBudgetExceeded);
   EXPECT_EQ(resumable.complete_level(), 8);
+  EXPECT_EQ(resumable.run_count(), 2u);
+  EXPECT_EQ(resumable.deepen_count(), 0u);
+}
+
+// At 60 atoms the 2-cycle's chase fits up to level 21 and runs out from
+// level 22 on. A run that runs out is remembered: no later level at or
+// above its cap runs anything, and each chase narrows the levels between
+// the complete prefix and the lowest exhausted one.
+TEST(ResumableChaseTest, ExhaustedLevelIsNeverChasedAgain) {
+  World world;
+  DependencySet sigma = MakeSigmaFLDependencies(world);
+  ChaseOptions options;
+  options.max_atoms = kRowAtomBudget;
+  ResumableChase resumable(
+      world, gen::MakeMandatoryCycleQuery(world, 2, "q"), sigma, options);
+  resumable.EnsureLevel(48);
+  resumable.EnsureLevel(30);  // a re-chase that runs out too
+  EXPECT_EQ(resumable.run_count(), 2u);
+  for (int level : {30, 40, 48}) resumable.EnsureLevel(level);
+  EXPECT_EQ(resumable.run_count(), 2u);
+  EXPECT_EQ(resumable.deepen_count(), 0u);
+  EXPECT_EQ(resumable.complete_level(), -1);
+  EXPECT_EQ(resumable.result().outcome(), ChaseOutcome::kBudgetExceeded);
+
+  resumable.EnsureLevel(12);  // fits: replaces the exhausted chase
+  EXPECT_EQ(resumable.run_count(), 3u);
+  EXPECT_EQ(resumable.complete_level(), 12);
+  resumable.EnsureLevel(40);  // above 30: marked, not run
+  EXPECT_EQ(resumable.result().outcome(), ChaseOutcome::kBudgetExceeded);
+  EXPECT_EQ(resumable.run_count(), 3u);
+  EXPECT_EQ(resumable.deepen_count(), 0u);
+  resumable.EnsureLevel(20);  // chased again from scratch within the budget
+  EXPECT_EQ(resumable.run_count(), 4u);
+  EXPECT_EQ(resumable.complete_level(), 20);
+  resumable.EnsureLevel(25);  // deepens and runs out
+  EXPECT_EQ(resumable.result().outcome(), ChaseOutcome::kBudgetExceeded);
+  EXPECT_EQ(resumable.deepen_count(), 1u);
+  resumable.EnsureLevel(22);  // a re-chase between 20 and 25 runs out
+  EXPECT_EQ(resumable.run_count(), 5u);
+  for (int level : {8, 20, 22, 24, 25, 48}) resumable.EnsureLevel(level);
+  EXPECT_EQ(resumable.run_count(), 5u);
+  EXPECT_EQ(resumable.deepen_count(), 1u);
+  EXPECT_EQ(resumable.complete_level(), 20);
 }
 
 // ---- a chase stopped while it seeds q1's body ------------------------------

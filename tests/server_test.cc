@@ -1211,16 +1211,8 @@ TEST(DaemonTest, IdleConnectionsAreDisconnected) {
 // --- observability: metrics snapshot, Prometheus, request attribution -----
 
 std::string ReadFileOrEmpty(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) return std::string();
-  std::string content;
-  char buffer[4096];
-  size_t n = 0;
-  while ((n = std::fread(buffer, 1, sizeof buffer, file)) > 0) {
-    content.append(buffer, n);
-  }
-  std::fclose(file);
-  return content;
+  Result<std::string> content = ReadFile(path);
+  return content.ok() ? *content : std::string();
 }
 
 // fork + execv of the real CLI: `floq serve <dir> --socket <dir>/floq.sock
@@ -1603,6 +1595,31 @@ TEST(FaultTest, RequestIdIsConsistentAcrossReplyLogAndTrace) {
   ASSERT_FALSE(traces.empty());
   EXPECT_NE(traces.find("\"serve.request\""), std::string::npos);
   EXPECT_NE(traces.find(id_field), std::string::npos);
+}
+
+// A trace file the drain cannot write is logged as trace.rotate_failed,
+// never as trace.rotated. The first rotation's path links to /dev/full, so
+// its open succeeds and its write fails with ENOSPC, even as root.
+TEST(ObservabilityTest, FailedTraceRotationIsLoggedAsFailed) {
+  std::string dir = MakeTempDir();
+  std::string log_path = dir + "/server-log.jsonl";
+  std::string trace_dir = dir + "/traces";
+  ASSERT_EQ(::mkdir(trace_dir.c_str(), 0755), 0);
+  ASSERT_EQ(::symlink("/dev/full", (trace_dir + "/floq-trace-0.json").c_str()),
+            0);
+  DaemonProc daemon = SpawnDaemon(
+      dir, "", {"log_out=" + log_path, "trace_sample=1",
+                "trace_dir=" + trace_dir});
+  DaemonReaper daemon_reaper(daemon);
+  ASSERT_TRUE(WaitForDaemon(daemon));
+  ASSERT_TRUE(Request(daemon.socket_path, MakeRequest("ping")).ok());
+  EXPECT_EQ(ShutdownDaemon(daemon), 0);  // the drain rotates once
+
+  std::string log = ReadFileOrEmpty(log_path);
+  EXPECT_NE(log.find("\"msg\": \"trace.rotate_failed\""), std::string::npos)
+      << log;
+  EXPECT_EQ(log.find("\"msg\": \"trace.rotated\""), std::string::npos)
+      << log;
 }
 
 // --- the headline: crash-recovery parity suite ----------------------------

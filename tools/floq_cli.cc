@@ -415,11 +415,7 @@ std::optional<bool> LoadKbOrSnapshot(KnowledgeBase& kb,
     return true;
   }
   Result<std::string> text = ReadFile(kb_path);
-  if (!text.ok()) {
-    Fail(text.status().ToString());
-    return std::nullopt;
-  }
-  Status loaded = kb.Load(*text);
+  Status loaded = text.ok() ? kb.Load(*text) : text.status();
   if (!loaded.ok()) {
     Fail(loaded.ToString());
     return std::nullopt;
@@ -504,8 +500,7 @@ int CmdRepl(const std::string& kb_path) {
   KnowledgeBase kb(world);
   if (!kb_path.empty()) {
     Result<std::string> text = ReadFile(kb_path);
-    if (!text.ok()) return Fail(text.status().ToString());
-    Status loaded = kb.Load(*text);
+    Status loaded = text.ok() ? kb.Load(*text) : text.status();
     if (!loaded.ok()) return Fail(loaded.ToString());
     std::printf("loaded %u facts from %s\n", kb.size(), kb_path.c_str());
   }
